@@ -245,7 +245,9 @@ class Mps:
         err, k = self._select_rank(s)
         bond = i + 1
         cap = self.d ** min(bond, self.n - bond)
-        assert k <= cap, "bond grew past the structural ceiling"
+        if k > cap:
+            raise RuntimeError(f"bond {bond} grew to {k}, past the "
+                               f"structural ceiling {cap}")
         su = s[:k] / np.linalg.norm(s[:k])
         self.tensors[i] = u[:, :k].reshape(l, d1, k)
         self.tensors[i + 1] = (su[:, None] * vh[:k]).reshape(k, d2, r)
@@ -376,7 +378,9 @@ class Mps:
         u, s, vh = robust_svd(t.reshape(l, d_ * r))
         err, k = self._select_rank(s)
         cap = self.d ** min(i, self.n - i)
-        assert k <= cap, "bond grew past the structural ceiling"
+        if k > cap:
+            raise RuntimeError(f"bond {i} grew to {k}, past the "
+                               f"structural ceiling {cap}")
         su = s[:k] / np.linalg.norm(s[:k])
         self.tensors[i] = vh[:k].reshape(k, d_, r)
         carry = u[:, :k] * su[None, :]

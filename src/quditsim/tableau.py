@@ -178,49 +178,56 @@ class Tableau:
         return PauliString(self.d, x, z, (ph + p.phase) % (2 * self.d))
 
     def conjugate_inverse(self, p: PauliString) -> PauliString:
-        """C^dagger p C by solving the exponent system over Z_d.
+        """C^dagger p C in closed form from commutation exponents, O(n^2).
 
-        Gaussian elimination finds which row product reconstructs p's
-        exponents; the product is then multiplied out explicitly and its
-        phase compared with p's to fix the result's phase.
+        For p = C q C^dagger the symplectic relations (see symplectic_ok)
+        give q's exponents directly: its X power on site j is
+        c(stab_j, p) = -c(p, stab_j) and its Z power is c(p, destab_j),
+        mod d. The row product for those powers is then multiplied out
+        forward; it must reproduce p's exponents (else the tableau is
+        corrupted and LinAlgError is raised), and its phase fixes q's.
         """
         self._check_shape(p)
-        vec = np.concatenate([p.x, p.z])
-        sol = kernels.solve_mod(self.exponent_matrix(), vec, self.d)
-        xpow, zpow = sol[:self.n], sol[self.n:]
+        n, d = self.n, self.d
+        xpow = (self.zs[:n] @ p.x - self.xs[:n] @ p.z) % d
+        zpow = (self.xs[n:] @ p.z - self.zs[n:] @ p.x) % d
         rx, rz, rph = kernels.rowprod(self.xs, self.zs, self.phases,
-                                      xpow, zpow, self.d)
+                                      xpow, zpow, d)
         if not (np.array_equal(rx, p.x) and np.array_equal(rz, p.z)):
-            # solve_mod succeeded but the rows do not span: corrupted tableau
             raise np.linalg.LinAlgError("tableau rows do not span the Pauli group")
-        return PauliString(self.d, xpow, zpow,
-                           (p.phase - rph) % (2 * self.d))
+        return PauliString(d, xpow, zpow, (p.phase - rph) % (2 * d))
 
     def right_multiply(self, word) -> "Tableau":
         """Compose on the right: stored C becomes C W for the word's unitary.
 
-        Each basis image W B W^dagger is read off a fresh tableau for W and
-        pushed through conjugate_forward. Rows W leaves untouched map to the
-        current rows unchanged, which keeps short two-site words cheap.
+        W acts only on the word's m sites, so only rows s and n+s of those
+        sites change: each basis image W B W^dagger is read off an m-site
+        tableau for W, embedded and pushed through conjugate_forward. The
+        other 2n - 2m rows are not touched, so a two-site word costs O(n).
         """
-        w = identity_tableau(self.n, self.d)
-        w.apply_word(word)
-        n = self.n
-        new_xs = self.xs.copy()
-        new_zs = self.zs.copy()
-        new_ph = self.phases.copy()
-        eye = np.eye(n, dtype=np.int64)
-        for r in range(2 * n):
-            bx = eye[r - n] if r >= n else np.zeros(n, dtype=np.int64)
-            bz = eye[r] if r < n else np.zeros(n, dtype=np.int64)
-            if (w.phases[r] == 0 and np.array_equal(w.xs[r], bx)
-                    and np.array_equal(w.zs[r], bz)):
-                continue
-            q = self.conjugate_forward(w.row(r))
-            new_xs[r] = q.x
-            new_zs[r] = q.z
-            new_ph[r] = q.phase
-        self.xs, self.zs, self.phases = new_xs, new_zs, new_ph
+        word = list(word)
+        sites = sorted({s for g in word for s in g.sites})
+        if not sites:
+            return self
+        if sites[-1] >= self.n:
+            raise ValueError(f"word sites {sites} exceed n={self.n}")
+        n, m = self.n, len(sites)
+        local = {s: j for j, s in enumerate(sites)}
+        w = identity_tableau(m, self.d).apply_word(
+            CliffordGate(g.kind, tuple(local[s] for s in g.sites)) for g in word)
+        targets = sites + [n + s for s in sites]
+        images = []
+        for r in range(2 * m):
+            x = np.zeros(n, dtype=np.int64)
+            z = np.zeros(n, dtype=np.int64)
+            x[sites] = w.xs[r]
+            z[sites] = w.zs[r]
+            images.append(self.conjugate_forward(
+                PauliString(self.d, x, z, int(w.phases[r]))))
+        for r, q in zip(targets, images):
+            self.xs[r] = q.x
+            self.zs[r] = q.z
+            self.phases[r] = q.phase
         return self
 
     # -- structure -----------------------------------------------------------

@@ -118,3 +118,24 @@ def random_clifford_gates(rng, n, d, length):
             b = b + 1 if b >= a else b
             out.append(gate("SUM", a, b))
     return out
+
+
+def rowprod_loop(xs, zs, phases, xpow, zpow, d):
+    """Reference for kernels.rowprod: multiply the rows out one copy at a time.
+
+    Destabilizer rows n+i raised to xpow[i] (ascending i), then stabilizer
+    rows i raised to zpow[i]; a power <= 0 contributes nothing. Each copy
+    costs tau**(2 acc_z . x) to move past the accumulated product.
+    """
+    xs, zs, phases = (np.asarray(v, dtype=np.int64) for v in (xs, zs, phases))
+    n = xs.shape[1]
+    acc_x = np.zeros(n, dtype=np.int64)
+    acc_z = np.zeros(n, dtype=np.int64)
+    ph = 0
+    steps = [(n + i, xpow[i]) for i in range(n)] + [(i, zpow[i]) for i in range(n)]
+    for r, k in steps:
+        for _ in range(int(k)):
+            ph = (ph + int(phases[r]) + 2 * int(acc_z @ xs[r])) % (2 * d)
+            acc_x = (acc_x + xs[r]) % d
+            acc_z = (acc_z + zs[r]) % d
+    return acc_x, acc_z, ph

@@ -1,88 +1,45 @@
-"""Kernel twins: the numba and numpy paths must agree exactly."""
+"""The vectorized row product against the loop reference and PauliString."""
 
 import numpy as np
 import pytest
 
 from quditsim import kernels
+from quditsim.pauli import PauliString
+
+from helpers import rowprod_loop
 
 
-def _random_invertible_mod(rng, m, p):
-    while True:
-        a = rng.integers(0, p, size=(m, m))
-        # invertibility check via elimination with the numpy path itself is
-        # circular; use a determinant over the rationals reduced mod p
-        det = int(round(np.linalg.det(a.astype(float))))
-        if det % p != 0:
-            return a
+def _random_rows(rng, n, d):
+    xs = rng.integers(0, d, size=(2 * n, n))
+    zs = rng.integers(0, d, size=(2 * n, n))
+    phases = rng.integers(0, 2 * d, size=2 * n)
+    return xs, zs, phases
 
 
-def test_solve_mod_roundtrip_all_dims():
-    rng = np.random.default_rng(11)
-    for p in (2, 3, 5):
-        for _ in range(40):
-            m = int(rng.integers(1, 9))
-            a = _random_invertible_mod(rng, m, p)
-            x_true = rng.integers(0, p, size=m)
-            b = (a @ x_true) % p
-            x = kernels.solve_mod(a, b, p)
-            assert np.array_equal((a @ x) % p, b)
-
-
-def test_solve_mod_singular_raises():
-    a = np.array([[1, 1], [1, 1]])
-    with pytest.raises(np.linalg.LinAlgError):
-        kernels.solve_mod(a, np.array([1, 0]), 2)
-
-
-def test_paths_agree_solve():
-    if not kernels._HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(12)
-    for p in (2, 3, 5):
-        for _ in range(25):
-            m = int(rng.integers(1, 10))
-            a = rng.integers(0, p, size=(m, m))
-            b = rng.integers(0, p, size=m)
-            x_py, ok_py = kernels._solve_mod_py(a, b, p)
-            x_nb, ok_nb = kernels._solve_mod_nb(
-                np.ascontiguousarray(a, dtype=np.int64),
-                np.ascontiguousarray(b, dtype=np.int64), p)
-            assert ok_py == ok_nb
-            if ok_py:
-                assert np.array_equal(x_py, x_nb)
-
-
-def test_paths_agree_rowprod():
-    if not kernels._HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(13)
-    for d in (2, 3, 5):
-        for _ in range(25):
-            n = int(rng.integers(1, 7))
-            xs = rng.integers(0, d, size=(2 * n, n))
-            zs = rng.integers(0, d, size=(2 * n, n))
-            phases = rng.integers(0, 2 * d, size=2 * n)
-            xpow = rng.integers(0, d, size=n)
-            zpow = rng.integers(0, d, size=n)
-            args = tuple(np.ascontiguousarray(v, dtype=np.int64)
-                         for v in (xs, zs, phases, xpow, zpow))
-            rx, rz, rp = kernels._rowprod_py(*args, d)
-            jx, jz, jp = kernels._rowprod_nb(*args, d)
-            assert np.array_equal(rx, jx)
-            assert np.array_equal(rz, jz)
-            assert rp == jp
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_rowprod_matches_loop_reference(d):
+    """Bit for bit, on random rows and raw powers (some >= d, some <= 0)."""
+    rng = np.random.default_rng(13 + d)
+    for _ in range(60):
+        n = int(rng.integers(1, 12))
+        xs, zs, phases = _random_rows(rng, n, d)
+        xpow = rng.integers(-1, 2 * d, size=n)
+        zpow = rng.integers(-1, 2 * d, size=n)
+        kx, kz, kp = kernels.rowprod(xs, zs, phases, xpow, zpow, d)
+        rx, rz, rp = rowprod_loop(xs, zs, phases, xpow, zpow, d)
+        assert kx.dtype == np.int64 and kz.dtype == np.int64
+        assert np.array_equal(kx, rx)
+        assert np.array_equal(kz, rz)
+        assert type(kp) is int and kp == rp
 
 
 def test_rowprod_matches_pauli_multiplication():
     """The kernel must equal naive PauliString accumulation."""
-    from quditsim.pauli import PauliString
     rng = np.random.default_rng(14)
     for d in (2, 3, 5):
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            xs = rng.integers(0, d, size=(2 * n, n))
-            zs = rng.integers(0, d, size=(2 * n, n))
-            phases = rng.integers(0, 2 * d, size=2 * n)
+            xs, zs, phases = _random_rows(rng, n, d)
             xpow = rng.integers(0, d, size=n)
             zpow = rng.integers(0, d, size=n)
             acc = PauliString.identity(d, n)
@@ -101,4 +58,4 @@ def test_rowprod_matches_pauli_multiplication():
 
 
 def test_backend_reports_mode():
-    assert kernels.backend() in ("numba", "numpy")
+    assert kernels.backend() == "numpy"

@@ -262,6 +262,24 @@ def test_bond_ceiling_never_exceeded(d):
             assert chi <= d ** min(b, n - b)
 
 
+def test_split_pair_rejects_bond_past_ceiling():
+    """The ceiling check raises, so it survives python -O."""
+    rng = np.random.default_rng(57)
+    m = Mps.product_state(3, 2)  # bond 1 holds at most 2
+    theta = rng.standard_normal((3, 2, 2, 3)) + 0j  # rank 6 across the cut
+    with pytest.raises(RuntimeError, match="structural ceiling"):
+        m._split_pair(0, theta)
+
+
+def test_truncate_left_rejects_bond_past_ceiling():
+    rng = np.random.default_rng(58)
+    m = Mps.product_state(4, 2)  # bond 2 holds at most 4
+    m.tensors[1] = rng.standard_normal((1, 2, 6)) + 0j
+    m.tensors[2] = rng.standard_normal((6, 2, 6)) + 0j  # rank 6 across the cut
+    with pytest.raises(RuntimeError, match="structural ceiling"):
+        m._truncate_left(2)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_exact_regime_matches_statevector(d, seed):

@@ -208,6 +208,21 @@ def test_conjugate_inverse_dense(d):
         assert np.allclose(got.to_matrix(), want, atol=1e-11)
 
 
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", [8, 40])
+def test_conjugate_inverse_forward_roundtrip_wide(n, d):
+    """The closed form at widths far past the dense oracle, phase included."""
+    rng = np.random.default_rng(1000 * n + d)
+    t, _ = random_tableau(rng, n, d, 6 * n)
+    assert t.symplectic_ok()
+    for _ in range(6):
+        x, z, ph = random_pauli_exponents(rng, d, n)
+        q = PauliString(d, x, z, ph)
+        p = t.conjugate_forward(q)
+        assert t.conjugate_inverse(p) == q
+        assert t.conjugate_forward(t.conjugate_inverse(q)) == q
+
+
 def test_conjugate_inverse_corrupted_tableau_raises():
     t = identity_tableau(2, 3)
     t.zs[1] = t.zs[0]  # duplicate stabilizer row: exponent matrix singular
@@ -253,6 +268,51 @@ def test_right_multiply_matches_prepended_word(d):
     t.right_multiply(extra)
     ref = identity_tableau(3, d).apply_word(extra).apply_word(word)
     assert t == ref
+
+
+def right_multiply_full(t, word):
+    """The full construction right_multiply replaced: push every row of an
+    n-site tableau for the word through conjugate_forward."""
+    w = identity_tableau(t.n, t.d).apply_word(word)
+    out = t.copy()
+    for r in range(2 * t.n):
+        q = t.conjugate_forward(w.row(r))
+        out.xs[r], out.zs[r], out.phases[r] = q.x, q.z, q.phase
+    return out
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", [8, 24])
+def test_right_multiply_two_site_matches_full_construction(n, d):
+    rng = np.random.default_rng(300 + 7 * n + d)
+    for _ in range(6):
+        t, _ = random_tableau(rng, n, d, 5 * n)
+        i = int(rng.integers(0, n - 1))
+        word = [gate("SUM", i + 1, i), gate("H", i), gate("S", i + 1),
+                gate("SUM_inv", i, i + 1), gate("H_inv", i + 1)]
+        want = right_multiply_full(t, word)
+        before = t.copy()
+        t.right_multiply(word)
+        assert t == want
+        assert t.symplectic_ok()
+        others = [r for r in range(2 * n) if r % n not in (i, i + 1)]
+        assert t.xs[others].tobytes() == before.xs[others].tobytes()
+        assert t.zs[others].tobytes() == before.zs[others].tobytes()
+        assert t.phases[others].tobytes() == before.phases[others].tobytes()
+
+
+def test_right_multiply_far_apart_sites():
+    rng = np.random.default_rng(4)
+    t, _ = random_tableau(rng, 9, 3, 40)
+    word = [gate("SUM", 7, 1), gate("S", 4), gate("SUM_inv", 1, 7)]
+    want = right_multiply_full(t, word)
+    assert t.right_multiply(word) == want
+
+
+def test_right_multiply_rejects_out_of_range():
+    t = identity_tableau(3, 3)
+    with pytest.raises(ValueError):
+        t.right_multiply([gate("SUM", 1, 3)])
 
 
 # -- invariants ---------------------------------------------------------------------
