@@ -226,6 +226,7 @@ class DisentanglerCatalog:
         self.group_order = int(group_order)
         self.entries = tuple(entries)
         self._unitaries = None
+        self._entangling = None
 
     @property
     def n_entries(self) -> int:
@@ -247,6 +248,24 @@ class DisentanglerCatalog:
                 two_site_word_unitary(e.word, self.d) for e in self.entries
             )
         return self._unitaries
+
+    def entangling_stack(self):
+        """Catalog indices of the entangling entries, ascending, and their
+        unitaries stacked in that order as an (m, d^2, d^2) array; built on
+        first use, cached and read-only."""
+        if self._entangling is None:
+            us = self.unitaries()
+            idx = np.array(
+                [k for k, e in enumerate(self.entries) if e.entangling],
+                dtype=np.intp,
+            )
+            dd = int(self.d) ** 2
+            stack = np.array([us[k] for k in idx], dtype=np.complex128)
+            stack = stack.reshape(len(idx), dd, dd)
+            idx.setflags(write=False)
+            stack.setflags(write=False)
+            self._entangling = (idx, stack)
+        return self._entangling
 
 
 def two_site_word_unitary(word, d: int) -> np.ndarray:

@@ -12,7 +12,10 @@ never changes.
 The bond objective is lexicographic: first the number of singular values
 above the policy cutoff (the truncated bond dimension), then the Renyi-2
 entropy -ln(sum sigma^4) as a continuous tie-break. Only strictly better
-candidates are accepted, so the objective never increases.
+candidates are accepted, so the objective never increases. All entangling
+candidates at a bond are scored in one batch (one stacked SVD, one
+vectorized objective); the winner is then picked by walking the scores in
+catalog order, so ties resolve to the earliest entry.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ __all__ = [
 _UNITARY_TOL = 1e-10
 _TIE_EPS = 1e-12
 _DEFAULT_PASS_LIMIT = 4
+# bytes of candidate matrices formed at once; bounds the scan's memory at
+# large bonds (79 matrices of 81 x 81 per chunk)
+_SCAN_CHUNK_BYTES = 8 << 20
 
 
 def tableau_bytes(n: int) -> int:
@@ -77,14 +83,16 @@ class DisentangleReport:
     passes: int = 0
 
 
-def _objective(s, cutoff):
+def _objectives(s, cutoff):
+    """(rank, Renyi-2 entropy) for each row of s, a stack of descending
+    singular values; an all-zero row scores (0, 0.0)."""
     s2 = s * s
-    total = float(s2.sum())
-    if total <= 0.0:
-        return (0, 0.0)
-    rank = int(np.count_nonzero(s > cutoff * s[0]))
-    p2 = float((s2 * s2).sum()) / (total * total)
-    return (rank, float(-np.log(p2)))
+    total = s2.sum(axis=1)
+    ranks = np.count_nonzero(s > cutoff * s[:, :1], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = -np.log((s2 * s2).sum(axis=1) / (total * total))
+    entropy[total <= 0.0] = 0.0
+    return list(zip(ranks.tolist(), entropy.tolist()))
 
 
 def _better(a, b):
@@ -200,35 +208,43 @@ class GcampsState:
         return report
 
     def _optimize_bond(self, i, report) -> int:
+        """Apply the catalog entry that best disentangles bond i, if any
+        strictly beats the bond as it stands; returns 1 if one was applied.
+
+        Every entangling entry (a local factor cannot change the spectrum)
+        is scored in one batch: the candidates are stacked, their singular
+        values taken by one SVD call per chunk of _SCAN_CHUNK_BYTES, and
+        scored by one vectorized objective. The scores are then walked in
+        catalog order, so ties resolve to the earliest entry.
+        """
         mps = self.mps
         d = self.d
         mps.move_center(i)
         theta = np.tensordot(mps.tensors[i], mps.tensors[i + 1], axes=([2], [0]))
         l, _, _, r = theta.shape
         cutoff = mps.policy.cutoff
-        s0 = robust_svd(theta.reshape(l * d, d * r), compute_uv=False)
-        current = _objective(s0, cutoff)
+        s0 = robust_svd(theta.reshape(1, l * d, d * r), compute_uv=False)
+        current = _objectives(s0, cutoff)[0]
         report.bonds_visited.append(i)
         report.objective_before.setdefault(i, current)
         report.objective_after[i] = current
         if current[0] <= 1 and current[1] <= _TIE_EPS:
             return 0  # already product across this cut; nothing can beat it
         paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
+        indices, stack = self.catalog.entangling_stack()
+        chunk = max(1, _SCAN_CHUNK_BYTES // paired.nbytes)
         best, best_idx = current, -1
-        unitaries = self.catalog.unitaries()
-        for idx, entry in enumerate(self.catalog.entries):
-            if not entry.entangling:
-                continue  # a local factor cannot change the spectrum
-            y = (unitaries[idx] @ paired).reshape(d, d, l, r)
-            y = y.transpose(2, 0, 1, 3).reshape(l * d, d * r)
-            s = robust_svd(y, compute_uv=False)
-            obj = _objective(s, cutoff)
-            if _better(obj, best):
-                best, best_idx = obj, idx
+        for start in range(0, len(indices), chunk):
+            y = (stack[start:start + chunk] @ paired).reshape(-1, d, d, l, r)
+            y = y.transpose(0, 3, 1, 2, 4).reshape(-1, l * d, d * r)
+            scores = _objectives(robust_svd(y, compute_uv=False), cutoff)
+            for idx, obj in zip(indices[start:start + chunk].tolist(), scores):
+                if _better(obj, best):
+                    best, best_idx = obj, idx
         if best_idx < 0:
             return 0
         entry = self.catalog.entries[best_idx]
-        mps.apply_two_site(i, unitaries[best_idx])
+        mps.apply_two_site(i, self.catalog.unitaries()[best_idx])
         mapped = tuple(
             CliffordGate(g.kind, tuple(i + s_ for s_ in g.sites))
             for g in entry.word

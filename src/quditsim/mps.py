@@ -50,12 +50,29 @@ def robust_svd(mat, compute_uv=True):
     LAPACK's fast divide-and-conquer driver can fail on the flat, highly
     degenerate spectra stabilizer states produce; the slower gesvd driver
     handles them, so it serves as the fallback.
+
+    A stack of shape (..., M, N) is decomposed in one call over its leading
+    axes, and the results carry the same leading axes. If any matrix in the
+    stack fails, every matrix is retried on its own, so each one that
+    converges keeps its gesdd result and only a failing one falls back.
     """
     try:
         if compute_uv:
             return np.linalg.svd(mat, full_matrices=False)
         return np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError:
+        mat = np.asarray(mat)
+        if mat.ndim > 2:
+            lead = mat.shape[:-2]
+            parts = [
+                robust_svd(m, compute_uv)
+                for m in mat.reshape((-1,) + mat.shape[-2:])
+            ]
+            if not compute_uv:
+                return np.stack(parts).reshape(lead + parts[0].shape)
+            return tuple(
+                np.stack(f).reshape(lead + f[0].shape) for f in zip(*parts)
+            )
         from scipy.linalg import svd as _scipy_svd
 
         if compute_uv:

@@ -2,7 +2,8 @@
 
 Everything here is built from first principles (np.roll / np.diag / kron)
 without calling the package's own realization code, so package bugs cannot
-cancel out in comparisons.
+cancel out in comparisons. The exceptions are the brute-force references
+at the end, the plain loops that the package's vectorized paths replaced.
 """
 
 import numpy as np
@@ -139,3 +140,74 @@ def rowprod_loop(xs, zs, phases, xpow, zpow, d):
             acc_x = (acc_x + xs[r]) % d
             acc_z = (acc_z + zs[r]) % d
     return acc_x, acc_z, ph
+
+
+def objective_scalar(s, cutoff):
+    """Reference bond objective: (rank above the cutoff, Renyi-2 entropy)."""
+    s2 = s * s
+    total = float(s2.sum())
+    if total <= 0.0:
+        return (0, 0.0)
+    rank = int(np.count_nonzero(s > cutoff * s[0]))
+    p2 = float((s2 * s2).sum()) / (total * total)
+    return (rank, float(-np.log(p2)))
+
+
+def reference_gcamps_state(n, d, catalog, policy=None):
+    """Fresh C|mps> whose disentangler scores one catalog entry at a time.
+
+    The bond scan is the brute-force loop: one SVD and one scalar objective
+    per entangling entry, in catalog order, keeping the first strictly
+    better one. The engine's batched scan must make the same choices.
+    """
+    from quditsim.gates import CliffordGate, invert_word
+    from quditsim.gcamps import GcampsState, _TIE_EPS, _better
+    from quditsim.mps import Mps, TruncationPolicy, robust_svd
+    from quditsim.tableau import identity_tableau
+
+    class ReferenceGcampsState(GcampsState):
+        __slots__ = ()
+
+        def _optimize_bond(self, i, report):
+            mps = self.mps
+            mps.move_center(i)
+            theta = np.tensordot(
+                mps.tensors[i], mps.tensors[i + 1], axes=([2], [0])
+            )
+            l, _, _, r = theta.shape
+            cutoff = mps.policy.cutoff
+            s0 = robust_svd(theta.reshape(l * d, d * r), compute_uv=False)
+            current = objective_scalar(s0, cutoff)
+            report.bonds_visited.append(i)
+            report.objective_before.setdefault(i, current)
+            report.objective_after[i] = current
+            if current[0] <= 1 and current[1] <= _TIE_EPS:
+                return 0
+            paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
+            best, best_idx = current, -1
+            unitaries = self.catalog.unitaries()
+            for idx, entry in enumerate(self.catalog.entries):
+                if not entry.entangling:
+                    continue
+                y = (unitaries[idx] @ paired).reshape(d, d, l, r)
+                y = y.transpose(2, 0, 1, 3).reshape(l * d, d * r)
+                obj = objective_scalar(robust_svd(y, compute_uv=False), cutoff)
+                if _better(obj, best):
+                    best, best_idx = obj, idx
+            if best_idx < 0:
+                return 0
+            mps.apply_two_site(i, unitaries[best_idx])
+            mapped = tuple(
+                CliffordGate(g.kind, tuple(i + s_ for s_ in g.sites))
+                for g in self.catalog.entries[best_idx].word
+            )
+            self.tableau.right_multiply(tuple(invert_word(mapped, d)))
+            report.gates_applied.append((best_idx, i))
+            report.objective_after[i] = best
+            return 1
+
+    if policy is None:
+        policy = TruncationPolicy()
+    return ReferenceGcampsState(
+        identity_tableau(n, d), Mps.product_state(n, d, policy=policy), catalog
+    )

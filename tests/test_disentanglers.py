@@ -349,6 +349,21 @@ def test_unitaries_are_cached_and_unitary(catalog2):
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
+def test_entangling_stack_is_lazy_cached_and_in_catalog_order():
+    cat = generate_catalog(2)
+    assert cat._entangling is None  # generation does not build it
+    idx, stack = cat.entangling_stack()
+    again = cat.entangling_stack()
+    assert again[0] is idx and again[1] is stack
+    want = [k for k, e in enumerate(cat.entries) if e.entangling]
+    assert idx.tolist() == want
+    us = cat.unitaries()
+    assert stack.shape == (len(want), 4, 4)
+    for row, k in enumerate(want):
+        assert np.array_equal(stack[row], us[k])
+    assert not stack.flags.writeable and not idx.flags.writeable
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_two_site_word_unitary_embedding(d):
     h = gate_unitary(CliffordGate("H", (0,)), d)

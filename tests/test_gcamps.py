@@ -10,6 +10,7 @@ from quditsim.circuits import (
     random_clifford_word,
     t_doped_circuit,
 )
+from quditsim import gcamps
 from quditsim.disentanglers import generate_catalog
 from quditsim.gates import CliffordGate, kind_unitary
 from quditsim.gcamps import GcampsState, new_state, tableau_bytes
@@ -18,7 +19,12 @@ from quditsim.pauli import PauliString
 from quditsim.statevector import DenseState, run_circuit
 from quditsim.tableau import identity_tableau
 
-from helpers import dense_pauli, random_unitary
+from helpers import (
+    dense_pauli,
+    random_clifford_gates,
+    random_unitary,
+    reference_gcamps_state,
+)
 
 HADAMARD2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -467,3 +473,70 @@ def test_gate_log_partition(cat2):
     assert len(st.gate_log.absorbed) >= 1
     for word in st.gate_log.absorbed:
         assert all(isinstance(g, CliffordGate) for g in word)
+
+
+# -- batched scan against the brute-force reference ---------------------------
+
+
+def mid_chain_circuit(n, d, layers, seed):
+    """Random Clifford blocks with T on sites n//2 and n-1 after each."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for _ in range(layers):
+        for g in random_clifford_gates(rng, n, d, 2 * n):
+            ops.append(GateOp(g.kind, g.sites))
+        ops.append(GateOp("T", (n // 2,)))
+        ops.append(GateOp("T", (n - 1,)))
+    return Circuit(n, d, ops)
+
+
+def assert_scan_matches_reference(circ, catalog, policy=None):
+    st = new_state(circ.n, circ.d, catalog, policy=policy)
+    ref = reference_gcamps_state(circ.n, circ.d, catalog, policy=policy)
+    absorbed, peak = 0, 1
+    for op in circ.ops:
+        got, want = st.apply_op(op), ref.apply_op(op)
+        if got is None:
+            assert want is None
+            continue
+        assert got.gates_applied == want.gates_applied
+        assert got.bonds_visited == want.bonds_visited
+        assert got.objective_before == want.objective_before
+        assert got.objective_after == want.objective_after
+        assert (got.passes, got.early_termination) == (
+            want.passes, want.early_termination
+        )
+        assert st.mps.bond_dims() == ref.mps.bond_dims()
+        absorbed += len(got.gates_applied)
+        peak = max([peak] + [rank for rank, _ in got.objective_before.values()])
+    assert np.array_equal(st.tableau.xs, ref.tableau.xs)
+    assert np.array_equal(st.tableau.zs, ref.tableau.zs)
+    assert absorbed > 0  # the scan had choices to make
+    return peak
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_batched_scan_matches_reference_t_doped(d, seed, cat2, cat3):
+    circ = t_doped_circuit(6, d, layers=6, rng_seed=seed, block_len=12)
+    assert_scan_matches_reference(circ, catalog_for(d, cat2, cat3))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [5, 17])
+def test_batched_scan_matches_reference_mid_chain(d, seed, cat2, cat3):
+    circ = mid_chain_circuit(6, d, layers=4, seed=seed)
+    assert assert_scan_matches_reference(circ, catalog_for(d, cat2, cat3)) > 1
+
+
+def test_batched_scan_matches_reference_with_chi_max(cat3):
+    circ = t_doped_circuit(6, 3, layers=8, rng_seed=41, block_len=12)
+    policy = TruncationPolicy(chi_max=3)
+    assert assert_scan_matches_reference(circ, cat3, policy=policy) == 3
+
+
+def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
+    # 2000 bytes: 13 candidates per chunk at a 3 x 3 bond, one at 9 x 9
+    monkeypatch.setattr(gcamps, "_SCAN_CHUNK_BYTES", 2000)
+    circ = mid_chain_circuit(6, 3, layers=4, seed=23)
+    assert_scan_matches_reference(circ, cat3)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from quditsim.circuits import Circuit, GateOp, gate_matrix, random_clifford_word
-from quditsim.mps import Mps, PauliMpo, TruncationPolicy, mps_model_bytes
+from quditsim.mps import (
+    Mps,
+    PauliMpo,
+    TruncationPolicy,
+    mps_model_bytes,
+    robust_svd,
+)
 from quditsim.pauli import PauliString, PauliSum, decompose_unitary, site_matrix
 from quditsim.statevector import DenseState, run_circuit
 
@@ -491,3 +497,59 @@ def test_memory_model_matches_tensor_storage():
     m = mps_from_ops(5, 2, random_op_list(rng, 5, 2, 20))
     direct = sum(16 * t.shape[0] * t.shape[1] * t.shape[2] for t in m.tensors)
     assert mps_model_bytes(m.bond_dims(), 2) == direct
+
+
+# ----------------------------------------------------------------------
+# robust_svd
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def failing_svd(real_svd, fails):
+    def svd(a, *args, **kwargs):
+        if fails(np.asarray(a)):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(a, *args, **kwargs)
+    return svd
+
+
+@pytest.mark.parametrize("shape", [(6, 4), (5, 3, 7), (2, 3, 4, 4)])
+def test_robust_svd_gesvd_fallback_matches(shape, monkeypatch):
+    mat = random_complex(np.random.default_rng(8), shape)
+    want = np.linalg.svd(mat, compute_uv=False)
+    monkeypatch.setattr(
+        np.linalg, "svd", failing_svd(np.linalg.svd, lambda a: True)
+    )
+    s = robust_svd(mat, compute_uv=False)
+    assert s.shape == shape[:-2] + (min(shape[-2:]),)
+    np.testing.assert_allclose(s, want, rtol=0, atol=1e-12)
+    u, s_uv, vh = robust_svd(mat)
+    k = min(shape[-2:])
+    assert u.shape == shape[:-1] + (k,)
+    assert s_uv.shape == s.shape
+    assert vh.shape == shape[:-2] + (k, shape[-1])
+    np.testing.assert_allclose(s_uv, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        (u * s_uv[..., None, :]) @ vh, mat, rtol=0, atol=1e-12
+    )
+
+
+def test_robust_svd_stack_retries_each_matrix(monkeypatch):
+    # only the stacked call fails: each matrix is then decomposed on its
+    # own by the fast driver, bit for bit as a single call would
+    mats = random_complex(np.random.default_rng(9), (5, 6, 4))
+    want = np.stack([np.linalg.svd(m, compute_uv=False) for m in mats])
+    monkeypatch.setattr(
+        np.linalg, "svd", failing_svd(np.linalg.svd, lambda a: a.ndim > 2)
+    )
+    assert np.array_equal(robust_svd(mats, compute_uv=False), want)
+
+
+def test_robust_svd_stack_matches_single_calls():
+    mats = random_complex(np.random.default_rng(10), (7, 9, 3))
+    got = robust_svd(mats, compute_uv=False)
+    assert got.shape == (7, 3)
+    for m, s in zip(mats, got):
+        assert np.array_equal(s, robust_svd(m, compute_uv=False))
