@@ -18,14 +18,14 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .circuits import Circuit, gate_matrix, t_doped_circuit
 from .disentanglers import generate_catalog
 from .gcamps import new_state
-from .mps import Mps, TruncationPolicy, mps_model_bytes
+from .mps import Mps, TruncationPolicy, mps_model_bytes, worst_case_chi
 from .statevector import DenseState
 
 __all__ = [
@@ -81,13 +81,6 @@ def parse_csv_row(line: str) -> BenchRecord:
     )
 
 
-def worst_case_chi(chi, d, n):
-    """Pre-optimisation peak model: every bond grows by a factor d, capped
-    by the structural ceiling d^min(b, n-b)."""
-    return [min(c * d, d ** min(b, n - b))
-            for b, c in zip(range(1, n), chi)]
-
-
 def _record(backend, circ, shot, seed, layer, chi, dt) -> BenchRecord:
     chi = [int(c) for c in chi]
     worst = worst_case_chi(chi, circ.d, circ.n)
@@ -117,6 +110,25 @@ def _dense_ranks(state: DenseState):
     return out
 
 
+def _start(backend, circ, policy, catalog, verify, max_dim):
+    """What differs by backend: the fresh state, a callable applying one
+    op to it, and a callable reading its bond profile."""
+    n, d = circ.n, circ.d
+    if backend == "gcamps":
+        if catalog is None:
+            catalog = _cached_catalog(d)
+        st = new_state(n, d, catalog, policy=policy, verify=verify)
+        return st, st.apply_op, st.mps.bond_dims
+    if backend == "mps":
+        st = Mps.product_state(n, d, policy=policy)
+        profile = st.bond_dims
+    else:
+        kwargs = {} if max_dim is None else {"max_dim": max_dim}
+        st = DenseState(d, n, **kwargs)
+        profile = partial(_dense_ranks, st)
+    return st, lambda op: st.apply_unitary(gate_matrix(op, d), op.sites), profile
+
+
 def run_on_backend(backend, circ: Circuit, *, shot=0, seed=0, policy=None,
                    catalog=None, verify=False, max_dim=None):
     """Run one circuit on one backend; returns (records, final_state)."""
@@ -125,57 +137,19 @@ def run_on_backend(backend, circ: Circuit, *, shot=0, seed=0, policy=None,
     if policy is None:
         policy = TruncationPolicy()
     records = []
-    flags = _boundary_flags(circ.ops)
-    layer = 0
     t0 = time.perf_counter()
-
-    if backend == "gcamps":
-        if catalog is None:
-            catalog = _cached_catalog(circ.d)
-        st = new_state(circ.n, circ.d, catalog, policy=policy, verify=verify)
-        for op, boundary in zip(circ.ops, flags):
-            st.apply_op(op)
-            if boundary:
-                layer += 1
-                now = time.perf_counter()
-                records.append(_record("gcamps", circ, shot, seed, layer,
-                                       st.mps.bond_dims(), now - t0))
-                t0 = now
-        if not circ.ops:
-            records.append(_record("gcamps", circ, shot, seed, 1,
-                                   st.mps.bond_dims(),
-                                   time.perf_counter() - t0))
-        return records, st
-
-    if backend == "mps":
-        m = Mps.product_state(circ.n, circ.d, policy=policy)
-        for op, boundary in zip(circ.ops, flags):
-            m.apply_unitary(gate_matrix(op, circ.d), op.sites)
-            if boundary:
-                layer += 1
-                now = time.perf_counter()
-                records.append(_record("mps", circ, shot, seed, layer,
-                                       m.bond_dims(), now - t0))
-                t0 = now
-        if not circ.ops:
-            records.append(_record("mps", circ, shot, seed, 1, m.bond_dims(),
-                                   time.perf_counter() - t0))
-        return records, m
-
-    kwargs = {} if max_dim is None else {"max_dim": max_dim}
-    s = DenseState(circ.d, circ.n, **kwargs)
-    for op, boundary in zip(circ.ops, flags):
-        s.apply_unitary(gate_matrix(op, circ.d), op.sites)
+    st, apply, profile = _start(backend, circ, policy, catalog, verify, max_dim)
+    for op, boundary in zip(circ.ops, _boundary_flags(circ.ops)):
+        apply(op)
         if boundary:
-            layer += 1
             now = time.perf_counter()
-            records.append(_record("statevector", circ, shot, seed, layer,
-                                   _dense_ranks(s), now - t0))
+            records.append(_record(backend, circ, shot, seed, len(records) + 1,
+                                   profile(), now - t0))
             t0 = now
-    if not circ.ops:
-        records.append(_record("statevector", circ, shot, seed, 1,
-                               _dense_ranks(s), time.perf_counter() - t0))
-    return records, s
+    if not records:  # an empty circuit still closes one layer
+        records.append(_record(backend, circ, shot, seed, 1, profile(),
+                               time.perf_counter() - t0))
+    return records, st
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gates import CliffordGate, kind_unitary, swap_word
+from .gates import CliffordGate, kind_unitary, swap_matrix, swap_word
 from .pauli import QuditDim
 
 ONE_SITE_NAMES = ("H", "Hdg", "S", "Sdg", "X", "Z", "T", "Tdg", "RZ", "U1")
@@ -116,11 +116,7 @@ def gate_matrix(op: GateOp, d: int) -> np.ndarray:
     if op.name in _CLIFFORD_KIND:
         return kind_unitary(_CLIFFORD_KIND[op.name], d)
     if op.name == "SWAP":
-        m = np.zeros((d * d, d * d), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                m[j * d + i, i * d + j] = 1.0
-        return m
+        return swap_matrix(d)
     if op.name == "T":
         return _t_matrix(d)
     if op.name == "Tdg":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import CliffordGate, gate_unitary
+from .gates import CliffordGate, gate_unitary, swap_legs
 from .pauli import QuditDim
 from .tableau import identity_tableau
 
@@ -278,7 +278,7 @@ def two_site_word_unitary(word, d: int) -> np.ndarray:
         if len(g.sites) == 1:
             m = np.kron(m, eye) if g.sites[0] == 0 else np.kron(eye, m)
         elif g.sites == (1, 0):
-            m = m.reshape(d, d, d, d).transpose(1, 0, 3, 2).reshape(d * d, d * d)
+            m = swap_legs(m, d)
         u = m @ u
     return u
 
@@ -348,7 +348,7 @@ def load_catalog(path) -> DisentanglerCatalog:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
     if not lines or lines[0] != _FILE_VERSION:
         raise ValueError("unsupported catalog file version")
-    head = lines[1].split()
+    head = lines[1].split() if len(lines) > 1 else []
     if len(head) != 3:
         raise ValueError("malformed catalog header")
     try:

@@ -101,3 +101,16 @@ def swap_word(a: int, b: int) -> list:
     """
     return [gate("SUM", a, b), gate("SUM_inv", b, a), gate("SUM", a, b),
             gate("H", a), gate("H", a)]
+
+
+def swap_matrix(d: int) -> np.ndarray:
+    """Dense d^2 x d^2 SWAP: |i,j> -> |j,i>."""
+    eye = np.eye(d * d, dtype=np.complex128)
+    return eye.reshape(d, d, d, d).transpose(1, 0, 2, 3).reshape(d * d, d * d)
+
+
+def swap_legs(u, d: int) -> np.ndarray:
+    """The same two-site operator with its legs in (second, first) order,
+    i.e. SWAP u SWAP for a d^2 x d^2 matrix u."""
+    return (np.asarray(u).reshape(d, d, d, d).transpose(1, 0, 3, 2)
+            .reshape(d * d, d * d))

@@ -27,7 +27,9 @@ import numpy as np
 from .circuits import GateOp, as_clifford_word, gate_matrix
 from .disentanglers import DisentanglerCatalog
 from .gates import CliffordGate, gate_unitary, invert_word
-from .mps import Mps, PauliMpo, TruncationPolicy, mps_model_bytes, robust_svd
+from .mps import (
+    Mps, PauliMpo, TruncationPolicy, mps_model_bytes, robust_svd, worst_case_chi,
+)
 from .pauli import DENSE_DIM_GUARD, PauliString, PauliSum, decompose_unitary
 from .statevector import DenseState
 from .tableau import identity_tableau
@@ -277,11 +279,7 @@ class GcampsState:
     def memory_estimate(self, worst_case: bool = False) -> int:
         chi = self.mps.bond_dims()
         if worst_case:
-            n, d = self.n, self.d
-            chi = [
-                min(c * d, d ** min(b, n - b))
-                for b, c in zip(range(1, n), chi)
-            ]
+            chi = worst_case_chi(chi, self.d, self.n)
         return mps_model_bytes(chi, self.d) + tableau_bytes(self.n)
 
     def dense_vector(self, max_dim: int = DENSE_DIM_GUARD) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gates import swap_legs, swap_matrix
 from .pauli import DENSE_DIM_GUARD, PauliSum, QuditDim, site_matrix
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "PauliMpo",
     "mps_model_bytes",
     "robust_svd",
+    "worst_case_chi",
 ]
 
 _UNITARY_TOL = 1e-10
@@ -78,24 +80,6 @@ def robust_svd(mat, compute_uv=True):
         if compute_uv:
             return _scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
         return _scipy_svd(mat, compute_uv=False, lapack_driver="gesvd")
-
-
-def _swap_matrix(d):
-    m = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            m[j * d + i, i * d + j] = 1.0
-    return m
-
-
-def _transpose_pair_legs(u, d):
-    # reorder a two-site operator so its legs follow (second, first)
-    return (
-        np.asarray(u)
-        .reshape(d, d, d, d)
-        .transpose(1, 0, 3, 2)
-        .reshape(d * d, d * d)
-    )
 
 
 def _warn_if_not_unitary(u, label):
@@ -324,11 +308,11 @@ class Mps:
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError("site out of range")
         if a > b:
-            u = _transpose_pair_legs(u, self.d)
+            u = swap_legs(u, self.d)
             a, b = b, a
         if b == a + 1:
             return self.apply_two_site(a, u)
-        sw = _swap_matrix(self.d)
+        sw = swap_matrix(self.d)
         err = 0.0
         for k in range(b - 1, a, -1):
             err += self.apply_two_site(k, sw)
@@ -484,3 +468,10 @@ def mps_model_bytes(chi, d):
     """Memory model at 16 bytes per stored amplitude for a bond profile."""
     dims = [1] + [int(c) for c in chi] + [1]
     return sum(16 * int(d) * dims[i] * dims[i + 1] for i in range(len(dims) - 1))
+
+
+def worst_case_chi(chi, d, n):
+    """Pre-optimisation peak model: every bond grows by a factor d, capped
+    by the structural ceiling d^min(b, n-b)."""
+    return [min(c * d, d ** min(b, n - b))
+            for b, c in zip(range(1, n), chi)]

@@ -1,5 +1,7 @@
 """Benchmark harness tests: records, boundaries, models, determinism."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from quditsim.bench import (
 from quditsim.circuits import Circuit, GateOp, random_clifford_word, t_doped_circuit
 from quditsim.mps import mps_model_bytes
 from quditsim.statevector import run_circuit
+
+GOLDEN_ROWS = Path(__file__).with_name("bench_golden_d3_n5.csv")
 
 
 def strip_timing(records):
@@ -58,22 +62,52 @@ def test_unknown_backend_rejected():
         run_on_backend("tensor-train", circ)
 
 
-def test_clifford_only_circuit_yields_one_row_of_ones():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_clifford_only_circuit_yields_one_row(backend):
     ops = [GateOp(g.kind, g.sites)
            for g in random_clifford_word(5, 3, length=40, rng_seed=3)]
     circ = Circuit(5, 3, ops)
-    records, _ = run_on_backend("gcamps", circ)
+    records, _ = run_on_backend(backend, circ)
     assert len(records) == 1
     assert records[0].layer == 1
-    assert records[0].chi_vector == (1, 1, 1, 1)
-    assert records[0].chi_max == 1
+    if backend == "gcamps":  # the frame absorbs every Clifford
+        want = (1, 1, 1, 1)
+    else:
+        oracle = run_circuit(circ)
+        want = tuple(int(np.count_nonzero(s > 1e-12 * s[0]))
+                     for s in map(oracle.schmidt_values, range(1, 5)))
+    assert records[0].chi_vector == want
+    assert records[0].chi_max == max(want)
 
 
-def test_empty_circuit_still_yields_a_row():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_empty_circuit_still_yields_a_row(backend):
     circ = Circuit(3, 2, [])
-    records, _ = run_on_backend("mps", circ)
+    records, _ = run_on_backend(backend, circ)
     assert len(records) == 1
+    assert records[0].layer == 1
     assert records[0].chi_vector == (1, 1)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_clifford_block_after_last_t_closes_one_more_layer(backend):
+    d = 3
+    ops = [GateOp("H", (0,)), GateOp("T", (0,)),
+           GateOp("SUM", (0, 1)), GateOp("H", (2,))]
+    records, _ = run_on_backend(backend, Circuit(4, d, ops))
+    assert [r.layer for r in records] == [1, 2]
+    assert records[0].chi_vector == (1, 1, 1)
+    # the trailing SUM entangles sites 0 and 1 unless the frame absorbs it
+    want = (1, 1, 1) if backend == "gcamps" else (d, 1, 1)
+    assert records[1].chi_vector == want
+
+
+def test_bench_tdoped_matches_golden_rows():
+    # every CSV column but dt_seconds, pinned for all three backends
+    rows = bench_tdoped(3, 5, 4, shots=2, seed=0, backends=BACKENDS)
+    got = [line.rsplit(",", 1)[0]
+           for line in [CSV_HEADER] + [r.csv_row() for r in rows]]
+    assert got == GOLDEN_ROWS.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.mark.parametrize("backend", ["gcamps", "mps", "statevector"])

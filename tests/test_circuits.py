@@ -15,6 +15,8 @@ from quditsim.circuits import (
     random_clifford_word,
     t_doped_circuit,
 )
+from quditsim.disentanglers import two_site_word_unitary
+from quditsim.gates import swap_matrix, swap_word
 from quditsim.pauli import decompose_unitary, omega
 from quditsim.statevector import run_circuit
 from quditsim.tableau import identity_tableau
@@ -66,11 +68,15 @@ def test_u1_diagonal():
     assert np.allclose(m, np.diag(np.exp(1j * np.array(th))), atol=1e-15)
 
 
-def test_swap_matrix():
-    m = gate_matrix(GateOp("SWAP", (0, 1)), 3)
-    for i in range(3):
-        for j in range(3):
-            assert m[j * 3 + i, i * 3 + j] == 1
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_swap_matrix(d):
+    m = gate_matrix(GateOp("SWAP", (0, 1)), d)
+    for i in range(d):
+        for j in range(d):
+            assert m[j * d + i, i * d + j] == 1
+    assert np.count_nonzero(m) == d * d
+    assert np.allclose(swap_matrix(d),
+                       two_site_word_unitary(swap_word(0, 1), d), atol=1e-12)
 
 
 # -- Clifford name translation -------------------------------------------------------

@@ -92,6 +92,17 @@ def test_run_catalog_dimension_mismatch_exits_2(catalog_file, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_run_header_only_catalog_exits_2(circuit_file, tmp_path, capsys):
+    cat = tmp_path / "cat.txt"
+    cat.write_text("# qsim-catalog v1\n")
+    code = main([
+        "run", "--backend", "gcamps", "--circuit", str(circuit_file),
+        "--catalog", str(cat),
+    ])
+    assert code == 2
+    assert "malformed catalog header" in capsys.readouterr().err
+
+
 def test_run_statevector_guard_exits_2(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text(emit(t_doped_circuit(12, 3, layers=1, rng_seed=0,

@@ -416,6 +416,13 @@ def test_load_rejects_wrong_version(tmp_path, catalog2):
         load_catalog(p)
 
 
+def test_load_rejects_header_only_file(tmp_path):
+    p = tmp_path / "cat.txt"
+    p.write_text("# qsim-catalog v1\n")
+    with pytest.raises(ValueError, match="malformed catalog header"):
+        load_catalog(p)
+
+
 def test_load_rejects_tampered_matrix(tmp_path, catalog2):
     p = tmp_path / "cat.txt"
     save_catalog(catalog2, p)
