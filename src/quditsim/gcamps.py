@@ -12,10 +12,16 @@ never changes.
 The bond objective is lexicographic: first the number of singular values
 above the policy cutoff (the truncated bond dimension), then the Renyi-2
 entropy -ln(sum sigma^4) as a continuous tie-break. Only strictly better
-candidates are accepted, so the objective never increases. All entangling
-candidates at a bond are scored in one batch (one stacked SVD, one
-vectorized objective); the winner is then picked by walking the scores in
-catalog order, so ties resolve to the earliest entry.
+candidates are accepted, so the objective never increases. The entangling
+candidates at a bond are scored in catalog order, a chunk at a time (one
+stacked SVD and one vectorized objective per chunk), and the winner is the
+first entry of the best score, so ties resolve to the earliest entry. The
+scan stops at the first candidate that makes the bond a product, since no
+later one can beat it; the first chunk is kept small because one usually
+turns up early. A bond whose last scan in a disentangle run accepted
+nothing, and whose neighbourhood has seen no gate since, is settled: its
+current objective is still recorded, but its candidates are not scored
+again.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ _DEFAULT_PASS_LIMIT = 4
 # bytes of candidate matrices formed at once; bounds the scan's memory at
 # large bonds (79 matrices of 81 x 81 per chunk)
 _SCAN_CHUNK_BYTES = 8 << 20
+# candidates in a scan's first chunk: at near-product bonds one that makes
+# the bond a product is usually among the first catalog entries
+_FIRST_CHUNK = 16
 
 
 def tableau_bytes(n: int) -> int:
@@ -99,6 +108,18 @@ def _objectives(s, cutoff):
 
 def _better(a, b):
     return a[0] < b[0] or (a[0] == b[0] and a[1] < b[1] - _TIE_EPS)
+
+
+def _unbeatable(obj):
+    """True when no bond objective can be _better than obj, a product
+    across the cut (rank at most 1, entropy at most _TIE_EPS).
+
+    Beating it would take rank 0, which no candidate reaches from a nonzero
+    state because the catalog's unitaries keep the norm, or a Renyi-2
+    entropy below obj's minus _TIE_EPS, which is at most 0, and
+    -ln(sum p^2) is never negative.
+    """
+    return obj[0] <= 1 and obj[1] <= _TIE_EPS
 
 
 class GcampsState:
@@ -196,12 +217,27 @@ class GcampsState:
             return report
         mid = anchor if anchor is not None else (lo + hi - 1) / 2
         bonds.sort(key=lambda i: (abs(i + 0.5 - mid), i))
+        # Bonds whose last scan in this run accepted nothing. A candidate at
+        # bond i is scored by the spectrum across cut i after it acts on
+        # sites i, i+1; a gate on sites j, j+1 lying wholly on one side of
+        # that cut (j < i-1 or j > i+1) commutes with it and cannot change
+        # that spectrum, so only bonds j-1, j, j+1 need a rescan. A chi_max
+        # truncation is not local, so with chi_max set every bond does.
+        settled = set()
+        truncating = self.mps.policy.chi_max is not None
         accepted = 0
         while report.passes < pass_limit:
             report.passes += 1
             accepted = 0
             for i in bonds:
-                accepted += self._optimize_bond(i, report)
+                if not self._optimize_bond(i, report, i in settled):
+                    settled.add(i)
+                    continue
+                accepted += 1
+                if truncating:
+                    settled.clear()
+                else:
+                    settled.difference_update((i - 1, i, i + 1))
             if accepted == 0:
                 break
         report.early_termination = bool(
@@ -209,15 +245,19 @@ class GcampsState:
         )
         return report
 
-    def _optimize_bond(self, i, report) -> int:
+    def _optimize_bond(self, i, report, settled=False) -> int:
         """Apply the catalog entry that best disentangles bond i, if any
         strictly beats the bond as it stands; returns 1 if one was applied.
 
-        Every entangling entry (a local factor cannot change the spectrum)
-        is scored in one batch: the candidates are stacked, their singular
-        values taken by one SVD call per chunk of _SCAN_CHUNK_BYTES, and
-        scored by one vectorized objective. The scores are then walked in
-        catalog order, so ties resolve to the earliest entry.
+        Only entangling entries are scored (a local factor cannot change
+        the spectrum). They are stacked in catalog order and scored a chunk
+        at a time: one SVD call and one vectorized objective per chunk, the
+        first chunk at most _FIRST_CHUNK candidates and each later one at
+        most _SCAN_CHUNK_BYTES of candidate matrices. The scores are walked
+        in catalog order, so ties resolve to the earliest entry, and the
+        scan stops once the best is _unbeatable. A settled bond (its last
+        scan accepted nothing and no gate has touched its neighbourhood
+        since) gets its current objective recorded but no candidate scan.
         """
         mps = self.mps
         d = self.d
@@ -230,19 +270,24 @@ class GcampsState:
         report.bonds_visited.append(i)
         report.objective_before.setdefault(i, current)
         report.objective_after[i] = current
-        if current[0] <= 1 and current[1] <= _TIE_EPS:
-            return 0  # already product across this cut; nothing can beat it
+        if settled or _unbeatable(current):
+            return 0
         paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
         indices, stack = self.catalog.entangling_stack()
-        chunk = max(1, _SCAN_CHUNK_BYTES // paired.nbytes)
+        budget = max(1, _SCAN_CHUNK_BYTES // paired.nbytes)
         best, best_idx = current, -1
-        for start in range(0, len(indices), chunk):
-            y = (stack[start:start + chunk] @ paired).reshape(-1, d, d, l, r)
+        start, size = 0, min(_FIRST_CHUNK, budget)
+        while start < len(indices) and not _unbeatable(best):
+            stop = start + size
+            y = (stack[start:stop] @ paired).reshape(-1, d, d, l, r)
             y = y.transpose(0, 3, 1, 2, 4).reshape(-1, l * d, d * r)
             scores = _objectives(robust_svd(y, compute_uv=False), cutoff)
-            for idx, obj in zip(indices[start:start + chunk].tolist(), scores):
+            for idx, obj in zip(indices[start:stop].tolist(), scores):
                 if _better(obj, best):
                     best, best_idx = obj, idx
+                    if _unbeatable(best):
+                        break
+            start, size = stop, budget
         if best_idx < 0:
             return 0
         entry = self.catalog.entries[best_idx]

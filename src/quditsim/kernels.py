@@ -23,6 +23,10 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     a power <= 0 contributes nothing. Returns (x, z, phase) of the product;
     x, z are mod d and phase is mod 2d.
 
+    xpow and zpow may also be stacks of shape (m, n): the m products are
+    then taken in one pass over the rows any of them uses, and x, z come
+    back with shape (m, n) and phase as an int64 array of shape (m,).
+
     Moving the k-th copy of a row past the accumulated product costs
     tau**(2 acc_z . x), so the phase is sum k ph + 2 sum k (prefix kz) . x
     over the rows in order, plus k(k-1) z . x for a row's own repeats.
@@ -32,14 +36,20 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     phases = np.asarray(phases, dtype=np.int64)
     n = xs.shape[1]
     powers = np.concatenate([np.asarray(xpow, dtype=np.int64),
-                             np.asarray(zpow, dtype=np.int64)])
-    used = np.flatnonzero(powers > 0)
-    k = powers[used]
+                             np.asarray(zpow, dtype=np.int64)], axis=-1)
+    single = powers.ndim == 1
+    powers = np.maximum(powers.reshape(-1, 2 * n), 0)
+    used = np.flatnonzero(powers.any(axis=0))
+    k = powers[:, used]  # (m, u)
     rows = (used + n) % (2 * n)  # xpow[i] -> row n+i, zpow[i] -> row i
     x, z = xs[rows], zs[rows]
-    kz = k[:, None] * z
-    before = np.cumsum(kz, axis=0) - kz  # Z exponents of the rows to the left
-    cross = np.einsum("ij,ij->i", before, x)
+    kz = k[:, :, None] * z
+    before = np.cumsum(kz, axis=1) - kz  # Z exponents of the rows to the left
+    cross = np.einsum("mij,ij->mi", before, x)
     own = np.einsum("ij,ij->i", z, x)
-    ph = int(k @ phases[rows] + 2 * (k @ cross) + (k * (k - 1)) @ own)
-    return (k @ x) % d, (k @ z) % d, ph % (2 * d)
+    ph = (k @ phases[rows] + 2 * (k * cross).sum(axis=1)
+          + (k * (k - 1)) @ own) % (2 * d)
+    px, pz = (k @ x) % d, (k @ z) % d
+    if single:
+        return px[0], pz[0], int(ph[0])
+    return px, pz, ph

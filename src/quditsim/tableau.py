@@ -9,6 +9,7 @@ even/odd-d case split cannot creep in as a bug source.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -19,6 +20,9 @@ from .pauli import PauliString, QuditDim
 
 # (kind, d) -> exponent/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
+# distinct local words right_multiply keeps tableaux for; the engine only
+# absorbs inverse catalog words, about 90 of them per d
+_LOCAL_CACHE_SIZE = 512
 
 
 def _base_images(kind: str, d: int):
@@ -201,9 +205,12 @@ class Tableau:
         """Compose on the right: stored C becomes C W for the word's unitary.
 
         W acts only on the word's m sites, so only rows s and n+s of those
-        sites change: each basis image W B W^dagger is read off an m-site
-        tableau for W, embedded and pushed through conjugate_forward. The
-        other 2n - 2m rows are not touched, so a two-site word costs O(n).
+        sites change: each new row is C (W B W^dagger) C^dagger for a basis
+        element B on those sites. The images W B W^dagger are the rows of
+        the m-site tableau of W, memoized by the word's local signature;
+        the 2m new rows are then multiplied out of the old ones by a single
+        stacked rowprod. The other 2n - 2m rows are not touched, so a
+        two-site word costs O(n).
         """
         word = list(word)
         sites = sorted({s for g in word for s in g.sites})
@@ -211,23 +218,20 @@ class Tableau:
             return self
         if sites[-1] >= self.n:
             raise ValueError(f"word sites {sites} exceed n={self.n}")
-        n, m = self.n, len(sites)
+        n, d = self.n, self.d
         local = {s: j for j, s in enumerate(sites)}
-        w = identity_tableau(m, self.d).apply_word(
-            CliffordGate(g.kind, tuple(local[s] for s in g.sites)) for g in word)
+        w = _local_tableau(d, tuple(
+            (g.kind, tuple(local[s] for s in g.sites)) for g in word))
+        xpow = np.zeros((2 * len(sites), n), dtype=np.int64)
+        zpow = np.zeros_like(xpow)
+        xpow[:, sites] = w.xs
+        zpow[:, sites] = w.zs
+        x, z, ph = kernels.rowprod(self.xs, self.zs, self.phases,
+                                   xpow, zpow, d)
         targets = sites + [n + s for s in sites]
-        images = []
-        for r in range(2 * m):
-            x = np.zeros(n, dtype=np.int64)
-            z = np.zeros(n, dtype=np.int64)
-            x[sites] = w.xs[r]
-            z[sites] = w.zs[r]
-            images.append(self.conjugate_forward(
-                PauliString(self.d, x, z, int(w.phases[r]))))
-        for r, q in zip(targets, images):
-            self.xs[r] = q.x
-            self.zs[r] = q.z
-            self.phases[r] = q.phase
+        self.xs[targets] = x
+        self.zs[targets] = z
+        self.phases[targets] = (ph + w.phases) % (2 * d)
         return self
 
     # -- structure -----------------------------------------------------------
@@ -277,3 +281,15 @@ def identity_tableau(n: int, d: int) -> Tableau:
     zs[:n] = np.eye(n, dtype=np.int64)
     xs[n:] = np.eye(n, dtype=np.int64)
     return Tableau(d, n, xs, zs, np.zeros(2 * n, dtype=np.int64))
+
+
+@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
+def _local_tableau(d: int, signature) -> Tableau:
+    """Read-only m-site tableau of a word given by its local signature,
+    a tuple of (kind, local sites) over sites 0..m-1."""
+    m = 1 + max(s for _, sites in signature for s in sites)
+    w = identity_tableau(m, d).apply_word(
+        CliffordGate(kind, sites) for kind, sites in signature)
+    for a in (w.xs, w.zs, w.phases):
+        a.setflags(write=False)
+    return w

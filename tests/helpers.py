@@ -142,6 +142,20 @@ def rowprod_loop(xs, zs, phases, xpow, zpow, d):
     return acc_x, acc_z, ph
 
 
+def right_multiply_full(t, word):
+    """Reference for Tableau.right_multiply: the full construction it
+    replaced, pushing every row of an n-site tableau for the word through
+    conjugate_forward. Returns a new tableau."""
+    from quditsim.tableau import identity_tableau
+
+    w = identity_tableau(t.n, t.d).apply_word(word)
+    out = t.copy()
+    for r in range(2 * t.n):
+        q = t.conjugate_forward(w.row(r))
+        out.xs[r], out.zs[r], out.phases[r] = q.x, q.z, q.phase
+    return out
+
+
 def objective_scalar(s, cutoff):
     """Reference bond objective: (rank above the cutoff, Renyi-2 entropy)."""
     s2 = s * s
@@ -158,7 +172,10 @@ def reference_gcamps_state(n, d, catalog, policy=None):
 
     The bond scan is the brute-force loop: one SVD and one scalar objective
     per entangling entry, in catalog order, keeping the first strictly
-    better one. The engine's batched scan must make the same choices.
+    better one, at every visited bond. The engine's batched scan, with its
+    early exit and its skipped settled bonds, must make the same choices.
+    The accepted gate is absorbed by the full construction, so the frame
+    is an independent check on the engine's Tableau.right_multiply.
     """
     from quditsim.gates import CliffordGate, invert_word
     from quditsim.gcamps import GcampsState, _TIE_EPS, _better
@@ -168,7 +185,8 @@ def reference_gcamps_state(n, d, catalog, policy=None):
     class ReferenceGcampsState(GcampsState):
         __slots__ = ()
 
-        def _optimize_bond(self, i, report):
+        def _optimize_bond(self, i, report, settled=False):
+            # scans every bond in full, settled or not
             mps = self.mps
             mps.move_center(i)
             theta = np.tensordot(
@@ -201,7 +219,9 @@ def reference_gcamps_state(n, d, catalog, policy=None):
                 CliffordGate(g.kind, tuple(i + s_ for s_ in g.sites))
                 for g in self.catalog.entries[best_idx].word
             )
-            self.tableau.right_multiply(tuple(invert_word(mapped, d)))
+            self.tableau = right_multiply_full(
+                self.tableau, invert_word(mapped, d)
+            )
             report.gates_applied.append((best_idx, i))
             report.objective_after[i] = best
             return 1

@@ -12,12 +12,12 @@ from quditsim.circuits import (
 )
 from quditsim import gcamps
 from quditsim.disentanglers import generate_catalog
-from quditsim.gates import CliffordGate, kind_unitary
+from quditsim.gates import CliffordGate, invert_word, kind_unitary
 from quditsim.gcamps import GcampsState, new_state, tableau_bytes
 from quditsim.mps import Mps, TruncationPolicy, mps_model_bytes
 from quditsim.pauli import PauliString
 from quditsim.statevector import DenseState, run_circuit
-from quditsim.tableau import identity_tableau
+from quditsim.tableau import _local_tableau, identity_tableau
 
 from helpers import (
     dense_pauli,
@@ -511,6 +511,7 @@ def assert_scan_matches_reference(circ, catalog, policy=None):
         peak = max([peak] + [rank for rank, _ in got.objective_before.values()])
     assert np.array_equal(st.tableau.xs, ref.tableau.xs)
     assert np.array_equal(st.tableau.zs, ref.tableau.zs)
+    assert np.array_equal(st.tableau.phases, ref.tableau.phases)
     assert absorbed > 0  # the scan had choices to make
     return peak
 
@@ -540,3 +541,64 @@ def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
     monkeypatch.setattr(gcamps, "_SCAN_CHUNK_BYTES", 2000)
     circ = mid_chain_circuit(6, 3, layers=4, seed=23)
     assert_scan_matches_reference(circ, cat3)
+
+
+@pytest.fixture
+def scan_log(monkeypatch):
+    """Engine bond visits as (settled, product, candidate rows scored): the
+    settled flag passed in, whether the bond was left a product, and the
+    candidate matrices counted through a patched gcamps.robust_svd."""
+    rows, visits = [], []
+    svd, optimize = gcamps.robust_svd, GcampsState._optimize_bond
+
+    def counting_svd(a, compute_uv=True):
+        rows.append(a.shape[0])
+        return svd(a, compute_uv=compute_uv)
+
+    def logged(self, i, report, settled=False):
+        first = len(rows)
+        out = optimize(self, i, report, settled)
+        product = gcamps._unbeatable(report.objective_after[i])
+        visits.append((settled, product, sum(rows[first + 1:])))
+        return out
+
+    monkeypatch.setattr(gcamps, "robust_svd", counting_svd)
+    monkeypatch.setattr(GcampsState, "_optimize_bond", logged)
+    return visits
+
+
+def test_width_shaped_scan_exits_early_and_matches_reference(cat3, scan_log):
+    # d=3, n=24, two T layers after 8n-gate blocks: the bonds stay near 1,
+    # so a product-making candidate usually turns up in the first chunk
+    circ = t_doped_circuit(24, 3, layers=2, rng_seed=7, block_len=8 * 24)
+    assert_scan_matches_reference(circ, cat3)
+    full = len(cat3.entangling_stack()[0])
+    scored = [n for _, _, n in scan_log if n]
+    assert scored and max(scored) <= full
+    assert min(scored) < full
+
+
+def test_crossover_shaped_scan_skips_settled_bonds(cat3, scan_log):
+    # d=3, T layers after 2n-gate blocks: bonds grow past what the catalog
+    # can undo, so later passes revisit bonds that accepted nothing
+    circ = t_doped_circuit(6, 3, layers=12, rng_seed=2, block_len=12)
+    assert_scan_matches_reference(circ, cat3)
+    assert all(n == 0 for settled, _, n in scan_log if settled)
+    skipped = sum(settled and not product for settled, product, _ in scan_log)
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_tableau_of_every_inverse_catalog_word(d, cat2, cat3):
+    cat = catalog_for(d, cat2, cat3)
+    for idx in cat.entangling_stack()[0]:
+        inverse = invert_word(cat.entries[idx].word, d)
+        w = _local_tableau(d, tuple((g.kind, g.sites) for g in inverse))
+        assert w == identity_tableau(2, d).apply_word(inverse)
+        for a in (w.xs, w.zs, w.phases):
+            assert not a.flags.writeable
+    # absorbing the last word at another bond reuses its memoized tableau
+    hits = _local_tableau.cache_info().hits
+    identity_tableau(6, d).right_multiply(
+        CliffordGate(g.kind, tuple(3 + s for s in g.sites)) for g in inverse)
+    assert _local_tableau.cache_info().hits == hits + 1

@@ -19,6 +19,7 @@ from helpers import (
     dense_word_unitary,
     random_clifford_gates,
     random_pauli_exponents,
+    right_multiply_full,
 )
 
 DS = [2, 3, 5]
@@ -268,17 +269,6 @@ def test_right_multiply_matches_prepended_word(d):
     t.right_multiply(extra)
     ref = identity_tableau(3, d).apply_word(extra).apply_word(word)
     assert t == ref
-
-
-def right_multiply_full(t, word):
-    """The full construction right_multiply replaced: push every row of an
-    n-site tableau for the word through conjugate_forward."""
-    w = identity_tableau(t.n, t.d).apply_word(word)
-    out = t.copy()
-    for r in range(2 * t.n):
-        q = t.conjugate_forward(w.row(r))
-        out.xs[r], out.zs[r], out.phases[r] = q.x, q.z, q.phase
-    return out
 
 
 @pytest.mark.parametrize("d", DS)
