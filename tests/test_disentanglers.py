@@ -1,5 +1,7 @@
 """Tests for the two-qudit entanglement-class catalog."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from quditsim.disentanglers import (
 from quditsim.gates import CliffordGate, gate_unitary
 
 from helpers import sum_permutation
+
+DATA = Path(__file__).with_name("data")
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +404,15 @@ def test_save_load_roundtrip_d3(tmp_path, catalog3):
     loaded = load_catalog(p)
     assert loaded == catalog3
     assert loaded.n_entries == 90
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generated_catalog_matches_golden_file(tmp_path, d):
+    # entries, words and order decide the scan's tie-breaks, so a rebuilt
+    # catalog must match the pinned file byte for byte
+    p = tmp_path / f"cat{d}.txt"
+    save_catalog(generate_catalog(d), p)
+    assert p.read_bytes() == (DATA / f"catalog_d{d}.txt").read_bytes()
 
 
 def test_load_missing_file(tmp_path):
