@@ -5,18 +5,12 @@ A layer boundary is every non-Clifford op; the trailing ops of a circuit
 run yields at least one row. Each row snapshots the bond profile right
 after its boundary, the memory model recomputed from that profile, and the
 wall time spent since the previous boundary.
-
-Shot-level parallelism only: QSIM_THREADS caps the worker count, each
-worker owns its shot end to end, and rows are emitted in deterministic
-(backend, shot, layer) order regardless of completion order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -161,14 +155,6 @@ def shot_seed(seed: int, shot: int) -> int:
     return seed * 1_000_003 + shot
 
 
-def worker_count() -> int:
-    raw = os.environ.get("QSIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def bench_tdoped(d, sites, layers, shots, seed, backends=("gcamps", "mps"),
                  block_len=None, policy=None, catalog=None):
     """T-doped benchmark sweep; returns rows in (backend, shot, layer) order.
@@ -186,29 +172,14 @@ def bench_tdoped(d, sites, layers, shots, seed, backends=("gcamps", "mps"),
     if block_len is None:
         block_len = 2 * sites
 
-    def one_shot(shot):
-        circ = t_doped_circuit(sites, d, layers, rng_seed=shot_seed(seed, shot),
-                               block_len=block_len)
-        rows = {}
-        for b in backends:
-            recs, _ = run_on_backend(b, circ, shot=shot, seed=seed,
-                                     policy=policy, catalog=catalog)
-            rows[b] = recs
-        return rows
-
-    workers = min(worker_count(), int(shots))
-    if workers > 1:
-        if "gcamps" in backends and catalog is None:
-            _cached_catalog(d)  # build once before the pool forks work
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_shot = list(pool.map(one_shot, range(shots)))
-    else:
-        per_shot = [one_shot(s) for s in range(shots)]
-
+    circuits = [t_doped_circuit(sites, d, layers, rng_seed=shot_seed(seed, shot),
+                                block_len=block_len) for shot in range(shots)]
     out = []
     for b in backends:
-        for rows in per_shot:
-            out.extend(rows[b])
+        for shot, circ in enumerate(circuits):
+            recs, _ = run_on_backend(b, circ, shot=shot, seed=seed,
+                                     policy=policy, catalog=catalog)
+            out.extend(recs)
     return out
 
 

@@ -173,14 +173,6 @@ def test_bench_tdoped_accepts_preloaded_catalog():
     assert strip_timing(given) == strip_timing(base)
 
 
-def test_bench_tdoped_threads_match_serial(monkeypatch):
-    monkeypatch.setenv("QSIM_THREADS", "3")
-    a = bench_tdoped(2, 4, 2, shots=3, seed=5, backends=("mps",))
-    monkeypatch.setenv("QSIM_THREADS", "1")
-    b = bench_tdoped(2, 4, 2, shots=3, seed=5, backends=("mps",))
-    assert strip_timing(a) == strip_timing(b)
-
-
 def test_write_csv_and_json_round_trip(tmp_path):
     records = bench_tdoped(2, 3, 2, shots=1, seed=2, backends=("gcamps",))
     csv_path = tmp_path / "out.csv"
