@@ -9,10 +9,14 @@ subgroup L acting from the left, and one lexicographically minimal
 representative is kept per coset. The coset of the locals themselves is
 retained but flagged as non-entangling.
 
-Every element carries a shortest generator word found by breadth-first
-search over {H0, H1, S0, S1, SUM01, SUM10}; replaying the word through a
-fresh two-site tableau must reproduce the matrix exactly, which doubles as
-an integrity check for saved catalog files.
+The group is one breadth-first closure over {H0, H1, S0, S1, SUM01, SUM10},
+run on arrays: each matrix is one int64 code, each level one stacked
+product, and each element keeps only a parent pointer and the generator
+that reached it. The local subgroup is the closure's local elements. Only
+the coset representatives get a word, a shortest one rebuilt from the
+parent pointers; replaying it through a fresh two-site tableau must
+reproduce the matrix exactly, which doubles as an integrity check for saved
+catalog files.
 """
 
 from __future__ import annotations
@@ -26,9 +30,8 @@ from .tableau import identity_tableau
 __all__ = [
     "DisentanglerEntry",
     "DisentanglerCatalog",
-    "enumerate_group",
-    "local_group",
-    "reduce_to_catalog",
+    "GroupClosure",
+    "group_closure",
     "generate_catalog",
     "save_catalog",
     "load_catalog",
@@ -37,11 +40,9 @@ __all__ = [
     "is_local_matrix",
     "word_symplectic",
     "GENERATOR_TOKENS",
-    "LOCAL_TOKENS",
 ]
 
 GENERATOR_TOKENS = ("H0", "H1", "S0", "S1", "SUM01", "SUM10")
-LOCAL_TOKENS = ("H0", "H1", "S0", "S1")
 
 # elements whose BFS would outgrow memory need an explicit opt-in
 _ENUM_GUARD = 100_000
@@ -81,14 +82,14 @@ def is_symplectic(m, d: int) -> bool:
     return bool(np.array_equal((m.T @ j @ m) % d, j))
 
 
-def is_local_matrix(m) -> bool:
-    """True when the matrix never mixes site-0 and site-1 exponents."""
-    m = np.asarray(m)
-    site0 = (0, 2)
-    site1 = (1, 3)
-    return not (
-        m[np.ix_(site0, site1)].any() or m[np.ix_(site1, site0)].any()
-    )
+# entries that couple a site-0 exponent (index 0 or 2) to a site-1 one
+_CROSS = np.add.outer(np.arange(4), np.arange(4)) % 2 == 1
+
+
+def is_local_matrix(m):
+    """True where a matrix, or each matrix of a stack, never mixes site-0
+    and site-1 exponents."""
+    return ~np.asarray(m)[..., _CROSS].any(axis=-1)
 
 
 def word_symplectic(word, d: int) -> np.ndarray:
@@ -99,59 +100,56 @@ def word_symplectic(word, d: int) -> np.ndarray:
     return t.exponent_matrix() % d
 
 
-def _generator_matrices(d: int) -> dict:
-    out = {}
-    for token in GENERATOR_TOKENS:
-        out[token] = word_symplectic([token_gate(token)], d)
-    return out
-
-
-def _key(m) -> bytes:
-    return np.ascontiguousarray(m, dtype=np.uint8).tobytes()
-
-
-def _bfs(d: int, tokens, expected_order: int) -> dict:
-    """Breadth-first closure from the identity under the given generators.
-
-    Returns {matrix key: (matrix, word bytes)} where the word stores indices
-    into `tokens` in application order and is shortest-found.
-    """
-    gens = [_generator_matrices(d)[t] for t in tokens]
-    eye = np.eye(4, dtype=np.int64)
-    seen = {_key(eye): (eye, b"")}
-    frontier = [(eye, b"")]
-    while frontier:
-        stack = np.stack([m for m, _ in frontier])
-        nxt = []
-        for gi, g in enumerate(gens):
-            prods = np.einsum("ij,njk->nik", g, stack) % d
-            for (m, word), pm in zip(frontier, prods):
-                k = _key(pm)
-                if k not in seen:
-                    entry = (pm, word + bytes([gi]))
-                    seen[k] = entry
-                    nxt.append(entry)
-        frontier = nxt
-        if len(seen) > expected_order:
-            raise RuntimeError("closure exceeded the expected group order")
-    return seen
-
-
-def _word_from_bytes(word: bytes, tokens) -> tuple:
-    return tuple(token_gate(tokens[b]) for b in word)
-
-
 def group_order_formula(d: int) -> int:
     """|Sp(4, d)| = d^4 (d^2 - 1)(d^4 - 1)."""
     d = int(QuditDim(d))
     return d**4 * (d * d - 1) * (d**4 - 1)
 
 
-def enumerate_group(d: int, allow_large: bool = False) -> dict:
-    """All two-site symplectic matrices over Z_d with shortest words.
+def _local_order(d: int) -> int:
+    """|Sp(2, d) x Sp(2, d)| = (d (d^2 - 1))^2."""
+    return (d * (d * d - 1)) ** 2
 
-    Returns {key: (matrix, word)} where word is a tuple of CliffordGate on
-    sites {0, 1}. Dimensions whose group outgrows the memory guard require
+
+def _codes(mats, d: int) -> np.ndarray:
+    """One int64 per 4x4 matrix over Z_d: its entries as base-d digits,
+    row-major, so integer order is the lexicographic order of the entries."""
+    weights = d ** np.arange(15, -1, -1, dtype=np.int64)
+    return np.asarray(mats, dtype=np.int64).reshape(-1, 16) @ weights
+
+
+class GroupClosure:
+    """Every two-site symplectic matrix over Z_d in breadth-first order.
+
+    Element 0 is the identity; element i is `generator[i]` (an index into
+    GENERATOR_TOKENS) applied after element `parent[i]`, so `word(i)`
+    rebuilds a shortest generator word from the parent pointers.
+    """
+
+    def __init__(self, d, matrices, parent, generator):
+        self.d = int(d)
+        self.matrices = matrices
+        self.codes = _codes(matrices, self.d)
+        self.parent = parent
+        self.generator = generator
+
+    def word(self, i: int) -> tuple:
+        tokens = []
+        while self.parent[i] >= 0:
+            tokens.append(GENERATOR_TOKENS[self.generator[i]])
+            i = self.parent[i]
+        return tuple(token_gate(t) for t in reversed(tokens))
+
+
+def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
+    """Breadth-first closure of {H0, H1, S0, S1, SUM01, SUM10} from the
+    identity, one array product per level.
+
+    Each level's candidates are ordered generator-major, then by frontier
+    position, and the first occurrence of each new matrix is kept. One
+    generator maps distinct matrices to distinct ones, so a tie is always
+    decided by the lower generator index and the frontier may stay in code
+    order. Dimensions whose group outgrows the memory guard require
     allow_large=True.
     """
     d = int(QuditDim(d))
@@ -161,28 +159,29 @@ def enumerate_group(d: int, allow_large: bool = False) -> dict:
             f"group of size {order} exceeds the memory guard; "
             "pass allow_large=True to proceed"
         )
-    raw = _bfs(d, GENERATOR_TOKENS, order)
-    if len(raw) != order:
+    if d**16 > np.iinfo(np.int64).max:
+        raise ValueError(f"d={d} matrices do not fit one int64 code")
+    gens = np.stack([word_symplectic([token_gate(t)], d) for t in GENERATOR_TOKENS])
+    frontier = np.eye(4, dtype=np.int64)[None]
+    levels = [(frontier, np.array([-1]), np.array([-1]))]
+    seen = _codes(frontier, d)  # sorted
+    start = 0  # index of the frontier's first element
+    while len(frontier):
+        n = len(frontier)
+        prods = (gens[:, None] @ frontier % d).reshape(-1, 4, 4)
+        codes, first = np.unique(_codes(prods, d), return_index=True)
+        fresh = first[~np.isin(codes, seen, assume_unique=True)]
+        frontier = prods[fresh]
+        levels.append((frontier, start + fresh % n, fresh // n))
+        seen = np.union1d(seen, codes)
+        start += n
+        if start + len(frontier) > order:
+            raise RuntimeError("closure exceeded the expected group order")
+    if start != order:
         raise RuntimeError(
-            f"BFS closure found {len(raw)} elements, expected {order}"
+            f"BFS closure found {start} elements, expected {order}"
         )
-    return {
-        k: (m, _word_from_bytes(w, GENERATOR_TOKENS))
-        for k, (m, w) in raw.items()
-    }
-
-
-def local_group(d: int) -> dict:
-    """The subgroup generated by single-site gates only."""
-    d = int(QuditDim(d))
-    per_site = d * (d * d - 1)
-    raw = _bfs(d, LOCAL_TOKENS, per_site * per_site)
-    if len(raw) != per_site * per_site:
-        raise RuntimeError("local closure has unexpected size")
-    return {
-        k: (m, _word_from_bytes(w, LOCAL_TOKENS))
-        for k, (m, w) in raw.items()
-    }
+    return GroupClosure(d, *(np.concatenate(col) for col in zip(*levels)))
 
 
 class DisentanglerEntry:
@@ -283,42 +282,39 @@ def two_site_word_unitary(word, d: int) -> np.ndarray:
     return u
 
 
-def reduce_to_catalog(group: dict, d: int) -> DisentanglerCatalog:
-    """Partition an enumerated group into left-local cosets L*g.
+def generate_catalog(d: int, allow_large: bool = False) -> DisentanglerCatalog:
+    """Partition the two-site group into left-local cosets L*g.
 
     A local applied after the gate leaves every Schmidt spectrum unchanged,
-    so each coset is one entanglement class. Entries are sorted by their
-    representative matrices; the coset equal to L itself is flagged
-    non-entangling.
+    so each coset is one entanglement class. Cosets are taken in ascending
+    order of their minimal members, which are their representatives; the
+    coset equal to L itself is flagged non-entangling.
     """
-    d = int(QuditDim(d))
-    locals_ = local_group(d)
-    l_stack = np.stack([m for m, _ in locals_.values()])
-    identity_key = _key(np.eye(4, dtype=np.int64))
-    seen = set()
+    closure = group_closure(d, allow_large=allow_large)
+    d, mats = closure.d, closure.matrices
+    locals_ = mats[is_local_matrix(mats)]
+    if len(locals_) != _local_order(d):
+        raise RuntimeError("local subgroup has unexpected size")
+    by_code = np.argsort(closure.codes)
+    sorted_codes = closure.codes[by_code]
+    covered = np.zeros(len(mats), dtype=bool)
     entries = []
-    for k in sorted(group):
-        if k in seen:
+    for pos in range(len(mats)):
+        if covered[pos]:
             continue
-        g = group[k][0]
-        coset = np.einsum("nij,jk->nik", l_stack, g) % d
-        keys = {_key(m) for m in coset}
-        if len(keys) != len(l_stack):
+        coset = _codes(locals_ @ mats[by_code[pos]] % d, d)
+        hit = np.searchsorted(sorted_codes, coset)
+        if np.unique(hit).size != len(locals_) or covered[hit].any():
             raise RuntimeError("coset size differs from the local order")
-        seen |= keys
-        rep_key = min(keys)
-        rep, word = group[rep_key]
-        entries.append(
-            DisentanglerEntry(rep, word, len(keys), identity_key not in keys)
-        )
-    if sum(e.class_size for e in entries) != len(group):
+        covered[hit] = True
+        rep = by_code[hit.min()]
+        entries.append(DisentanglerEntry(
+            mats[rep], closure.word(rep), len(locals_),
+            not is_local_matrix(mats[rep]),
+        ))
+    if len(entries) * len(locals_) != len(mats):
         raise RuntimeError("cosets do not partition the group")
-    entries.sort(key=lambda e: tuple(e.representative.reshape(-1)))
-    return DisentanglerCatalog(d, len(group), entries)
-
-
-def generate_catalog(d: int, allow_large: bool = False) -> DisentanglerCatalog:
-    return reduce_to_catalog(enumerate_group(d, allow_large=allow_large), d)
+    return DisentanglerCatalog(d, len(mats), entries)
 
 
 def save_catalog(catalog: DisentanglerCatalog, path) -> None:
@@ -340,9 +336,11 @@ def save_catalog(catalog: DisentanglerCatalog, path) -> None:
 def load_catalog(path) -> DisentanglerCatalog:
     """Parse and revalidate a catalog file.
 
-    Every matrix must be symplectic, its word must replay to it through a
-    fresh tableau, and class sizes must sum to the group order; any failure
-    raises ValueError.
+    The header must give the group order of its dimension, every matrix
+    must be symplectic, its word must replay to it through a fresh tableau,
+    every class size must be the local order and sum to the group order,
+    and no two entries may share a left-local coset; any failure raises
+    ValueError.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
@@ -356,6 +354,11 @@ def load_catalog(path) -> DisentanglerCatalog:
         d = QuditDim(d)
     except ValueError as exc:
         raise ValueError(f"malformed catalog header: {exc}") from None
+    if group_order != group_order_formula(d):
+        raise ValueError(
+            f"header group order {group_order} is not the d={d} order "
+            f"{group_order_formula(d)}"
+        )
     body = lines[2:]
     if len(body) != n_entries:
         raise ValueError(
@@ -384,4 +387,15 @@ def load_catalog(path) -> DisentanglerCatalog:
         )
     if sum(e.class_size for e in entries) != group_order:
         raise ValueError("class sizes do not sum to the group order")
+    if any(e.class_size != _local_order(d) for e in entries):
+        raise ValueError("a class size differs from the local order")
+    # m_i and m_j share a coset L*g exactly when m_i m_j^-1 is local, and a
+    # symplectic m has m^-1 = J^-1 m^T J with J^-1 = -J
+    j = symplectic_form(d)
+    reps = np.stack([e.representative for e in entries])
+    inverses = -j @ reps.transpose(0, 2, 1) @ j
+    shared = is_local_matrix(reps[:, None] @ inverses[None] % d)
+    np.fill_diagonal(shared, False)
+    if shared.any():
+        raise ValueError("two entries lie in the same left-local coset")
     return DisentanglerCatalog(d, group_order, entries)

@@ -8,15 +8,13 @@ import pytest
 from quditsim.disentanglers import (
     DisentanglerCatalog,
     DisentanglerEntry,
-    enumerate_group,
     gate_token,
     generate_catalog,
+    group_closure,
     group_order_formula,
     is_local_matrix,
     is_symplectic,
     load_catalog,
-    local_group,
-    reduce_to_catalog,
     save_catalog,
     symplectic_form,
     token_gate,
@@ -33,22 +31,34 @@ DATA = Path(__file__).with_name("data")
 
 @pytest.fixture(scope="module")
 def group2():
-    return enumerate_group(2)
+    return group_closure(2)
 
 
 @pytest.fixture(scope="module")
 def group3():
-    return enumerate_group(3)
+    return group_closure(3)
 
 
 @pytest.fixture(scope="module")
-def catalog2(group2):
-    return reduce_to_catalog(group2, 2)
+def catalog2():
+    return generate_catalog(2)
 
 
 @pytest.fixture(scope="module")
-def catalog3(group3):
-    return reduce_to_catalog(group3, 3)
+def catalog3():
+    return generate_catalog(3)
+
+
+def local_elements(closure):
+    """Matrices and words of the closure's local elements."""
+    idx = np.flatnonzero(is_local_matrix(closure.matrices))
+    return closure.matrices[idx], [closure.word(i) for i in idx]
+
+
+def element_index(closure, m):
+    hit = np.flatnonzero((closure.matrices == m).all(axis=(1, 2)))
+    assert len(hit) == 1
+    return int(hit[0])
 
 
 def dense_schmidt(v, d):
@@ -126,38 +136,40 @@ def test_group_order_formula_values():
 
 
 def test_enumerate_group_d2_order(group2):
-    assert len(group2) == 720
+    assert len(group2.matrices) == 720
+    assert len(np.unique(group2.codes)) == 720
 
 
 def test_enumerate_group_d3_order(group3):
-    assert len(group3) == 51840
+    assert len(group3.matrices) == 51840
+    assert len(np.unique(group3.codes)) == 51840
 
 
 def test_memory_guard_requires_opt_in():
     with pytest.raises(ValueError, match="memory guard"):
-        enumerate_group(5)
+        generate_catalog(5)
 
 
 def test_identity_has_empty_word(group2):
-    key = np.eye(4, dtype=np.uint8).tobytes()
-    m, word = group2[key]
-    np.testing.assert_array_equal(m, np.eye(4, dtype=np.int64))
-    assert word == ()
+    i = element_index(group2, np.eye(4, dtype=np.int64))
+    assert i == 0
+    assert group2.word(i) == ()
 
 
 def test_every_d2_element_symplectic_and_replayable(group2):
-    for m, word in group2.values():
+    for i, m in enumerate(group2.matrices):
         assert is_symplectic(m, 2)
-        np.testing.assert_array_equal(word_symplectic(word, 2), m)
+        np.testing.assert_array_equal(word_symplectic(group2.word(i), 2), m)
 
 
 def test_sampled_d3_elements_symplectic_and_replayable(group3):
     rng = np.random.default_rng(11)
-    keys = list(group3)
-    for i in rng.choice(len(keys), size=200, replace=False):
-        m, word = group3[keys[int(i)]]
+    for i in rng.choice(len(group3.matrices), size=200, replace=False):
+        m = group3.matrices[int(i)]
         assert is_symplectic(m, 3)
-        np.testing.assert_array_equal(word_symplectic(word, 3), m)
+        np.testing.assert_array_equal(
+            word_symplectic(group3.word(int(i)), 3), m
+        )
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -165,17 +177,22 @@ def test_generators_have_length_one_words(d, group2, group3):
     group = group2 if d == 2 else group3
     for token in GENERATOR_TOKENS:
         m = word_symplectic([token_gate(token)], d)
-        _, word = group[np.ascontiguousarray(m, dtype=np.uint8).tobytes()]
-        assert len(word) == 1
+        assert len(group.word(element_index(group, m))) == 1
 
 
 @pytest.mark.parametrize("d,size", [(2, 36), (3, 576)])
-def test_local_group_order(d, size):
-    loc = local_group(d)
-    assert len(loc) == size
-    for m, _ in loc.values():
+def test_local_group_order(d, size, request):
+    mats, _ = local_elements(request.getfixturevalue(f"group{d}"))
+    assert len(mats) == size
+    for m in mats:
         assert is_local_matrix(m)
         assert is_symplectic(m, d)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_is_local_matrix_on_a_stack(d, request):
+    mats = request.getfixturevalue(f"group{d}").matrices
+    assert is_local_matrix(mats).tolist() == [is_local_matrix(m) for m in mats]
 
 
 # ----------------------------------------------------------------------
@@ -223,7 +240,7 @@ def test_entry_words_replay_to_representatives(cat_name, request):
 
 
 def test_cosets_partition_exhaustively_d2(group2, catalog2):
-    loc = np.stack([m for m, _ in local_group(2).values()])
+    loc, _ = local_elements(group2)
     seen = set()
     for e in catalog2.entries:
         keys = {
@@ -236,9 +253,9 @@ def test_cosets_partition_exhaustively_d2(group2, catalog2):
     assert len(seen) == 720
 
 
-def test_no_left_local_links_distinct_reps_d3_sampled(catalog3):
+def test_no_left_local_links_distinct_reps_d3_sampled(group3, catalog3):
     rng = np.random.default_rng(12)
-    loc = np.stack([m for m, _ in local_group(3).values()])
+    loc, _ = local_elements(group3)
     entries = catalog3.entries
     for _ in range(40):
         i, j = rng.choice(len(entries), size=2, replace=False)
@@ -247,8 +264,8 @@ def test_no_left_local_links_distinct_reps_d3_sampled(catalog3):
         assert not any(np.array_equal(m, target) for m in imgs)
 
 
-def test_representative_is_coset_lex_minimum_d2(catalog2):
-    loc = np.stack([m for m, _ in local_group(2).values()])
+def test_representative_is_coset_lex_minimum_d2(group2, catalog2):
+    loc, _ = local_elements(group2)
     for e in catalog2.entries[:5]:
         coset = np.einsum("nij,jk->nik", loc, e.representative) % 2
         flat = sorted(tuple(m.reshape(-1)) for m in coset)
@@ -269,8 +286,7 @@ def test_catalog_generation_is_deterministic():
 def test_coset_members_share_schmidt_spectra(d, request):
     # a local after the gate never changes the Schmidt spectrum, on any input
     cat = request.getfixturevalue(f"catalog{d}")
-    loc = local_group(d)
-    loc_words = [w for _, w in loc.values()]
+    _, loc_words = local_elements(request.getfixturevalue(f"group{d}"))
     rng = np.random.default_rng(20 + d)
     states = [np.zeros(d * d, dtype=complex)]
     states[0][0] = 1.0  # |00>
@@ -491,6 +507,58 @@ def test_load_rejects_short_entry_line(tmp_path, catalog2):
     lines[2] = "0 1 0 0"
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="digits"):
+        load_catalog(p)
+
+
+def write_catalog_lines(path, header, entries):
+    path.write_text("\n".join(["# qsim-catalog v1", header, *entries]) + "\n")
+
+
+def golden_entry_lines(d):
+    return (DATA / f"catalog_d{d}.txt").read_text().splitlines()[2:]
+
+
+def test_load_rejects_wrong_group_order(tmp_path):
+    # two true classes whose sizes sum to the header's (wrong) order
+    p = tmp_path / "cat.txt"
+    write_catalog_lines(p, "2 72 2", golden_entry_lines(2)[:2])
+    with pytest.raises(ValueError, match="group order"):
+        load_catalog(p)
+
+
+def test_load_rejects_repeated_coset(tmp_path):
+    # twenty copies of one class fill the order but cover one coset only
+    p = tmp_path / "cat.txt"
+    write_catalog_lines(p, "2 720 20", [golden_entry_lines(2)[1]] * 20)
+    with pytest.raises(ValueError, match="same left-local coset"):
+        load_catalog(p)
+
+
+def test_load_rejects_class_size_other_than_local_order(tmp_path):
+    p = tmp_path / "cat.txt"
+    entries = []
+    for line in golden_entry_lines(2)[:2]:
+        fields = line.split()
+        fields[16] = "360"
+        entries.append(" ".join(fields))
+    write_catalog_lines(p, "2 720 2", entries)
+    with pytest.raises(ValueError, match="class size differs"):
+        load_catalog(p)
+
+
+def test_load_rejects_distinct_members_of_one_coset(tmp_path, group3, catalog3):
+    # a left-local image of an entry is another matrix of the same class
+    loc, _ = local_elements(group3)
+    e = catalog3.entries[1]
+    other = loc[5] @ e.representative % 3
+    assert not np.array_equal(other, e.representative)
+    entries = list(catalog3.entries)
+    entries[0] = DisentanglerEntry(
+        other, group3.word(element_index(group3, other)), e.class_size, True
+    )
+    p = tmp_path / "cat.txt"
+    save_catalog(DisentanglerCatalog(3, catalog3.group_order, entries), p)
+    with pytest.raises(ValueError, match="same left-local coset"):
         load_catalog(p)
 
 
