@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuits import Circuit, gate_matrix, t_doped_circuit
+from .circuits import Circuit, as_clifford_word, gate_matrix, t_doped_circuit
 from .disentanglers import generate_catalog
 from .gcamps import new_state
 from .mps import Mps, TruncationPolicy, mps_model_bytes, worst_case_chi
@@ -88,12 +88,16 @@ def _record(backend, circ, shot, seed, layer, chi, dt) -> BenchRecord:
     )
 
 
-def _boundary_flags(ops):
-    """True at every index that closes a layer."""
-    flags = [not op.is_clifford for op in ops]
-    if ops and not flags[-1]:
-        flags[-1] = True  # trailing Clifford block closes the last layer
-    return flags
+def _op_layers(ops):
+    """The ops cut after every non-Clifford op; trailing Clifford ops close
+    one more layer."""
+    start = 0
+    for k, op in enumerate(ops):
+        if not op.is_clifford:
+            yield ops[start:k + 1]
+            start = k + 1
+    if start < len(ops):
+        yield ops[start:]
 
 
 def _dense_ranks(state: DenseState):
@@ -106,13 +110,26 @@ def _dense_ranks(state: DenseState):
 
 def _start(backend, circ, policy, catalog, verify, max_dim):
     """What differs by backend: the fresh state, a callable applying one
-    op to it, and a callable reading its bond profile."""
+    layer of ops to it, and a callable reading its bond profile.
+
+    gcamps folds a layer's Clifford ops into its tableau as one word and
+    hands the closing non-Clifford op to GcampsState.apply_op.
+    """
     n, d = circ.n, circ.d
     if backend == "gcamps":
         if catalog is None:
             catalog = _cached_catalog(d)
         st = new_state(n, d, catalog, policy=policy, verify=verify)
-        return st, st.apply_op, st.mps.bond_dims
+
+        def apply_layer(ops):
+            last = None if ops[-1].is_clifford else ops[-1]
+            cliffords = ops if last is None else ops[:-1]
+            st.apply_clifford_word(
+                g for op in cliffords for g in as_clifford_word(op))
+            if last is not None:
+                st.apply_op(last)
+
+        return st, apply_layer, st.mps.bond_dims
     if backend == "mps":
         st = Mps.product_state(n, d, policy=policy)
         profile = st.bond_dims
@@ -120,7 +137,12 @@ def _start(backend, circ, policy, catalog, verify, max_dim):
         kwargs = {} if max_dim is None else {"max_dim": max_dim}
         st = DenseState(d, n, **kwargs)
         profile = partial(_dense_ranks, st)
-    return st, lambda op: st.apply_unitary(gate_matrix(op, d), op.sites), profile
+
+    def apply_layer(ops):
+        for op in ops:
+            st.apply_unitary(gate_matrix(op, d), op.sites)
+
+    return st, apply_layer, profile
 
 
 def run_on_backend(backend, circ: Circuit, *, shot=0, seed=0, policy=None,
@@ -132,14 +154,14 @@ def run_on_backend(backend, circ: Circuit, *, shot=0, seed=0, policy=None,
         policy = TruncationPolicy()
     records = []
     t0 = time.perf_counter()
-    st, apply, profile = _start(backend, circ, policy, catalog, verify, max_dim)
-    for op, boundary in zip(circ.ops, _boundary_flags(circ.ops)):
-        apply(op)
-        if boundary:
-            now = time.perf_counter()
-            records.append(_record(backend, circ, shot, seed, len(records) + 1,
-                                   profile(), now - t0))
-            t0 = now
+    st, apply_layer, profile = _start(backend, circ, policy, catalog, verify,
+                                      max_dim)
+    for ops in _op_layers(circ.ops):
+        apply_layer(ops)
+        now = time.perf_counter()
+        records.append(_record(backend, circ, shot, seed, len(records) + 1,
+                               profile(), now - t0))
+        t0 = now
     if not records:  # an empty circuit still closes one layer
         records.append(_record(backend, circ, shot, seed, 1, profile(),
                                time.perf_counter() - t0))

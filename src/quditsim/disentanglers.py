@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import CliffordGate, gate_unitary, swap_legs
+from .gates import CliffordGate, gate_unitary, invert_word, swap_legs
 from .pauli import QuditDim
 from .tableau import identity_tableau
 
@@ -226,6 +226,7 @@ class DisentanglerCatalog:
         self.entries = tuple(entries)
         self._unitaries = None
         self._entangling = None
+        self._inverse_words = None
 
     @property
     def n_entries(self) -> int:
@@ -247,6 +248,15 @@ class DisentanglerCatalog:
                 two_site_word_unitary(e.word, self.d) for e in self.entries
             )
         return self._unitaries
+
+    def inverse_words(self):
+        """Inverse of every entry word over sites {0, 1}, in application
+        order, as a tuple of gate tuples; built on first use and cached."""
+        if self._inverse_words is None:
+            self._inverse_words = tuple(
+                tuple(invert_word(e.word, self.d)) for e in self.entries
+            )
+        return self._inverse_words
 
     def entangling_stack(self):
         """Catalog indices of the entangling entries, ascending, and their

@@ -32,7 +32,7 @@ import numpy as np
 
 from .circuits import GateOp, as_clifford_word, gate_matrix
 from .disentanglers import DisentanglerCatalog
-from .gates import CliffordGate, gate_unitary, invert_word
+from .gates import CliffordGate, gate_unitary
 from .mps import (
     Mps, PauliMpo, TruncationPolicy, mps_model_bytes, robust_svd, worst_case_chi,
 )
@@ -159,14 +159,14 @@ class GcampsState:
     # Clifford path: tableau only
 
     def apply_clifford(self, g: CliffordGate):
-        self.tableau.apply_gate(g)
-        if self.gate_log is not None:
-            self.gate_log.cliffords.append(g)
-        return self
+        return self.apply_clifford_word((g,))
 
     def apply_clifford_word(self, word):
-        for g in word:
-            self.apply_clifford(g)
+        """Fold a word into C in one layered tableau update."""
+        word = tuple(word)
+        self.tableau.apply_word(word)
+        if self.gate_log is not None:
+            self.gate_log.cliffords.extend(word)
         return self
 
     # ------------------------------------------------------------------
@@ -290,13 +290,11 @@ class GcampsState:
             start, size = stop, budget
         if best_idx < 0:
             return 0
-        entry = self.catalog.entries[best_idx]
         mps.apply_two_site(i, self.catalog.unitaries()[best_idx])
-        mapped = tuple(
+        inverse = tuple(
             CliffordGate(g.kind, tuple(i + s_ for s_ in g.sites))
-            for g in entry.word
+            for g in self.catalog.inverse_words()[best_idx]
         )
-        inverse = tuple(invert_word(mapped, d))
         self.tableau.right_multiply(inverse)
         if self.gate_log is not None:
             self.gate_log.absorbed.append(inverse)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gates import swap_legs, swap_matrix
-from .pauli import DENSE_DIM_GUARD, PauliSum, QuditDim, site_matrix
+from .pauli import DENSE_DIM_GUARD, PauliSum, QuditDim, site_matrix_table
 
 __all__ = [
     "TruncationPolicy",
@@ -341,10 +341,11 @@ class Mps:
             c, p = ps.terms[0]
             if abs(abs(c) - 1.0) > _NORM_DRIFT_TOL:
                 raise ValueError("single-term sum is not unitary")
+            table = site_matrix_table(self.d)
             for i in range(self.n):
                 xi, zi = int(p.x[i]), int(p.z[i])
                 if xi or zi:
-                    self.apply_single_site(i, site_matrix(self.d, xi, zi))
+                    self.apply_single_site(i, table[xi, zi])
             self.tensors[self.center] = self.tensors[self.center] * c
             return 0.0
         return self._apply_mpo(PauliMpo(ps))
@@ -425,32 +426,25 @@ class PauliMpo:
         self.n = ps.n_sites
         self.bond = k
         d, n = self.d, self.n
-        mats = [
-            [site_matrix(d, int(p.x[i]), int(p.z[i])) for i in range(n)]
-            for _, p in ps.terms
-        ]
+        xs = np.array([p.x for _, p in ps.terms])
+        zs = np.array([p.z for _, p in ps.terms])
+        mats = site_matrix_table(d)[xs, zs]  # (term, site, out, in)
         coeffs = [c for c, _ in ps.terms]
         if n == 1:
             w = np.zeros((1, d, d, 1), dtype=np.complex128)
-            for c, row in zip(coeffs, mats):
-                w[0, :, :, 0] += c * row[0]
+            for c, m in zip(coeffs, mats[:, 0]):
+                w[0, :, :, 0] += c * m
             self.tensors = [w]
             return
-        tensors = []
+        terms = np.arange(k)
         first = np.zeros((1, d, d, k), dtype=np.complex128)
         for m in range(k):
-            first[0, :, :, m] = coeffs[m] * mats[m][0]
-        tensors.append(first)
-        for i in range(1, n - 1):
-            w = np.zeros((k, d, d, k), dtype=np.complex128)
-            for m in range(k):
-                w[m, :, :, m] = mats[m][i]
-            tensors.append(w)
+            first[0, :, :, m] = coeffs[m] * mats[m, 0]
+        middle = np.zeros((n - 2, k, d, d, k), dtype=np.complex128)
+        middle[:, terms, :, :, terms] = mats[:, 1:n - 1]
         last = np.zeros((k, d, d, 1), dtype=np.complex128)
-        for m in range(k):
-            last[m, :, :, 0] = mats[m][n - 1]
-        tensors.append(last)
-        self.tensors = tensors
+        last[terms, :, :, 0] = mats[:, n - 1]
+        self.tensors = [first, *middle, last]
 
     def to_matrix(self, max_dim=DENSE_DIM_GUARD):
         dim = self.d**self.n

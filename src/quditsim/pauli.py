@@ -18,6 +18,7 @@ state |s_0 s_1 ... s_{n-1}> has index sum(s_i * d**(n-1-i)).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -77,6 +78,17 @@ def site_matrix(d: int, x: int, z: int) -> np.ndarray:
     """Dense X**x @ Z**z for one site."""
     return np.linalg.matrix_power(shift_matrix(d), x % d) @ \
         np.linalg.matrix_power(clock_matrix(d), z % d)
+
+
+@lru_cache(maxsize=8)
+def site_matrix_table(d: int) -> np.ndarray:
+    """Read-only (d, d, d, d) array whose [x, z] entry is site_matrix(d, x, z)
+    for exponents in 0..d-1; built once per d."""
+    d = int(QuditDim(d))
+    table = np.array([[site_matrix(d, x, z) for z in range(d)]
+                      for x in range(d)])
+    table.setflags(write=False)
+    return table
 
 
 class PauliString:

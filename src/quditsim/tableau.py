@@ -1,10 +1,18 @@
 """Qudit stabilizer tableau: a Clifford C held as conjugation images.
 
 Row i (0 <= i < n) stores C Z_i C^dagger, row n+i stores C X_i C^dagger,
-each as a full PauliString with its own tau-exponent phase. Gate updates
-substitute generator images per site; every phase is produced by explicit
-string multiplication, never by a precomputed phase polynomial, so the
-even/odd-d case split cannot creep in as a bug source.
+each as a full PauliString with its own tau-exponent phase.
+
+A Clifford word is applied in as-soon-as-possible layers: each gate goes
+one layer past the last gate on any of its sites, so the gates of a layer
+act on disjoint sites and commute. The tableau is packed site-major, one
+code x*d + z per (site, row), and each (layer, kind) rewrites the codes of
+all its sites over all 2n rows with one lookup in a flat table of that
+kind's generator images. Gates on disjoint sites change disjoint codes and
+their phase increments add mod 2d, so the result is bit-identical to
+applying the gates one at a time. Every table entry, phase included, is
+produced by explicit string multiplication, never by a precomputed phase
+polynomial, so the even/odd-d case split cannot creep in as a bug source.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from . import kernels
 from .gates import ONE_SITE_KINDS, CliffordGate
 from .pauli import PauliString, QuditDim
 
-# (kind, d) -> exponent/phase lookup arrays, built lazily
+# (kind, d) -> flat code/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
 # distinct local words right_multiply keeps tableaux for; the engine only
 # absorbs inverse catalog words, about 90 of them per d
@@ -57,10 +65,14 @@ def _base_images(kind: str, d: int):
 
 
 def _image_tables(kind: str, d: int):
-    """Lookup tables mapping per-site exponents to their conjugated images.
+    """Flat lookup tables mapping packed site codes x*d + z to their
+    conjugated images.
 
-    Built once per (kind, d) by multiplying out powers of the generator
-    images, so the phase column is exact by construction.
+    A one-site kind gives (code, phase), indexed by the site's code. A SUM
+    kind gives (control code, target code, phase), indexed by control code
+    * d^2 + target code. Built once per (kind, d) by multiplying out powers
+    of the generator images, so the phase column is exact by construction;
+    the arrays are read-only.
     """
     key = (kind, d)
     hit = _IMAGE_CACHE.get(key)
@@ -68,35 +80,52 @@ def _image_tables(kind: str, d: int):
         return hit
     if kind in ONE_SITE_KINDS:
         gx, gz = _base_images(kind, d)
-        xo = np.empty((d, d), dtype=np.int64)
-        zo = np.empty((d, d), dtype=np.int64)
-        po = np.empty((d, d), dtype=np.int64)
-        for x in range(d):
-            px = gx.power(x)
-            for z in range(d):
-                q = px * gz.power(z)
-                xo[x, z] = q.x[0]
-                zo[x, z] = q.z[0]
-                po[x, z] = q.phase
-        out = (xo, zo, po)
+        code = np.empty(d * d, dtype=np.int64)
+        po = np.empty(d * d, dtype=np.int64)
+        for x, z in product(range(d), repeat=2):
+            q = gx.power(x) * gz.power(z)
+            code[x * d + z] = q.x[0] * d + q.z[0]
+            po[x * d + z] = q.phase
+        out = (code, po)
     else:
         gxc, gzc, gxt, gzt = _base_images(kind, d)
-        shape = (d, d, d, d)
-        xoc = np.empty(shape, dtype=np.int64)
-        zoc = np.empty(shape, dtype=np.int64)
-        xot = np.empty(shape, dtype=np.int64)
-        zot = np.empty(shape, dtype=np.int64)
-        po = np.empty(shape, dtype=np.int64)
-        for xc, zc, xt, zt in product(range(d), repeat=4):
+        size = d**4
+        cc = np.empty(size, dtype=np.int64)
+        tc = np.empty(size, dtype=np.int64)
+        po = np.empty(size, dtype=np.int64)
+        for k, (xc, zc, xt, zt) in enumerate(product(range(d), repeat=4)):
             q = gxc.power(xc) * gzc.power(zc) * gxt.power(xt) * gzt.power(zt)
-            xoc[xc, zc, xt, zt] = q.x[0]
-            zoc[xc, zc, xt, zt] = q.z[0]
-            xot[xc, zc, xt, zt] = q.x[1]
-            zot[xc, zc, xt, zt] = q.z[1]
-            po[xc, zc, xt, zt] = q.phase
-        out = (xoc, zoc, xot, zot, po)
+            cc[k] = q.x[0] * d + q.z[0]
+            tc[k] = q.x[1] * d + q.z[1]
+            po[k] = q.phase
+        out = (cc, tc, po)
+    for a in out:
+        a.setflags(write=False)
     _IMAGE_CACHE[key] = out
     return out
+
+
+def _layers(word, n: int):
+    """A word's gates in as-soon-as-possible layers, as sorted
+    ((layer, kind), sites) pairs: one site index per one-site gate, a
+    (control, target) pair per SUM. Every site is checked against n."""
+    depth = [0] * n
+    groups = {}
+    for g in word:
+        sites = g.sites
+        if max(sites) >= n:
+            raise ValueError(f"gate sites {sites} exceed n={n}")
+        if len(sites) == 1:
+            (a,) = sites
+            layer = depth[a]
+            depth[a] = layer + 1
+            groups.setdefault((layer, g.kind), []).append(a)
+        else:
+            a, b = sites
+            layer = max(depth[a], depth[b])
+            depth[a] = depth[b] = layer + 1
+            groups.setdefault((layer, g.kind), []).append(sites)
+    return sorted(groups.items())
 
 
 class Tableau:
@@ -134,34 +163,40 @@ class Tableau:
 
     def apply_gate(self, g: CliffordGate) -> "Tableau":
         """Replace every row P by g P g^dagger (stored Clifford becomes gC)."""
-        d = self.d
-        if any(s >= self.n for s in g.sites):
-            raise ValueError(f"gate sites {g.sites} exceed n={self.n}")
-        if len(g.sites) == 1:
-            s = g.sites[0]
-            xo, zo, po = _image_tables(g.kind, d)
-            x = self.xs[:, s].copy()
-            z = self.zs[:, s].copy()
-            self.xs[:, s] = xo[x, z]
-            self.zs[:, s] = zo[x, z]
-            self.phases = (self.phases + po[x, z]) % (2 * d)
-        else:
-            c, t = g.sites
-            xoc, zoc, xot, zot, po = _image_tables(g.kind, d)
-            xc = self.xs[:, c].copy()
-            zc = self.zs[:, c].copy()
-            xt = self.xs[:, t].copy()
-            zt = self.zs[:, t].copy()
-            self.xs[:, c] = xoc[xc, zc, xt, zt]
-            self.zs[:, c] = zoc[xc, zc, xt, zt]
-            self.xs[:, t] = xot[xc, zc, xt, zt]
-            self.zs[:, t] = zot[xc, zc, xt, zt]
-            self.phases = (self.phases + po[xc, zc, xt, zt]) % (2 * d)
-        return self
+        return self.apply_word((g,))
 
     def apply_word(self, word) -> "Tableau":
-        for g in word:
-            self.apply_gate(g)
+        """Apply a word's gates in order: the stored Clifford becomes W C.
+
+        Every gate's sites are checked before anything changes, so a word
+        that reaches past n raises ValueError with the tableau untouched.
+        The rows are packed once into site-major codes, rewritten one
+        (layer, kind) at a time (see the module docstring), and unpacked
+        into fresh arrays.
+        """
+        groups = _layers(word, self.n)
+        if not groups:
+            return self
+        d = self.d
+        codes = (self.xs * d + self.zs).T.copy()  # (n, 2n)
+        dphase = np.zeros(2 * self.n, dtype=np.int64)
+        for (_, kind), sites in groups:
+            tables = _image_tables(kind, d)
+            if len(tables) == 2:
+                image, phase = tables
+                old = codes[sites]
+                codes[sites] = image[old]
+            else:
+                cimage, timage, phase = tables
+                c, t = np.array(sites).T
+                old = codes[c] * (d * d) + codes[t]
+                codes[c] = cimage[old]
+                codes[t] = timage[old]
+            dphase += phase[old].sum(axis=0)
+        xs, zs = np.divmod(codes.T, d)
+        self.xs = np.ascontiguousarray(xs)
+        self.zs = np.ascontiguousarray(zs)
+        self.phases = (self.phases + dphase) % (2 * d)
         return self
 
     # -- conjugation ---------------------------------------------------------

@@ -6,6 +6,9 @@ cancel out in comparisons. The exceptions are the brute-force references
 at the end, the plain loops that the package's vectorized paths replaced.
 """
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
 
@@ -140,6 +143,76 @@ def rowprod_loop(xs, zs, phases, xpow, zpow, d):
             acc_x = (acc_x + xs[r]) % d
             acc_z = (acc_z + zs[r]) % d
     return acc_x, acc_z, ph
+
+
+@lru_cache(maxsize=None)
+def _exponent_image_tables(kind, d):
+    """(x, z) exponents and phase of the image of every Pauli on a gate's
+    sites, indexed by (x0, z0[, x1, z1]), multiplied out of the generator
+    images as the per-gate loop did."""
+    from quditsim.tableau import _base_images
+
+    images = _base_images(kind, d)
+    k = len(images) // 2
+    xo = np.empty((d,) * (2 * k) + (k,), dtype=np.int64)
+    zo = np.empty_like(xo)
+    po = np.empty((d,) * (2 * k), dtype=np.int64)
+    for exps in product(range(d), repeat=2 * k):
+        q = images[0].power(exps[0])
+        for img, e in zip(images[1:], exps[1:]):
+            q = q * img.power(e)
+        xo[exps], zo[exps], po[exps] = q.x, q.z, q.phase
+    return xo, zo, po
+
+
+def apply_word_per_gate(t, word):
+    """Reference for Tableau.apply_word: the per-gate loop it replaced.
+
+    Each gate rewrites the exponent columns of its sites over all 2n rows
+    through its image tables and adds its phase increments mod 2d, one gate
+    at a time. Returns a new tableau.
+    """
+    d = t.d
+    out = t.copy()
+    for g in word:
+        xo, zo, po = _exponent_image_tables(g.kind, d)
+        sites = list(g.sites)
+        old = tuple(col for s in sites
+                    for col in (out.xs[:, s].copy(), out.zs[:, s].copy()))
+        out.xs[:, sites] = xo[old]
+        out.zs[:, sites] = zo[old]
+        out.phases = (out.phases + po[old]) % (2 * d)
+    return out
+
+
+def pauli_mpo_per_site(ps):
+    """Reference for PauliMpo's tensors: the constructor it replaced, one
+    site_matrix call per (term, site) and one diagonal slot at a time."""
+    from quditsim.pauli import site_matrix
+
+    k, d, n = len(ps), ps.d, ps.n_sites
+    mats = [[site_matrix(d, int(p.x[i]), int(p.z[i])) for i in range(n)]
+            for _, p in ps.terms]
+    coeffs = [c for c, _ in ps.terms]
+    if n == 1:
+        w = np.zeros((1, d, d, 1), dtype=np.complex128)
+        for c, row in zip(coeffs, mats):
+            w[0, :, :, 0] += c * row[0]
+        return [w]
+    first = np.zeros((1, d, d, k), dtype=np.complex128)
+    for m in range(k):
+        first[0, :, :, m] = coeffs[m] * mats[m][0]
+    tensors = [first]
+    for i in range(1, n - 1):
+        w = np.zeros((k, d, d, k), dtype=np.complex128)
+        for m in range(k):
+            w[m, :, :, m] = mats[m][i]
+        tensors.append(w)
+    last = np.zeros((k, d, d, 1), dtype=np.complex128)
+    for m in range(k):
+        last[m, :, :, 0] = mats[m][n - 1]
+    tensors.append(last)
+    return tensors
 
 
 def right_multiply_full(t, word):

@@ -17,7 +17,10 @@ from quditsim.bench import (
     write_csv,
     write_json,
 )
-from quditsim.circuits import Circuit, GateOp, random_clifford_word, t_doped_circuit
+from quditsim.circuits import (
+    Circuit, GateOp, as_clifford_word, random_clifford_word, t_doped_circuit,
+)
+from quditsim.gcamps import GcampsState, new_state
 from quditsim.mps import mps_model_bytes
 from quditsim.statevector import run_circuit
 
@@ -100,6 +103,61 @@ def test_clifford_block_after_last_t_closes_one_more_layer(backend):
     # the trailing SUM entangles sites 0 and 1 unless the frame absorbs it
     want = (1, 1, 1) if backend == "gcamps" else (d, 1, 1)
     assert records[1].chi_vector == want
+
+
+def mixed_circuit(n, d, seed):
+    """Every Clifford op name, SWAPs included, with T and Tdg on random
+    sites, two non-Cliffords in a row, and a trailing Clifford block."""
+    rng = np.random.default_rng(seed)
+    one = ["H", "Hdg", "S", "Sdg", "X", "Z"]
+    ops = []
+    for layer in range(5):
+        for _ in range(3 * n):
+            name = (one + ["SUM", "SUMdg", "SWAP"])[int(rng.integers(9))]
+            k = 2 if name in ("SUM", "SUMdg", "SWAP") else 1
+            sites = rng.choice(n, size=k, replace=False)
+            ops.append(GateOp(name, tuple(int(s) for s in sites)))
+        ops.append(GateOp("T" if layer % 2 else "Tdg",
+                          (int(rng.integers(n)),)))
+        if layer == 2:
+            ops.append(GateOp("T", (int(rng.integers(n)),)))
+    ops += [GateOp("SWAP", (0, n - 1)), GateOp("Hdg", (1,))]
+    return Circuit(n, d, ops)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gcamps_layers_log_per_op_words_and_replay(d):
+    circ = mixed_circuit(5, d, seed=40 + d)
+    records, st = run_on_backend("gcamps", circ, verify=True)
+    assert len(records) == 7  # six non-Clifford ops and the trailing block
+    want = [g for op in circ.ops if op.is_clifford
+            for g in as_clifford_word(op)]
+    assert st.gate_log.cliffords == want
+    oracle = run_circuit(circ)
+    assert abs(np.vdot(oracle.amps, st.dense_vector())) > 1 - 1e-10
+    # op by op through apply_op: the same frame, bonds and log
+    ref = new_state(circ.n, d, st.catalog, verify=True)
+    for op in circ.ops:
+        ref.apply_op(op)
+    assert ref.tableau == st.tableau
+    assert ref.mps.bond_dims() == st.mps.bond_dims()
+    assert ref.gate_log.cliffords == st.gate_log.cliffords
+    assert ref.gate_log.absorbed == st.gate_log.absorbed
+
+
+def test_gcamps_run_hands_every_non_clifford_op_to_apply_op(monkeypatch):
+    # perfbench collects the DisentangleReports by patching this method
+    seen = []
+    apply_op = GcampsState.apply_op
+
+    def spy(state, op):
+        seen.append(op)
+        return apply_op(state, op)
+
+    monkeypatch.setattr(GcampsState, "apply_op", spy)
+    circ = mixed_circuit(5, 3, seed=7)
+    run_on_backend("gcamps", circ)
+    assert seen == [op for op in circ.ops if not op.is_clifford]
 
 
 def test_bench_tdoped_matches_golden_rows():

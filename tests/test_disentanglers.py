@@ -22,7 +22,7 @@ from quditsim.disentanglers import (
     word_symplectic,
     GENERATOR_TOKENS,
 )
-from quditsim.gates import CliffordGate, gate_unitary
+from quditsim.gates import CliffordGate, gate_unitary, invert_word
 
 from helpers import sum_permutation
 
@@ -560,6 +560,20 @@ def test_load_rejects_distinct_members_of_one_coset(tmp_path, group3, catalog3):
     save_catalog(DisentanglerCatalog(3, catalog3.group_order, entries), p)
     with pytest.raises(ValueError, match="same left-local coset"):
         load_catalog(p)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_inverse_words_are_cached_entry_inverses(d):
+    cat = generate_catalog(d)
+    assert cat._inverse_words is None  # not built with the catalog
+    words = cat.inverse_words()
+    assert cat.inverse_words() is words
+    assert isinstance(words, tuple) and len(words) == cat.n_entries
+    for entry, word in zip(cat.entries, words):
+        assert isinstance(word, tuple)
+        assert list(word) == invert_word(entry.word, d)
+    with pytest.raises(AttributeError):
+        words[-1][0].sites = (1,)  # frozen gates
 
 
 def test_entry_repr_mentions_class():

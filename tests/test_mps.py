@@ -11,10 +11,12 @@ from quditsim.mps import (
     mps_model_bytes,
     robust_svd,
 )
-from quditsim.pauli import PauliString, PauliSum, decompose_unitary, site_matrix
+from quditsim.pauli import (
+    PauliString, PauliSum, decompose_unitary, site_matrix, site_matrix_table,
+)
 from quditsim.statevector import DenseState, run_circuit
 
-from helpers import dense_pauli, embed_gate, random_unitary
+from helpers import dense_pauli, embed_gate, pauli_mpo_per_site, random_unitary
 
 
 def mps_from_ops(n, d, ops, policy=None):
@@ -362,6 +364,33 @@ def test_mpo_single_site_chain():
     mpo = PauliMpo(ps)
     want = 0.5 * site_matrix(3, 0, 1) + 0.5j * site_matrix(3, 1, 2)
     np.testing.assert_allclose(mpo.to_matrix(), want, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_site_matrix_table_is_read_only_site_matrices(d):
+    table = site_matrix_table(d)
+    assert table.shape == (d, d, d, d) and not table.flags.writeable
+    assert site_matrix_table(d) is table
+    for x in range(d):
+        for z in range(d):
+            assert table[x, z].tobytes() == site_matrix(d, x, z).tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 7])
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_mpo_tensors_bit_identical_to_per_site_reference(n, d, k):
+    rng = np.random.default_rng(100 * d + 10 * n + k)
+    terms = [(complex(rng.normal(), rng.normal()),
+              PauliString(d, rng.integers(d, size=n), rng.integers(d, size=n),
+                          int(rng.integers(2 * d))))
+             for _ in range(k)]
+    got = PauliMpo(PauliSum(d, n, terms)).tensors
+    want = pauli_mpo_per_site(PauliSum(d, n, terms))
+    assert len(got) == len(want) == n
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_expectation_mpo_matches_dense():

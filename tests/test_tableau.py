@@ -10,11 +10,15 @@ package-independent helpers.
 import numpy as np
 import pytest
 
-from quditsim.gates import CliffordGate, GATE_KINDS, gate, inverse_gate
+from quditsim.circuits import random_clifford_word
+from quditsim.gates import (
+    GATE_KINDS, ONE_SITE_KINDS, CliffordGate, gate, inverse_gate,
+)
 from quditsim.pauli import PauliString
 from quditsim.tableau import Tableau, identity_tableau
 
 from helpers import (
+    apply_word_per_gate,
     dense_pauli,
     dense_word_unitary,
     random_clifford_gates,
@@ -135,6 +139,67 @@ def test_apply_gate_rejects_out_of_range():
         t.apply_gate(gate("H", 2))
     with pytest.raises(ValueError):
         t.apply_gate(gate("SUM", 0, 5))
+
+
+# -- layered word updates ---------------------------------------------------------
+
+def all_kinds_word(rng, n, length):
+    """Gates of every kind that fits n sites, on random sites, so a word
+    revisits its sites and layers hold gates of several kinds."""
+    kinds = [k for k in GATE_KINDS if n > 1 or k in ONE_SITE_KINDS]
+    word = []
+    for _ in range(length):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        k = 1 if kind in ONE_SITE_KINDS else 2
+        sites = rng.choice(n, size=k, replace=False)
+        word.append(CliffordGate(kind, tuple(int(s) for s in sites)))
+    return word
+
+
+def assert_bit_identical(got, want):
+    for a, b in ((got.xs, want.xs), (got.zs, want.zs),
+                 (got.phases, want.phases)):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_apply_word_matches_per_gate_loop(n, d):
+    rng = np.random.default_rng(1000 * d + n)
+    for _ in range(4):
+        start = apply_word_per_gate(identity_tableau(n, d),
+                                    all_kinds_word(rng, n, 3 * n))
+        word = all_kinds_word(rng, n, 40)
+        assert {g.kind for g in word} == set(
+            k for k in GATE_KINDS if n > 1 or k in ONE_SITE_KINDS)
+        got = start.copy().apply_word(word)
+        assert_bit_identical(got, apply_word_per_gate(start, word))
+        assert got.symplectic_ok()
+
+
+def test_apply_word_matches_per_gate_loop_at_width():
+    # one width-shaped block: d=3, n=96, 768 gates
+    word = random_clifford_word(96, 3, length=768, rng_seed=5)
+    start = apply_word_per_gate(identity_tableau(96, 3),
+                                random_clifford_word(96, 3, 200, rng_seed=6))
+    got = start.copy().apply_word(iter(word))
+    assert_bit_identical(got, apply_word_per_gate(start, word))
+
+
+def test_apply_word_empty_is_a_no_op():
+    t = identity_tableau(3, 5).apply_word([gate("S", 1), gate("SUM", 2, 0)])
+    before = t.copy()
+    assert t.apply_word([]) is t
+    assert t == before
+
+
+def test_apply_word_out_of_range_leaves_tableau_untouched():
+    t = identity_tableau(3, 3).apply_word([gate("S", 1), gate("SUM", 0, 2)])
+    before = t.copy()
+    with pytest.raises(ValueError):
+        t.apply_word([gate("H", 0), gate("SUM", 1, 7)])
+    assert t == before
 
 
 # -- forward conjugation ----------------------------------------------------------
