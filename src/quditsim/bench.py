@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .circuits import Circuit, as_clifford_word, gate_matrix, t_doped_circuit
+from .circuits import Circuit, gate_matrix, t_doped_circuit
 from .disentanglers import generate_catalog
 from .gcamps import new_state
 from .mps import Mps, TruncationPolicy, mps_model_bytes, worst_case_chi
@@ -124,8 +124,7 @@ def _start(backend, circ, policy, catalog, verify, max_dim):
         def apply_layer(ops):
             last = None if ops[-1].is_clifford else ops[-1]
             cliffords = ops if last is None else ops[:-1]
-            st.apply_clifford_word(
-                g for op in cliffords for g in as_clifford_word(op))
+            st.apply_clifford_word(cliffords)
             if last is not None:
                 st.apply_op(last)
 

@@ -1,5 +1,7 @@
-"""Circuit IR: the universal gate set, a line-oriented text format, and the
-random T-doped Clifford circuits the benchmark runs on.
+"""Circuit IR: the gate list over n qudits, a line-oriented text format,
+and the random T-doped Clifford circuits the benchmark runs on. Ops are
+the GateOps of `gates`, which every backend and the tableau take as they
+are.
 
 Text format (bit-exact, LF endings):
 
@@ -13,60 +15,17 @@ round-trips are exact. `#` starts a comment line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gates import CliffordGate, kind_unitary, swap_matrix, swap_word
+# gate_matrix is re-exported: callers and the tracer use circuits.gate_matrix
+from .gates import GATE_NAMES, TWO_SITE_NAMES, GateOp, gate_matrix  # noqa: F401
 from .pauli import QuditDim
-
-ONE_SITE_NAMES = ("H", "Hdg", "S", "Sdg", "X", "Z", "T", "Tdg", "RZ", "U1")
-TWO_SITE_NAMES = ("SUM", "SUMdg", "SWAP")
-GATE_NAMES = ONE_SITE_NAMES + TWO_SITE_NAMES
-NON_CLIFFORD_NAMES = frozenset({"T", "Tdg", "RZ", "U1"})
-
-_CLIFFORD_KIND = {"H": "H", "Hdg": "H_inv", "S": "S", "Sdg": "S_inv",
-                  "X": "X", "Z": "Z", "SUM": "SUM", "SUMdg": "SUM_inv"}
 
 _HEADER_PREFIX = "# qsim v1 "
 
 
 class CircuitParseError(ValueError):
     """Raised with the offending line number in the message."""
-
-
-@dataclass(frozen=True)
-class GateOp:
-    name: str
-    sites: tuple
-    params: tuple = ()
-
-    def __post_init__(self):
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate name {self.name!r}")
-        sites = tuple(int(s) for s in self.sites)
-        params = tuple(float(p) for p in self.params)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "params", params)
-        want = 2 if self.name in TWO_SITE_NAMES else 1
-        if len(sites) != want:
-            raise ValueError(f"{self.name} takes {want} site(s), got {len(sites)}")
-        if any(s < 0 for s in sites):
-            raise ValueError("site indices must be nonnegative")
-        if want == 2 and sites[0] == sites[1]:
-            raise ValueError(f"{self.name} sites must differ")
-        if self.name == "RZ":
-            if len(params) != 1:
-                raise ValueError("RZ takes exactly one angle parameter")
-        elif self.name == "U1":
-            if not params:
-                raise ValueError("U1 needs d diagonal phase parameters")
-        elif params:
-            raise ValueError(f"{self.name} takes no parameters")
-
-    @property
-    def is_clifford(self) -> bool:
-        return self.name not in NON_CLIFFORD_NAMES
 
 
 class Circuit:
@@ -101,47 +60,6 @@ class Circuit:
         return f"Circuit(n={self.n}, d={self.d}, ops={len(self.ops)})"
 
 
-def _t_matrix(d: int) -> np.ndarray:
-    if d == 2:
-        return np.diag([1.0, np.exp(1j * np.pi / 4)])
-    if d == 3:
-        return np.diag([1.0, np.exp(1j * np.pi / 9), np.exp(8j * np.pi / 9)])
-    raise ValueError("T gate matrices are defined for d in {2, 3}")
-
-
-def gate_matrix(op: GateOp, d: int) -> np.ndarray:
-    """Dense unitary of one op; two-site gates put the first listed site on
-    the first tensor leg."""
-    d = int(QuditDim(d))
-    if op.name in _CLIFFORD_KIND:
-        return kind_unitary(_CLIFFORD_KIND[op.name], d)
-    if op.name == "SWAP":
-        return swap_matrix(d)
-    if op.name == "T":
-        return _t_matrix(d)
-    if op.name == "Tdg":
-        return _t_matrix(d).conj().T
-    if op.name == "RZ":
-        if d != 2:
-            raise ValueError("RZ is defined for d=2 only")
-        th = op.params[0]
-        return np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
-    if op.name == "U1":
-        if len(op.params) != d:
-            raise ValueError(f"U1 needs {d} params, got {len(op.params)}")
-        return np.diag(np.exp(1j * np.asarray(op.params)))
-    raise ValueError(f"unknown gate name {op.name!r}")
-
-
-def as_clifford_word(op: GateOp) -> list:
-    """Clifford ops as generator-gate words; SWAP expands to its identity."""
-    if op.name in _CLIFFORD_KIND:
-        return [CliffordGate(_CLIFFORD_KIND[op.name], op.sites)]
-    if op.name == "SWAP":
-        return swap_word(*op.sites)
-    raise ValueError(f"{op.name} is not a Clifford op")
-
-
 # -- text format ---------------------------------------------------------------
 
 
@@ -157,16 +75,12 @@ def emit(circuit: Circuit) -> str:
 
 
 def parse(text: str) -> Circuit:
-    lines = text.splitlines()
-    header_seen = False
-    n = d = 0
-    ops = []
-    metadata = {}
-    for ln, raw in enumerate(lines, start=1):
+    circ = None
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
-        if not header_seen:
+        if circ is None:
             if not line.startswith(_HEADER_PREFIX):
                 raise CircuitParseError(
                     f"line {ln}: expected header '# qsim v1 d=<d> n=<n>'")
@@ -178,17 +92,16 @@ def parse(text: str) -> Circuit:
             except (KeyError, ValueError):
                 raise CircuitParseError(f"line {ln}: malformed header {line!r}")
             try:
-                QuditDim(d)
+                circ = Circuit(n, d)
             except ValueError as e:
                 raise CircuitParseError(f"line {ln}: {e}")
-            header_seen = True
             continue
         if line.startswith("# meta "):
             body = line[len("# meta "):]
             if "=" not in body:
                 raise CircuitParseError(f"line {ln}: malformed metadata {line!r}")
             k, v = body.split("=", 1)
-            metadata[k] = v
+            circ.metadata[k] = v
             continue
         if line.startswith("#"):
             continue
@@ -211,17 +124,13 @@ def parse(text: str) -> Circuit:
             raise CircuitParseError(f"line {ln}: bad parameter token in {line!r}")
         try:
             op = GateOp(name, sites, params)
+            circ._check_op(op)
         except ValueError as e:
             raise CircuitParseError(f"line {ln}: {e}")
-        if any(s >= n for s in sites):
-            raise CircuitParseError(f"line {ln}: site out of range for n={n}")
-        ops.append(op)
-    if not header_seen:
+        circ.ops.append(op)
+    if circ is None:
         raise CircuitParseError("line 1: empty input, header missing")
-    try:
-        return Circuit(n, d, ops, metadata)
-    except ValueError as e:
-        raise CircuitParseError(str(e))
+    return circ
 
 
 # -- random circuits --------------------------------------------------------------
@@ -236,7 +145,7 @@ def _word_pool(n: int) -> list:
 def _sample_word(rng, n: int, length: int) -> list:
     pool = _word_pool(n)
     picks = rng.integers(0, len(pool), size=int(length))
-    return [CliffordGate(kind, sites) for kind, sites in (pool[int(i)] for i in picks)]
+    return [GateOp(*pool[int(i)]) for i in picks]
 
 
 def random_clifford_word(n: int, d: int, length=None, rng_seed=0) -> list:
@@ -268,8 +177,7 @@ def t_doped_circuit(n: int, d: int, layers: int, rng_seed=0,
     rng = np.random.default_rng(rng_seed)
     ops = []
     for _ in range(int(layers)):
-        for g in _sample_word(rng, n, block_len):
-            ops.append(GateOp(g.kind, g.sites))
+        ops.extend(_sample_word(rng, n, block_len))
         ops.append(GateOp("T", (0,)))
     meta = {"kind": "t-doped", "seed": str(rng_seed),
             "layers": str(layers), "block": str(block_len)}

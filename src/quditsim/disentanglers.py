@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gates import CliffordGate, gate_unitary, invert_word, swap_legs
+from .gates import GateOp, gate_matrix, invert_word, swap_legs
 from .pauli import QuditDim
 from .tableau import identity_tableau
 
@@ -50,20 +50,20 @@ _ENUM_GUARD = 100_000
 _FILE_VERSION = "# qsim-catalog v1"
 
 
-def token_gate(token: str) -> CliffordGate:
+def token_gate(token: str) -> GateOp:
     if token.startswith("SUM"):
         sites = token[3:]
         if sorted(sites) != ["0", "1"]:
             raise ValueError(f"bad word token {token!r}")
-        return CliffordGate("SUM", (int(sites[0]), int(sites[1])))
-    kind, site = token[:-1], token[-1:]
-    if kind not in ("H", "S") or site not in ("0", "1"):
+        return GateOp("SUM", (int(sites[0]), int(sites[1])))
+    name, site = token[:-1], token[-1:]
+    if name not in ("H", "S") or site not in ("0", "1"):
         raise ValueError(f"bad word token {token!r}")
-    return CliffordGate(kind, (int(site),))
+    return GateOp(name, (int(site),))
 
 
-def gate_token(g: CliffordGate) -> str:
-    return g.kind + "".join(str(s) for s in g.sites)
+def gate_token(g: GateOp) -> str:
+    return g.name + "".join(str(s) for s in g.sites)
 
 
 def symplectic_form(d: int) -> np.ndarray:
@@ -283,7 +283,7 @@ def two_site_word_unitary(word, d: int) -> np.ndarray:
     u = np.eye(d * d, dtype=np.complex128)
     eye = np.eye(d, dtype=np.complex128)
     for g in word:
-        m = gate_unitary(g, d)
+        m = gate_matrix(g, d)
         if len(g.sites) == 1:
             m = np.kron(m, eye) if g.sites[0] == 0 else np.kron(eye, m)
         elif g.sites == (1, 0):

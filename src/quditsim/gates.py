@@ -1,9 +1,13 @@
-"""Clifford generator gates for prime-dimensional qudits.
+"""Gates for prime-dimensional qudits: the one gate object, GateOp, its
+names, and their dense matrices.
 
-The generating set is {H, S, X, Z, SUM} plus explicit inverses for the
-non-self-inverse ones. A gate knows its kind and sites only; the qudit
-dimension d always comes from the object it acts on, so the same word can
-drive a tableau at d=2 and a dense oracle at d=5 in tests.
+The Clifford names are the generating set {H, S, X, Z, SUM}, the explicit
+inverses Hdg, Sdg and SUMdg, and SWAP; T, Tdg, RZ and U1 are the
+non-Clifford ones. The same GateOp runs from circuit text through the dense
+and MPS backends to the Clifford tableau and the disentangler catalog. A
+gate knows its name, sites and params only; the qudit dimension d always
+comes from the object it acts on, so the same word can drive a tableau at
+d=2 and a dense oracle at d=5 in tests.
 """
 
 from __future__ import annotations
@@ -14,74 +18,104 @@ import numpy as np
 
 from .pauli import QuditDim, clock_matrix, omega, shift_matrix, tau
 
-ONE_SITE_KINDS = ("H", "H_inv", "S", "S_inv", "X", "Z")
-TWO_SITE_KINDS = ("SUM", "SUM_inv")
-GATE_KINDS = ONE_SITE_KINDS + TWO_SITE_KINDS
+ONE_SITE_NAMES = ("H", "Hdg", "S", "Sdg", "X", "Z", "T", "Tdg", "RZ", "U1")
+TWO_SITE_NAMES = ("SUM", "SUMdg", "SWAP")
+GATE_NAMES = ONE_SITE_NAMES + TWO_SITE_NAMES
+NON_CLIFFORD_NAMES = frozenset({"T", "Tdg", "RZ", "U1"})
 
-_INVERSE_KIND = {"H": "H_inv", "H_inv": "H", "S": "S_inv", "S_inv": "S",
-                 "SUM": "SUM_inv", "SUM_inv": "SUM"}
+_INVERSE_NAME = {"H": "Hdg", "Hdg": "H", "S": "Sdg", "Sdg": "S",
+                 "SUM": "SUMdg", "SUMdg": "SUM", "SWAP": "SWAP"}
 
 
 @dataclass(frozen=True)
-class CliffordGate:
-    kind: str
+class GateOp:
+    name: str
     sites: tuple
+    params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.name not in GATE_NAMES:
+            raise ValueError(f"unknown gate name {self.name!r}")
         sites = tuple(int(s) for s in self.sites)
+        params = tuple(float(p) for p in self.params)
         object.__setattr__(self, "sites", sites)
-        want = 1 if self.kind in ONE_SITE_KINDS else 2
+        object.__setattr__(self, "params", params)
+        want = 2 if self.name in TWO_SITE_NAMES else 1
         if len(sites) != want:
-            raise ValueError(f"{self.kind} takes {want} site(s), got {len(sites)}")
+            raise ValueError(f"{self.name} takes {want} site(s), got {len(sites)}")
         if any(s < 0 for s in sites):
             raise ValueError("site indices must be nonnegative")
         if want == 2 and sites[0] == sites[1]:
-            raise ValueError("SUM control and target must differ")
+            raise ValueError(f"{self.name} sites must differ")
+        if self.name == "RZ":
+            if len(params) != 1:
+                raise ValueError("RZ takes exactly one angle parameter")
+        elif self.name == "U1":
+            if not params:
+                raise ValueError("U1 needs d diagonal phase parameters")
+        elif params:
+            raise ValueError(f"{self.name} takes no parameters")
+
+    @property
+    def is_clifford(self) -> bool:
+        return self.name not in NON_CLIFFORD_NAMES
 
 
-def gate(kind: str, *sites: int) -> CliffordGate:
-    """Shorthand constructor: gate('SUM', 0, 1)."""
-    return CliffordGate(kind, tuple(sites))
-
-
-def kind_unitary(kind: str, d: int) -> np.ndarray:
-    """Dense unitary of a gate kind: d x d, or d^2 x d^2 with the control
-    on the first tensor leg."""
-    d = int(QuditDim(d))
-    if kind.endswith("_inv"):
-        return kind_unitary(kind[:-4], d).conj().T
-    if kind == "H":
+def _matrix(name: str, params: tuple, d: int) -> np.ndarray:
+    if name == "H":
         jj = np.arange(d)
         return omega(d) ** np.outer(jj, jj) / np.sqrt(d)
-    if kind == "S":
+    if name == "S":
         jj = np.arange(d)
         if d % 2:
             return np.diag(omega(d) ** (jj * (jj - 1) // 2))
         return np.diag(tau(d) ** (jj * jj))
-    if kind == "X":
+    if name == "X":
         return shift_matrix(d)
-    if kind == "Z":
+    if name == "Z":
         return clock_matrix(d)
-    if kind == "SUM":
+    if name == "SUM":
         m = np.zeros((d * d, d * d), dtype=complex)
         for i in range(d):
             for j in range(d):
                 m[i * d + (i + j) % d, i * d + j] = 1.0
         return m
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if name == "SWAP":
+        return swap_matrix(d)
+    if name == "T":
+        if d == 2:
+            return np.diag([1.0, np.exp(1j * np.pi / 4)])
+        if d == 3:
+            return np.diag([1.0, np.exp(1j * np.pi / 9), np.exp(8j * np.pi / 9)])
+        raise ValueError("T gate matrices are defined for d in {2, 3}")
+    if name == "RZ":
+        if d != 2:
+            raise ValueError("RZ is defined for d=2 only")
+        th = params[0]
+        return np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
+    if name == "U1":
+        if len(params) != d:
+            raise ValueError(f"U1 needs {d} params, got {len(params)}")
+        return np.diag(np.exp(1j * np.asarray(params)))
+    raise ValueError(f"unknown gate name {name!r}")
 
 
-def gate_unitary(g: CliffordGate, d: int) -> np.ndarray:
-    return kind_unitary(g.kind, d)
+def gate_matrix(op: GateOp, d: int) -> np.ndarray:
+    """Dense unitary of one op: d x d, or d^2 x d^2 with the first listed
+    site on the first tensor leg. Each `dg` name is its base's dagger."""
+    d = int(QuditDim(d))
+    if op.name.endswith("dg"):
+        return _matrix(op.name[:-2], op.params, d).conj().T
+    return _matrix(op.name, op.params, d)
 
 
-def inverse_gate(g: CliffordGate, d: int) -> list:
-    """Inverse of one gate as a word; X and Z invert by repetition."""
-    if g.kind in _INVERSE_KIND:
-        return [CliffordGate(_INVERSE_KIND[g.kind], g.sites)]
-    return [CliffordGate(g.kind, g.sites)] * (int(d) - 1)
+def inverse_gate(g: GateOp, d: int) -> list:
+    """Inverse of one Clifford op as a word; X and Z invert by repetition."""
+    if g.name in _INVERSE_NAME:
+        return [GateOp(_INVERSE_NAME[g.name], g.sites)]
+    if g.name in ("X", "Z"):
+        return [g] * (int(d) - 1)
+    raise ValueError(f"{g.name} is not a Clifford gate")
 
 
 def invert_word(word, d: int) -> list:
@@ -90,17 +124,6 @@ def invert_word(word, d: int) -> list:
     for g in reversed(list(word)):
         out.extend(inverse_gate(g, d))
     return out
-
-
-def swap_word(a: int, b: int) -> list:
-    """SWAP(a, b) over the generator set, valid for every prime d.
-
-    Three SUMs leave |i,j> as |-j,i>; H applied twice is the parity
-    permutation |k> -> |-k>, which repairs the sign on site a. At d=2
-    the parity is the identity and this reduces to the usual CNOT triple.
-    """
-    return [gate("SUM", a, b), gate("SUM_inv", b, a), gate("SUM", a, b),
-            gate("H", a), gate("H", a)]
 
 
 def swap_matrix(d: int) -> np.ndarray:

@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import GateOp, as_clifford_word, gate_matrix
+from .circuits import GateOp, gate_matrix
 from .disentanglers import DisentanglerCatalog
-from .gates import CliffordGate, gate_unitary
 from .mps import (
     Mps, PauliMpo, TruncationPolicy, mps_model_bytes, robust_svd, worst_case_chi,
 )
@@ -158,7 +157,7 @@ class GcampsState:
     # ------------------------------------------------------------------
     # Clifford path: tableau only
 
-    def apply_clifford(self, g: CliffordGate):
+    def apply_clifford(self, g: GateOp):
         return self.apply_clifford_word((g,))
 
     def apply_clifford_word(self, word):
@@ -292,7 +291,7 @@ class GcampsState:
             return 0
         mps.apply_two_site(i, self.catalog.unitaries()[best_idx])
         inverse = tuple(
-            CliffordGate(g.kind, tuple(i + s_ for s_ in g.sites))
+            GateOp(g.name, tuple(i + s_ for s_ in g.sites))
             for g in self.catalog.inverse_words()[best_idx]
         )
         self.tableau.right_multiply(inverse)
@@ -334,9 +333,9 @@ class GcampsState:
         )
         for word in reversed(self.gate_log.absorbed):
             for g in word:
-                ref.apply_unitary(gate_unitary(g, self.d), g.sites)
+                ref.apply_unitary(gate_matrix(g, self.d), g.sites)
         for g in self.gate_log.cliffords:
-            ref.apply_unitary(gate_unitary(g, self.d), g.sites)
+            ref.apply_unitary(gate_matrix(g, self.d), g.sites)
         return ref.amps.reshape(-1)
 
     # ------------------------------------------------------------------
@@ -345,7 +344,7 @@ class GcampsState:
     def apply_op(self, op: GateOp):
         """Route one circuit operation; returns a report for non-Cliffords."""
         if op.is_clifford:
-            self.apply_clifford_word(as_clifford_word(op))
+            self.apply_clifford_word((op,))
             return None
         return self.apply_non_clifford(op.sites[0], gate_matrix(op, self.d))
 

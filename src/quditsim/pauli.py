@@ -114,6 +114,8 @@ class PauliString:
     def single(cls, d: int, n: int, site: int, x: int = 0, z: int = 0,
                phase: int = 0) -> "PauliString":
         """A string supported on one site."""
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for n={n}")
         xs = np.zeros(n, dtype=np.int64)
         zs = np.zeros(n, dtype=np.int64)
         xs[site] = x

@@ -54,6 +54,9 @@ class DenseState:
         return float(np.linalg.norm(self.amps))
 
     def amplitude(self, digits) -> complex:
+        digits = list(digits)
+        if len(digits) != self.n:
+            raise ValueError("digit string length must equal the site count")
         idx = 0
         for v in digits:
             v = int(v)

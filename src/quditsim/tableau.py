@@ -3,13 +3,17 @@
 Row i (0 <= i < n) stores C Z_i C^dagger, row n+i stores C X_i C^dagger,
 each as a full PauliString with its own tau-exponent phase.
 
+Words are sequences of Clifford GateOps, the circuit's own ops: H, Hdg, S,
+Sdg, X, Z, SUM, SUMdg and SWAP, each with its own image table. A
+non-Clifford op in a word raises ValueError before anything changes.
+
 A Clifford word is applied in as-soon-as-possible layers: each gate goes
 one layer past the last gate on any of its sites, so the gates of a layer
 act on disjoint sites and commute. The tableau is packed site-major, one
-code x*d + z per (site, row), and each (layer, kind) rewrites the codes of
+code x*d + z per (site, row), and each (layer, name) rewrites the codes of
 all its sites over all 2n rows with one lookup in a flat table of that
-kind's generator images. Gates on disjoint sites change disjoint codes and
-their phase increments add mod 2d, so the result is bit-identical to
+gate's images. Gates on disjoint sites change disjoint codes and their
+phase increments add mod 2d, so the result is bit-identical to
 applying the gates one at a time. Every table entry, phase included, is
 produced by explicit string multiplication, never by a precomputed phase
 polynomial, so the even/odd-d case split cannot creep in as a bug source.
@@ -23,63 +27,68 @@ from itertools import product
 import numpy as np
 
 from . import kernels
-from .gates import ONE_SITE_KINDS, CliffordGate
+from .gates import GateOp
 from .pauli import PauliString, QuditDim
 
-# (kind, d) -> flat code/phase lookup arrays, built lazily
+# (name, d) -> flat code/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
 # distinct local words right_multiply keeps tableaux for; the engine only
 # absorbs inverse catalog words, about 90 of them per d
 _LOCAL_CACHE_SIZE = 512
 
 
-def _base_images(kind: str, d: int):
+def _base_images(name: str, d: int):
     """Conjugation images g P g^dagger of the generator Paulis.
 
-    One-site kinds return (image of X, image of Z) on a one-site register;
-    SUM kinds return images of (X_c, Z_c, X_t, Z_t) on a two-site register
-    with site 0 as the control. The even-d phase gate picks up the odd tau
-    exponent that makes Y = tau X Z unitary of order 2d.
+    One-site gates return (image of X, image of Z) on a one-site register;
+    two-site gates return images of (X_c, Z_c, X_t, Z_t) on a two-site
+    register with site 0 as the control (the first listed site). The
+    even-d phase gate picks up the odd tau exponent that makes
+    Y = tau X Z unitary of order 2d.
     """
     P = PauliString
     eps = 1 if d % 2 == 0 else 0
-    if kind == "H":
+    if name == "H":
         return P(d, [0], [1]), P(d, [d - 1], [0])
-    if kind == "H_inv":
+    if name == "Hdg":
         return P(d, [0], [d - 1]), P(d, [1], [0])
-    if kind == "S":
+    if name == "S":
         return P(d, [1], [1], eps), P(d, [0], [1])
-    if kind == "S_inv":
+    if name == "Sdg":
         return P(d, [1], [d - 1], -eps), P(d, [0], [1])
-    if kind == "X":
+    if name == "X":
         return P(d, [1], [0]), P(d, [0], [1], 2 * d - 2)
-    if kind == "Z":
+    if name == "Z":
         return P(d, [1], [0], 2), P(d, [0], [1])
-    if kind == "SUM":
+    if name == "SUM":
         return (P(d, [1, 1], [0, 0]), P(d, [0, 0], [1, 0]),
                 P(d, [0, 1], [0, 0]), P(d, [0, 0], [d - 1, 1]))
-    if kind == "SUM_inv":
+    if name == "SUMdg":
         return (P(d, [1, d - 1], [0, 0]), P(d, [0, 0], [1, 0]),
                 P(d, [0, 1], [0, 0]), P(d, [0, 0], [1, 1]))
-    raise ValueError(f"unknown gate kind {kind!r}")
+    if name == "SWAP":
+        return (P(d, [0, 1], [0, 0]), P(d, [0, 0], [0, 1]),
+                P(d, [1, 0], [0, 0]), P(d, [0, 0], [1, 0]))
+    raise ValueError(f"{name} is not a Clifford gate")
 
 
-def _image_tables(kind: str, d: int):
+def _image_tables(name: str, d: int):
     """Flat lookup tables mapping packed site codes x*d + z to their
     conjugated images.
 
-    A one-site kind gives (code, phase), indexed by the site's code. A SUM
-    kind gives (control code, target code, phase), indexed by control code
-    * d^2 + target code. Built once per (kind, d) by multiplying out powers
-    of the generator images, so the phase column is exact by construction;
-    the arrays are read-only.
+    A one-site gate gives (code, phase), indexed by the site's code. A
+    two-site gate gives (control code, target code, phase), indexed by
+    control code * d^2 + target code. Built once per (name, d) by
+    multiplying out powers of the generator images, so the phase column is
+    exact by construction; the arrays are read-only.
     """
-    key = (kind, d)
+    key = (name, d)
     hit = _IMAGE_CACHE.get(key)
     if hit is not None:
         return hit
-    if kind in ONE_SITE_KINDS:
-        gx, gz = _base_images(kind, d)
+    images = _base_images(name, d)
+    if len(images) == 2:
+        gx, gz = images
         code = np.empty(d * d, dtype=np.int64)
         po = np.empty(d * d, dtype=np.int64)
         for x, z in product(range(d), repeat=2):
@@ -88,7 +97,7 @@ def _image_tables(kind: str, d: int):
             po[x * d + z] = q.phase
         out = (code, po)
     else:
-        gxc, gzc, gxt, gzt = _base_images(kind, d)
+        gxc, gzc, gxt, gzt = images
         size = d**4
         cc = np.empty(size, dtype=np.int64)
         tc = np.empty(size, dtype=np.int64)
@@ -107,8 +116,9 @@ def _image_tables(kind: str, d: int):
 
 def _layers(word, n: int):
     """A word's gates in as-soon-as-possible layers, as sorted
-    ((layer, kind), sites) pairs: one site index per one-site gate, a
-    (control, target) pair per SUM. Every site is checked against n."""
+    ((layer, name), sites) pairs: one site index per one-site gate, a
+    (first, second) pair per two-site gate. Every site is checked against
+    n."""
     depth = [0] * n
     groups = {}
     for g in word:
@@ -119,12 +129,12 @@ def _layers(word, n: int):
             (a,) = sites
             layer = depth[a]
             depth[a] = layer + 1
-            groups.setdefault((layer, g.kind), []).append(a)
+            groups.setdefault((layer, g.name), []).append(a)
         else:
             a, b = sites
             layer = max(depth[a], depth[b])
             depth[a] = depth[b] = layer + 1
-            groups.setdefault((layer, g.kind), []).append(sites)
+            groups.setdefault((layer, g.name), []).append(sites)
     return sorted(groups.items())
 
 
@@ -161,18 +171,19 @@ class Tableau:
 
     # -- gate updates --------------------------------------------------------
 
-    def apply_gate(self, g: CliffordGate) -> "Tableau":
+    def apply_gate(self, g: GateOp) -> "Tableau":
         """Replace every row P by g P g^dagger (stored Clifford becomes gC)."""
         return self.apply_word((g,))
 
     def apply_word(self, word) -> "Tableau":
         """Apply a word's gates in order: the stored Clifford becomes W C.
 
-        Every gate's sites are checked before anything changes, so a word
-        that reaches past n raises ValueError with the tableau untouched.
         The rows are packed once into site-major codes, rewritten one
-        (layer, kind) at a time (see the module docstring), and unpacked
-        into fresh arrays.
+        (layer, name) at a time (see the module docstring), and unpacked
+        into fresh arrays that replace the old ones only at the end. A word
+        that reaches past n (checked before any work) or holds a
+        non-Clifford op (which has no image table) raises ValueError with
+        the tableau untouched.
         """
         groups = _layers(word, self.n)
         if not groups:
@@ -180,8 +191,8 @@ class Tableau:
         d = self.d
         codes = (self.xs * d + self.zs).T.copy()  # (n, 2n)
         dphase = np.zeros(2 * self.n, dtype=np.int64)
-        for (_, kind), sites in groups:
-            tables = _image_tables(kind, d)
+        for (_, name), sites in groups:
+            tables = _image_tables(name, d)
             if len(tables) == 2:
                 image, phase = tables
                 old = codes[sites]
@@ -256,7 +267,7 @@ class Tableau:
         n, d = self.n, self.d
         local = {s: j for j, s in enumerate(sites)}
         w = _local_tableau(d, tuple(
-            (g.kind, tuple(local[s] for s in g.sites)) for g in word))
+            (g.name, tuple(local[s] for s in g.sites)) for g in word))
         xpow = np.zeros((2 * len(sites), n), dtype=np.int64)
         zpow = np.zeros_like(xpow)
         xpow[:, sites] = w.xs
@@ -321,10 +332,10 @@ def identity_tableau(n: int, d: int) -> Tableau:
 @lru_cache(maxsize=_LOCAL_CACHE_SIZE)
 def _local_tableau(d: int, signature) -> Tableau:
     """Read-only m-site tableau of a word given by its local signature,
-    a tuple of (kind, local sites) over sites 0..m-1."""
+    a tuple of (name, local sites) over sites 0..m-1."""
     m = 1 + max(s for _, sites in signature for s in sites)
     w = identity_tableau(m, d).apply_word(
-        CliffordGate(kind, sites) for kind, sites in signature)
+        GateOp(name, sites) for name, sites in signature)
     for a in (w.xs, w.zs, w.phases):
         a.setflags(write=False)
     return w

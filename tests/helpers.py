@@ -3,13 +3,16 @@
 Everything here is built from first principles (np.roll / np.diag / kron)
 without calling the package's own realization code, so package bugs cannot
 cancel out in comparisons. The exceptions are the brute-force references
-at the end, the plain loops that the package's vectorized paths replaced.
+at the end: the plain loops that the package's vectorized paths replaced,
+and the five-gate SWAP word that the tableau's native SWAP replaced.
 """
 
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
+
+CLIFFORD_NAMES = ("H", "Hdg", "S", "Sdg", "X", "Z", "SUM", "SUMdg", "SWAP")
 
 
 def dense_shift(d):
@@ -96,26 +99,63 @@ def sum_permutation(n, d, c, t):
     return m
 
 
+def swap_permutation(n, d, a, b):
+    """SWAP(a, b) on n sites as an explicit basis permutation."""
+    dim = d ** n
+    m = np.zeros((dim, dim), dtype=complex)
+    for idx in range(dim):
+        digits = [(idx // d ** (n - 1 - s)) % d for s in range(n)]
+        digits[a], digits[b] = digits[b], digits[a]
+        out = sum(v * d ** (n - 1 - s) for s, v in enumerate(digits))
+        m[out, idx] = 1.0
+    return m
+
+
+def reference_gate_matrix(name, d):
+    """Dense matrix of a Clifford gate name, two-site gates control-first;
+    each `dg` name is its base's dagger."""
+    if name.endswith("dg"):
+        return reference_gate_matrix(name[:-2], d).conj().T
+    j = np.arange(d)
+    w = np.exp(2j * np.pi / d)
+    if name == "H":
+        return w ** np.outer(j, j) / np.sqrt(d)
+    if name == "S":
+        return np.diag([1, 1j]) if d == 2 else np.diag(w ** (j * (j - 1) // 2))
+    if name == "X":
+        return dense_shift(d)
+    if name == "Z":
+        return dense_clock(d)
+    if name == "SUM":
+        return sum_permutation(2, d, 0, 1)
+    if name == "SWAP":
+        return swap_permutation(2, d, 0, 1)
+    raise ValueError(f"no reference matrix for {name!r}")
+
+
 def dense_word_unitary(word, n, d):
     """Dense unitary of a Clifford word applied circuit-style."""
-    from quditsim.gates import gate_unitary
-
     u = np.eye(d ** n, dtype=complex)
     for g in word:
-        u = embed_gate(gate_unitary(g, d), g.sites, n, d) @ u
+        u = embed_gate(reference_gate_matrix(g.name, d), g.sites, n, d) @ u
     return u
+
+
+def gate(name, *sites):
+    """Shorthand for test words: gate('SUM', 0, 1)."""
+    from quditsim.gates import GateOp
+
+    return GateOp(name, sites)
 
 
 def random_clifford_gates(rng, n, d, length):
     """Plain generator-word sampler for oracle tests (package-independent)."""
-    from quditsim.gates import gate
-
     pool = [("H", 1), ("S", 1), ("SUM", 2)] if n > 1 else [("H", 1), ("S", 1)]
     out = []
     for _ in range(length):
-        kind, arity = pool[rng.integers(0, len(pool))]
+        name, arity = pool[rng.integers(0, len(pool))]
         if arity == 1:
-            out.append(gate(kind, int(rng.integers(0, n))))
+            out.append(gate(name, int(rng.integers(0, n))))
         else:
             a = int(rng.integers(0, n))
             b = int(rng.integers(0, n - 1))
@@ -145,14 +185,26 @@ def rowprod_loop(xs, zs, phases, xpow, zpow, d):
     return acc_x, acc_z, ph
 
 
+def swap_word(a, b):
+    """Reference for the tableau's native SWAP: SWAP(a, b) over the
+    generator set, valid for every prime d.
+
+    Three SUMs leave |i,j> as |-j,i>; H applied twice is the parity
+    permutation |k> -> |-k>, which repairs the sign on site a. At d=2
+    the parity is the identity and this reduces to the usual CNOT triple.
+    """
+    return [gate("SUM", a, b), gate("SUMdg", b, a), gate("SUM", a, b),
+            gate("H", a), gate("H", a)]
+
+
 @lru_cache(maxsize=None)
-def _exponent_image_tables(kind, d):
+def _exponent_image_tables(name, d):
     """(x, z) exponents and phase of the image of every Pauli on a gate's
     sites, indexed by (x0, z0[, x1, z1]), multiplied out of the generator
     images as the per-gate loop did."""
     from quditsim.tableau import _base_images
 
-    images = _base_images(kind, d)
+    images = _base_images(name, d)
     k = len(images) // 2
     xo = np.empty((d,) * (2 * k) + (k,), dtype=np.int64)
     zo = np.empty_like(xo)
@@ -175,7 +227,7 @@ def apply_word_per_gate(t, word):
     d = t.d
     out = t.copy()
     for g in word:
-        xo, zo, po = _exponent_image_tables(g.kind, d)
+        xo, zo, po = _exponent_image_tables(g.name, d)
         sites = list(g.sites)
         old = tuple(col for s in sites
                     for col in (out.xs[:, s].copy(), out.zs[:, s].copy()))
@@ -250,7 +302,7 @@ def reference_gcamps_state(n, d, catalog, policy=None):
     The accepted gate is absorbed by the full construction, so the frame
     is an independent check on the engine's Tableau.right_multiply.
     """
-    from quditsim.gates import CliffordGate, invert_word
+    from quditsim.gates import GateOp, invert_word
     from quditsim.gcamps import GcampsState, _TIE_EPS, _better
     from quditsim.mps import Mps, TruncationPolicy, robust_svd
     from quditsim.tableau import identity_tableau
@@ -289,7 +341,7 @@ def reference_gcamps_state(n, d, catalog, policy=None):
                 return 0
             mps.apply_two_site(i, unitaries[best_idx])
             mapped = tuple(
-                CliffordGate(g.kind, tuple(i + s_ for s_ in g.sites))
+                GateOp(g.name, tuple(i + s_ for s_ in g.sites))
                 for g in self.catalog.entries[best_idx].word
             )
             self.tableau = right_multiply_full(

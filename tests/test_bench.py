@@ -18,7 +18,7 @@ from quditsim.bench import (
     write_json,
 )
 from quditsim.circuits import (
-    Circuit, GateOp, as_clifford_word, random_clifford_word, t_doped_circuit,
+    Circuit, GateOp, random_clifford_word, t_doped_circuit,
 )
 from quditsim.gcamps import GcampsState, new_state
 from quditsim.mps import mps_model_bytes
@@ -67,9 +67,7 @@ def test_unknown_backend_rejected():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_clifford_only_circuit_yields_one_row(backend):
-    ops = [GateOp(g.kind, g.sites)
-           for g in random_clifford_word(5, 3, length=40, rng_seed=3)]
-    circ = Circuit(5, 3, ops)
+    circ = Circuit(5, 3, random_clifford_word(5, 3, length=40, rng_seed=3))
     records, _ = run_on_backend(backend, circ)
     assert len(records) == 1
     assert records[0].layer == 1
@@ -130,9 +128,8 @@ def test_gcamps_layers_log_per_op_words_and_replay(d):
     circ = mixed_circuit(5, d, seed=40 + d)
     records, st = run_on_backend("gcamps", circ, verify=True)
     assert len(records) == 7  # six non-Clifford ops and the trailing block
-    want = [g for op in circ.ops if op.is_clifford
-            for g in as_clifford_word(op)]
-    assert st.gate_log.cliffords == want
+    # the log holds the circuit's own Clifford ops, SWAP not expanded
+    assert st.gate_log.cliffords == [op for op in circ.ops if op.is_clifford]
     oracle = run_circuit(circ)
     assert abs(np.vdot(oracle.amps, st.dense_vector())) > 1 - 1e-10
     # op by op through apply_op: the same frame, bonds and log

@@ -8,7 +8,6 @@ from quditsim.circuits import (
     Circuit,
     CircuitParseError,
     GateOp,
-    as_clifford_word,
     emit,
     gate_matrix,
     parse,
@@ -16,14 +15,14 @@ from quditsim.circuits import (
     t_doped_circuit,
 )
 from quditsim.disentanglers import two_site_word_unitary
-from quditsim.gates import swap_matrix, swap_word
+from quditsim.gates import swap_matrix
 from quditsim.pauli import decompose_unitary, omega
 from quditsim.statevector import run_circuit
 from quditsim.tableau import identity_tableau
 
-from helpers import dense_pauli, dense_word_unitary, embed_gate
-
-CLIFFORD_NAMES = ("H", "Hdg", "S", "Sdg", "X", "Z", "SUM", "SUMdg", "SWAP")
+from helpers import (
+    CLIFFORD_NAMES, dense_pauli, dense_word_unitary, embed_gate, swap_word,
+)
 
 
 # -- gate matrices ----------------------------------------------------------------
@@ -79,14 +78,15 @@ def test_swap_matrix(d):
                        two_site_word_unitary(swap_word(0, 1), d), atol=1e-12)
 
 
-# -- Clifford name translation -------------------------------------------------------
+# -- Clifford ops against the oracle and the tableau -----------------------------------
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("name", CLIFFORD_NAMES)
 def test_clifford_word_matches_gate_matrix(name, d):
+    """gate_matrix agrees with the package-independent reference matrices."""
     sites = (1, 0) if name in ("SUM", "SUMdg", "SWAP") else (1,)
     op = GateOp(name, sites)
-    dense_from_word = dense_word_unitary(as_clifford_word(op), 2, d)
+    dense_from_word = dense_word_unitary([op], 2, d)
     dense_direct = embed_gate(gate_matrix(op, d), sites, 2, d)
     assert np.allclose(dense_from_word, dense_direct, atol=1e-12)
 
@@ -97,17 +97,12 @@ def test_clifford_tableau_consistency_exhaustive(name, d):
     """Tableau updates match dense conjugation for every basis Pauli."""
     sites = (0, 1) if name in ("SUM", "SUMdg", "SWAP") else (0,)
     op = GateOp(name, sites)
-    t = identity_tableau(2, d).apply_word(as_clifford_word(op))
+    t = identity_tableau(2, d).apply_word([op])
     u = embed_gate(gate_matrix(op, d), sites, 2, d)
     for r in range(4):
         p = identity_tableau(2, d).row(r)
         want = u @ p.to_matrix() @ u.conj().T
         assert np.allclose(t.row(r).to_matrix(), want, atol=1e-12), (name, r)
-
-
-def test_as_clifford_word_rejects_non_clifford():
-    with pytest.raises(ValueError):
-        as_clifford_word(GateOp("T", (0,)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -215,6 +210,14 @@ def test_parse_errors_carry_line_numbers():
         parse("# qsim v2 d=2 n=2\nH 0\n")
     with pytest.raises(CircuitParseError, match="line 1"):
         parse("# qsim v1 d=4 n=2\nH 0\n")
+    with pytest.raises(CircuitParseError, match="line 2: RZ is defined"):
+        parse("# qsim v1 d=3 n=2\nRZ 0 1.0\n")
+    with pytest.raises(CircuitParseError, match="line 3: T gate"):
+        parse("# qsim v1 d=5 n=2\nH 1\nT 0\n")
+    with pytest.raises(CircuitParseError, match="line 2: U1 needs 3"):
+        parse("# qsim v1 d=3 n=2\nU1 0 0.5 0.25\n")
+    with pytest.raises(CircuitParseError, match="line 1: need at least one"):
+        parse("# qsim v1 d=2 n=0\n")
 
 
 def test_comments_ignored():
@@ -237,7 +240,7 @@ def test_random_word_default_length():
 
 def test_random_word_single_site_has_no_sum():
     word = random_clifford_word(1, 3, length=40, rng_seed=5)
-    assert all(g.kind in ("H", "S") for g in word)
+    assert all(g.name in ("H", "S") for g in word)
 
 
 def test_random_word_preserves_symplectic():

@@ -22,7 +22,7 @@ from quditsim.disentanglers import (
     word_symplectic,
     GENERATOR_TOKENS,
 )
-from quditsim.gates import CliffordGate, gate_unitary, invert_word
+from quditsim.gates import GateOp, gate_matrix, invert_word
 
 from helpers import sum_permutation
 
@@ -72,7 +72,7 @@ def dense_schmidt(v, d):
 def test_token_roundtrip():
     for token in GENERATOR_TOKENS:
         assert gate_token(token_gate(token)) == token
-    assert token_gate("SUM10") == CliffordGate("SUM", (1, 0))
+    assert token_gate("SUM10") == GateOp("SUM", (1, 0))
     for bad in ("H2", "SUM00", "SUM12", "T0", "Q1", "S"):
         with pytest.raises(ValueError):
             token_gate(bad)
@@ -84,23 +84,23 @@ def test_generator_matrices_hand_derived(d):
     h = np.array([[0, d - 1], [1, 0]])
     s = np.array([[1, 0], [1, 1]])
     for site in (0, 1):
-        for kind, block in (("H", h), ("S", s)):
+        for name, block in (("H", h), ("S", s)):
             m = np.eye(4, dtype=np.int64)
             idx = (site, site + 2)
             m[np.ix_(idx, idx)] = block % d
-            got = word_symplectic([CliffordGate(kind, (site,))], d)
+            got = word_symplectic([GateOp(name, (site,))], d)
             np.testing.assert_array_equal(got, m)
     sum01 = np.eye(4, dtype=np.int64)
     sum01[1, 0] = 1
     sum01[2, 3] = d - 1
     np.testing.assert_array_equal(
-        word_symplectic([CliffordGate("SUM", (0, 1))], d), sum01
+        word_symplectic([GateOp("SUM", (0, 1))], d), sum01
     )
     sum10 = np.eye(4, dtype=np.int64)
     sum10[0, 1] = 1
     sum10[3, 2] = d - 1
     np.testing.assert_array_equal(
-        word_symplectic([CliffordGate("SUM", (1, 0))], d), sum10
+        word_symplectic([GateOp("SUM", (1, 0))], d), sum10
     )
 
 
@@ -386,19 +386,19 @@ def test_entangling_stack_is_lazy_cached_and_in_catalog_order():
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_two_site_word_unitary_embedding(d):
-    h = gate_unitary(CliffordGate("H", (0,)), d)
+    h = gate_matrix(GateOp("H", (0,)), d)
     np.testing.assert_allclose(
-        two_site_word_unitary([CliffordGate("H", (0,))], d),
+        two_site_word_unitary([GateOp("H", (0,))], d),
         np.kron(h, np.eye(d)),
         atol=1e-13,
     )
     np.testing.assert_allclose(
-        two_site_word_unitary([CliffordGate("H", (1,))], d),
+        two_site_word_unitary([GateOp("H", (1,))], d),
         np.kron(np.eye(d), h),
         atol=1e-13,
     )
     np.testing.assert_allclose(
-        two_site_word_unitary([CliffordGate("SUM", (1, 0))], d),
+        two_site_word_unitary([GateOp("SUM", (1, 0))], d),
         sum_permutation(2, d, 1, 0),
         atol=1e-13,
     )

@@ -12,7 +12,7 @@ from quditsim.circuits import (
 )
 from quditsim import gcamps
 from quditsim.disentanglers import generate_catalog
-from quditsim.gates import CliffordGate, invert_word, kind_unitary
+from quditsim.gates import invert_word
 from quditsim.gcamps import GcampsState, new_state, tableau_bytes
 from quditsim.mps import Mps, TruncationPolicy, mps_model_bytes
 from quditsim.pauli import PauliString
@@ -110,7 +110,7 @@ def test_clifford_expectations_match_dense(cat3):
     st.apply_clifford_word(word)
     dense = DenseState(d, n)
     for g in word:
-        dense.apply_unitary(kind_unitary(g.kind, d), g.sites)
+        dense.apply_unitary(gate_matrix(g, d), g.sites)
     rng = np.random.default_rng(41)
     for _ in range(12):
         p = PauliString(d, rng.integers(0, d, n), rng.integers(0, d, n))
@@ -124,7 +124,7 @@ def test_clifford_word_replays_in_log(cat2):
     st.apply_clifford_word(word)
     dense = DenseState(2, 3)
     for g in word:
-        dense.apply_unitary(kind_unitary(g.kind, 2), g.sites)
+        dense.apply_unitary(gate_matrix(g, 2), g.sites)
     assert replay_overlap(st, dense.amps) > 1 - 1e-12
 
 
@@ -134,7 +134,7 @@ def test_clifford_only_runs_keep_all_bonds_one(d, cat2, cat3):
     ops = []
     rng = np.random.default_rng(17)
     for g in random_clifford_word(6, d, length=300, rng_seed=23):
-        ops.append(GateOp(g.kind, g.sites))
+        ops.append(g)
         if rng.random() < 0.05:
             a, b = rng.choice(6, size=2, replace=False)
             ops.append(GateOp("SWAP", (int(a), int(b))))
@@ -165,18 +165,18 @@ def test_clifford_gate_through_pipeline_is_exact(d, cat2, cat3):
     st = new_state(n, d, catalog_for(d, cat2, cat3), verify=True)
     prep = random_clifford_word(n, d, length=30, rng_seed=d)
     st.apply_clifford_word(prep)
-    st.apply_non_clifford(1, kind_unitary("S", d))
+    st.apply_non_clifford(1, gate_matrix(GateOp("S", (0,)), d))
     dense = DenseState(d, n)
     for g in prep:
-        dense.apply_unitary(kind_unitary(g.kind, d), g.sites)
-    dense.apply_unitary(kind_unitary("S", d), (1,))
+        dense.apply_unitary(gate_matrix(g, d), g.sites)
+    dense.apply_unitary(gate_matrix(GateOp("S", (0,)), d), (1,))
     assert replay_overlap(st, dense.amps) > 1 - 1e-10
     assert st.mps.bond_dims() == [1] * (n - 1)
 
 
 def test_single_site_chain_edge_case(cat2):
     st = new_state(1, 2, cat2, verify=True)
-    st.apply_clifford(CliffordGate("H", (0,)))
+    st.apply_clifford(GateOp("H", (0,)))
     t = np.diag([1.0, np.exp(1j * np.pi / 4)])
     report = st.apply_non_clifford(0, t)
     assert report.bonds_visited == [] and report.gates_applied == []
@@ -196,7 +196,7 @@ def test_t_gate_after_random_clifford_matches_dense(d, cat2, cat3):
     st.apply_non_clifford(2, u)
     dense = DenseState(d, n)
     for g in word:
-        dense.apply_unitary(kind_unitary(g.kind, d), g.sites)
+        dense.apply_unitary(gate_matrix(g, d), g.sites)
     dense.apply_unitary(u, (2,))
     assert replay_overlap(st, dense.amps) > 1 - 1e-8
 
@@ -390,8 +390,8 @@ def test_expectation_matches_dense_after_t_doping(seed, cat3):
 
 def test_hermitian_expectation_is_real_part(cat2):
     st = new_state(2, 2, cat2)
-    st.apply_clifford(CliffordGate("H", (0,)))
-    st.apply_clifford(CliffordGate("S", (0,)))
+    st.apply_clifford(GateOp("H", (0,)))
+    st.apply_clifford(GateOp("S", (0,)))
     p = PauliString.single(2, 2, 0, 1, 1, phase=1)
     assert st.hermitian_expectation(p) == pytest.approx(st.expectation(p).real)
 
@@ -453,9 +453,9 @@ def test_dense_vector_requires_verification_mode(cat2):
 
 def test_copy_is_independent(cat2):
     st = new_state(3, 2, cat2, verify=True)
-    st.apply_clifford(CliffordGate("H", (0,)))
+    st.apply_clifford(GateOp("H", (0,)))
     twin = st.copy()
-    twin.apply_clifford(CliffordGate("H", (1,)))
+    twin.apply_clifford(GateOp("H", (1,)))
     twin.apply_non_clifford(0, np.diag([1.0, 1j]) @ HADAMARD2 @ np.diag([1.0, -1j]))
     assert len(st.gate_log.cliffords) == 1
     assert st.tableau.dump() != twin.tableau.dump()
@@ -463,16 +463,28 @@ def test_copy_is_independent(cat2):
     assert abs(st.expectation(z1) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [GateOp("T", (1,)),
+                                 GateOp("U1", (0,), (0.3, -0.7))])
+def test_non_clifford_in_word_leaves_frame_and_log_untouched(bad, cat2):
+    st = new_state(3, 2, cat2, verify=True)
+    st.apply_clifford_word([GateOp("H", (0,)), GateOp("SUM", (0, 2))])
+    tableau, log = st.tableau.copy(), st.gate_log.copy()
+    with pytest.raises(ValueError, match="not a Clifford gate"):
+        st.apply_clifford_word([GateOp("S", (1,)), bad])
+    assert st.tableau == tableau
+    assert st.gate_log == log
+
+
 def test_gate_log_partition(cat2):
     st = new_state(2, 2, cat2, verify=True)
-    st.apply_clifford(CliffordGate("H", (0,)))
+    st.apply_clifford(GateOp("H", (0,)))
     st.mps.apply_single_site(0, HADAMARD2)
     st.mps.apply_two_site(0, sum_matrix(2))
     st.disentangle((0, 2))
     assert len(st.gate_log.cliffords) == 1
     assert len(st.gate_log.absorbed) >= 1
     for word in st.gate_log.absorbed:
-        assert all(isinstance(g, CliffordGate) for g in word)
+        assert all(isinstance(g, GateOp) and g.is_clifford for g in word)
 
 
 # -- batched scan against the brute-force reference ---------------------------
@@ -484,7 +496,7 @@ def mid_chain_circuit(n, d, layers, seed):
     ops = []
     for _ in range(layers):
         for g in random_clifford_gates(rng, n, d, 2 * n):
-            ops.append(GateOp(g.kind, g.sites))
+            ops.append(g)
         ops.append(GateOp("T", (n // 2,)))
         ops.append(GateOp("T", (n - 1,)))
     return Circuit(n, d, ops)
@@ -593,12 +605,12 @@ def test_local_tableau_of_every_inverse_catalog_word(d, cat2, cat3):
     cat = catalog_for(d, cat2, cat3)
     for idx in cat.entangling_stack()[0]:
         inverse = invert_word(cat.entries[idx].word, d)
-        w = _local_tableau(d, tuple((g.kind, g.sites) for g in inverse))
+        w = _local_tableau(d, tuple((g.name, g.sites) for g in inverse))
         assert w == identity_tableau(2, d).apply_word(inverse)
         for a in (w.xs, w.zs, w.phases):
             assert not a.flags.writeable
     # absorbing the last word at another bond reuses its memoized tableau
     hits = _local_tableau.cache_info().hits
     identity_tableau(6, d).right_multiply(
-        CliffordGate(g.kind, tuple(3 + s for s in g.sites)) for g in inverse)
+        GateOp(g.name, tuple(3 + s for s in g.sites)) for g in inverse)
     assert _local_tableau.cache_info().hits == hits + 1

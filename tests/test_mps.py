@@ -294,8 +294,7 @@ def test_exact_regime_matches_statevector(d, seed):
     # zero cutoff: fidelity against the dense engine stays at one
     n = 5
     rng = np.random.default_rng(1000 + 10 * d + seed)
-    ops = [GateOp(g.kind, g.sites)
-           for g in random_clifford_word(n, d, length=24, rng_seed=seed)]
+    ops = random_clifford_word(n, d, length=24, rng_seed=seed)
     for _ in range(6):
         theta = rng.uniform(0, 2 * np.pi, size=d)
         ops.append(GateOp("U1", (int(rng.integers(n)),), tuple(theta)))

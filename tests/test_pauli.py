@@ -32,6 +32,14 @@ def test_phase_normalized_into_range():
     assert q.phase == 5
 
 
+def test_single_rejects_sites_outside_the_chain():
+    assert PauliString.single(3, 4, 3, 1, 0) == PauliString(3, [0, 0, 0, 1],
+                                                            [0, 0, 0, 0])
+    for site in (-1, 4):
+        with pytest.raises(ValueError, match="out of range"):
+            PauliString.single(3, 4, site, 1, 0)
+
+
 def test_multiply_z_times_x_qutrit():
     # Z0 * X0 = tau**2 X0 Z0 = omega X0 Z0
     z = PauliString.single(3, 1, 0, z=1)

@@ -38,6 +38,9 @@ def test_basis_state_and_amplitude():
         DenseState.basis_state(2, 2, (2, 0))
     with pytest.raises(ValueError):
         s.amplitude((0, 5))
+    for digits in ([0], [0, 0, 0, 0]):  # too few or too many digits
+        with pytest.raises(ValueError):
+            DenseState(2, 3).amplitude(digits)
 
 
 def test_apply_unitary_validation():
@@ -70,14 +73,13 @@ def test_two_site_gate_any_order_matches_dense(d):
 
 
 def test_norm_preserved_over_1000_gates():
-    from quditsim.circuits import random_clifford_word
-    from quditsim.gates import gate_unitary
+    from quditsim.circuits import gate_matrix, random_clifford_word
 
     rng = np.random.default_rng(77)
     s = DenseState(3, 4)
     word = random_clifford_word(4, 3, length=1000, rng_seed=9)
     for g in word:
-        s.apply_unitary(gate_unitary(g, 3), g.sites)
+        s.apply_unitary(gate_matrix(g, 3), g.sites)
     # sprinkle non-Clifford diagonals too
     for _ in range(20):
         th = rng.uniform(0, 2 * np.pi, size=3)

@@ -1,7 +1,7 @@
 """Tableau tests against the dense conjugation oracle.
 
-The heavy lifting is test_generator_images_dense: every gate kind, every
-basis row, every d, exponents and phases compared against U P U^dagger
+The heavy lifting is test_generator_images_dense: every Clifford gate name,
+every basis row, every d, exponents and phases compared against U P U^dagger
 computed densely. Everything downstream (forward/inverse conjugation,
 right-composition) reuses words whose dense unitaries are built by the
 package-independent helpers.
@@ -11,19 +11,20 @@ import numpy as np
 import pytest
 
 from quditsim.circuits import random_clifford_word
-from quditsim.gates import (
-    GATE_KINDS, ONE_SITE_KINDS, CliffordGate, gate, inverse_gate,
-)
+from quditsim.gates import TWO_SITE_NAMES, GateOp, inverse_gate
 from quditsim.pauli import PauliString
 from quditsim.tableau import Tableau, identity_tableau
 
 from helpers import (
+    CLIFFORD_NAMES,
     apply_word_per_gate,
     dense_pauli,
     dense_word_unitary,
+    gate,
     random_clifford_gates,
     random_pauli_exponents,
     right_multiply_full,
+    swap_word,
 )
 
 DS = [2, 3, 5]
@@ -100,13 +101,13 @@ def test_sum_qutrit_all_rows_dense():
 
 
 @pytest.mark.parametrize("d", DS)
-@pytest.mark.parametrize("kind", GATE_KINDS)
-def test_generator_images_dense(kind, d):
+@pytest.mark.parametrize("name", CLIFFORD_NAMES)
+def test_generator_images_dense(name, d):
     """Exponents and phases of every image row match dense conjugation."""
-    two_site = kind in ("SUM", "SUM_inv")
+    two_site = name in TWO_SITE_NAMES
     placements = [(0, 1), (1, 0)] if two_site else [(0,), (1,)]
     for sites in placements:
-        g = CliffordGate(kind, sites)
+        g = GateOp(name, sites)
         t = identity_tableau(2, d)
         t.apply_gate(g)
         u = dense_word_unitary([g], 2, d)
@@ -114,7 +115,7 @@ def test_generator_images_dense(kind, d):
             p = identity_tableau(2, d).row(r)
             want = u @ p.to_matrix() @ u.conj().T
             assert np.allclose(t.row(r).to_matrix(), want, atol=1e-12), \
-                f"{kind} on {sites}, row {r}"
+                f"{name} on {sites}, row {r}"
 
 
 @pytest.mark.parametrize("d", DS)
@@ -122,9 +123,9 @@ def test_apply_gate_on_nontrivial_rows_dense(d):
     """Image tables must be right on all exponent pairs, not just generators."""
     rng = np.random.default_rng(90 + d)
     t, word = random_tableau(rng, 2, d, 12)
-    for kind in GATE_KINDS:
-        sites = (1, 0) if kind in ("SUM", "SUM_inv") else (1,)
-        g = CliffordGate(kind, sites)
+    for name in CLIFFORD_NAMES:
+        sites = (1, 0) if name in TWO_SITE_NAMES else (1,)
+        g = GateOp(name, sites)
         t2 = t.copy().apply_gate(g)
         u = dense_word_unitary(word + [g], 2, d)
         for r in range(4):
@@ -143,16 +144,20 @@ def test_apply_gate_rejects_out_of_range():
 
 # -- layered word updates ---------------------------------------------------------
 
-def all_kinds_word(rng, n, length):
-    """Gates of every kind that fits n sites, on random sites, so a word
-    revisits its sites and layers hold gates of several kinds."""
-    kinds = [k for k in GATE_KINDS if n > 1 or k in ONE_SITE_KINDS]
+def names_for(n):
+    return [g for g in CLIFFORD_NAMES if n > 1 or g not in TWO_SITE_NAMES]
+
+
+def every_name_word(rng, n, length):
+    """Gates of every Clifford name that fits n sites, on random sites, so
+    a word revisits its sites and layers hold gates of several names."""
+    names = names_for(n)
     word = []
     for _ in range(length):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        k = 1 if kind in ONE_SITE_KINDS else 2
+        name = names[int(rng.integers(len(names)))]
+        k = 2 if name in TWO_SITE_NAMES else 1
         sites = rng.choice(n, size=k, replace=False)
-        word.append(CliffordGate(kind, tuple(int(s) for s in sites)))
+        word.append(GateOp(name, tuple(int(s) for s in sites)))
     return word
 
 
@@ -169,10 +174,9 @@ def test_apply_word_matches_per_gate_loop(n, d):
     rng = np.random.default_rng(1000 * d + n)
     for _ in range(4):
         start = apply_word_per_gate(identity_tableau(n, d),
-                                    all_kinds_word(rng, n, 3 * n))
-        word = all_kinds_word(rng, n, 40)
-        assert {g.kind for g in word} == set(
-            k for k in GATE_KINDS if n > 1 or k in ONE_SITE_KINDS)
+                                    every_name_word(rng, n, 3 * n))
+        word = every_name_word(rng, n, 60)
+        assert {g.name for g in word} == set(names_for(n))
         got = start.copy().apply_word(word)
         assert_bit_identical(got, apply_word_per_gate(start, word))
         assert got.symplectic_ok()
@@ -200,6 +204,30 @@ def test_apply_word_out_of_range_leaves_tableau_untouched():
     with pytest.raises(ValueError):
         t.apply_word([gate("H", 0), gate("SUM", 1, 7)])
     assert t == before
+
+
+@pytest.mark.parametrize("bad", [GateOp("T", (1,)),
+                                 GateOp("U1", (0,), (0.1, 0.2, 0.3))])
+def test_apply_word_non_clifford_leaves_tableau_untouched(bad):
+    t = identity_tableau(3, 3).apply_word([gate("S", 1), gate("SUM", 0, 2)])
+    before = t.copy()
+    with pytest.raises(ValueError, match="not a Clifford gate"):
+        t.apply_word([gate("H", 0), bad, gate("SUM", 1, 2)])
+    assert t == before
+    with pytest.raises(ValueError):
+        t.right_multiply([gate("H", 0), bad])
+    assert t == before
+
+
+@pytest.mark.parametrize("d", DS)
+def test_native_swap_matches_swap_word(d):
+    """SWAP's own image table is bit-identical to its five-gate word, on
+    adjacent, distant and reversed sites of a random tableau."""
+    rng = np.random.default_rng(700 + d)
+    start, _ = random_tableau(rng, 6, d, 40)
+    for a, b in [(2, 3), (3, 2), (0, 5), (5, 1)]:
+        got = start.copy().apply_word([gate("SWAP", a, b)])
+        assert_bit_identical(got, start.copy().apply_word(swap_word(a, b)))
 
 
 # -- forward conjugation ----------------------------------------------------------
@@ -316,7 +344,8 @@ def test_right_multiply_identity_base():
 def test_right_multiply_dense(d):
     rng = np.random.default_rng(85 + d)
     t, word_a = random_tableau(rng, 3, d, 15)
-    word_b = [gate("SUM", 2, 1), gate("H", 2), gate("S", 1), gate("SUM_inv", 1, 2)]
+    word_b = [gate("SUM", 2, 1), gate("H", 2), gate("S", 1), gate("SUMdg", 1, 2),
+              gate("SWAP", 0, 2)]
     t.right_multiply(word_b)
     u = dense_word_unitary(word_a, 3, d) @ dense_word_unitary(word_b, 3, d)
     for r in range(6):
@@ -344,7 +373,7 @@ def test_right_multiply_two_site_matches_full_construction(n, d):
         t, _ = random_tableau(rng, n, d, 5 * n)
         i = int(rng.integers(0, n - 1))
         word = [gate("SUM", i + 1, i), gate("H", i), gate("S", i + 1),
-                gate("SUM_inv", i, i + 1), gate("H_inv", i + 1)]
+                gate("SUMdg", i, i + 1), gate("Hdg", i + 1)]
         want = right_multiply_full(t, word)
         before = t.copy()
         t.right_multiply(word)
@@ -359,7 +388,8 @@ def test_right_multiply_two_site_matches_full_construction(n, d):
 def test_right_multiply_far_apart_sites():
     rng = np.random.default_rng(4)
     t, _ = random_tableau(rng, 9, 3, 40)
-    word = [gate("SUM", 7, 1), gate("S", 4), gate("SUM_inv", 1, 7)]
+    word = [gate("SUM", 7, 1), gate("S", 4), gate("SUMdg", 1, 7),
+            gate("SWAP", 8, 1)]
     want = right_multiply_full(t, word)
     assert t.right_multiply(word) == want
 
@@ -376,9 +406,9 @@ def test_right_multiply_rejects_out_of_range():
 def test_gate_inverse_restores_exactly(d):
     rng = np.random.default_rng(23 + d)
     t, _ = random_tableau(rng, 3, d, 10)
-    for kind in GATE_KINDS:
-        sites = (0, 2) if kind in ("SUM", "SUM_inv") else (1,)
-        g = CliffordGate(kind, sites)
+    for name in CLIFFORD_NAMES:
+        sites = (0, 2) if name in TWO_SITE_NAMES else (1,)
+        g = GateOp(name, sites)
         t2 = t.copy().apply_gate(g)
         for h in inverse_gate(g, d):
             t2.apply_gate(h)
