@@ -108,7 +108,7 @@ def _dense_ranks(state: DenseState):
     return out
 
 
-def _start(backend, circ, policy, catalog, verify, max_dim):
+def _start(backend, circ, policy, catalog, verify):
     """What differs by backend: the fresh state, a callable applying one
     layer of ops to it, and a callable reading its bond profile.
 
@@ -133,8 +133,7 @@ def _start(backend, circ, policy, catalog, verify, max_dim):
         st = Mps.product_state(n, d, policy=policy)
         profile = st.bond_dims
     else:
-        kwargs = {} if max_dim is None else {"max_dim": max_dim}
-        st = DenseState(d, n, **kwargs)
+        st = DenseState(d, n)
         profile = partial(_dense_ranks, st)
 
     def apply_layer(ops):
@@ -145,7 +144,7 @@ def _start(backend, circ, policy, catalog, verify, max_dim):
 
 
 def run_on_backend(backend, circ: Circuit, *, shot=0, seed=0, policy=None,
-                   catalog=None, verify=False, max_dim=None):
+                   catalog=None, verify=False):
     """Run one circuit on one backend; returns (records, final_state)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -153,8 +152,7 @@ def run_on_backend(backend, circ: Circuit, *, shot=0, seed=0, policy=None,
         policy = TruncationPolicy()
     records = []
     t0 = time.perf_counter()
-    st, apply_layer, profile = _start(backend, circ, policy, catalog, verify,
-                                      max_dim)
+    st, apply_layer, profile = _start(backend, circ, policy, catalog, verify)
     for ops in _op_layers(circ.ops):
         apply_layer(ops)
         now = time.perf_counter()

@@ -226,7 +226,7 @@ class DisentanglerCatalog:
         self.entries = tuple(entries)
         self._unitaries = None
         self._entangling = None
-        self._inverse_words = None
+        self._absorptions = None
 
     @property
     def n_entries(self) -> int:
@@ -249,14 +249,21 @@ class DisentanglerCatalog:
             )
         return self._unitaries
 
-    def inverse_words(self):
-        """Inverse of every entry word over sites {0, 1}, in application
-        order, as a tuple of gate tuples; built on first use and cached."""
-        if self._inverse_words is None:
-            self._inverse_words = tuple(
-                tuple(invert_word(e.word, self.d)) for e in self.entries
-            )
-        return self._inverse_words
+    def absorptions(self):
+        """Per entry, the inverse of its word over sites (0, 1), in
+        application order, and that inverse's read-only two-site tableau,
+        which Tableau.right_multiply composes into a frame; built on first
+        use and cached."""
+        if self._absorptions is None:
+            out = []
+            for e in self.entries:
+                word = tuple(invert_word(e.word, self.d))
+                frame = identity_tableau(2, self.d).apply_word(word)
+                for a in (frame.xs, frame.zs, frame.phases):
+                    a.setflags(write=False)
+                out.append((word, frame))
+            self._absorptions = tuple(out)
+        return self._absorptions
 
     def entangling_stack(self):
         """Catalog indices of the entangling entries, ascending, and their
@@ -353,10 +360,12 @@ def load_catalog(path) -> DisentanglerCatalog:
     ValueError.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh.read().splitlines() if ln.strip()]
-    if not lines or lines[0] != _FILE_VERSION:
+        lines = [(ln, text.strip())
+                 for ln, text in enumerate(fh.read().splitlines(), start=1)
+                 if text.strip()]
+    if not lines or lines[0][1] != _FILE_VERSION:
         raise ValueError("unsupported catalog file version")
-    head = lines[1].split() if len(lines) > 1 else []
+    head = lines[1][1].split() if len(lines) > 1 else []
     if len(head) != 3:
         raise ValueError("malformed catalog header")
     try:
@@ -375,7 +384,7 @@ def load_catalog(path) -> DisentanglerCatalog:
             f"header promises {n_entries} entries, file has {len(body)}"
         )
     entries = []
-    for ln, line in enumerate(body, start=3):
+    for ln, line in body:
         fields = line.split()
         if len(fields) < 17:
             raise ValueError(f"line {ln}: entry needs 16 digits and a size")
@@ -389,7 +398,10 @@ def load_catalog(path) -> DisentanglerCatalog:
         m = np.array(digits, dtype=np.int64).reshape(4, 4)
         if not is_symplectic(m, d):
             raise ValueError(f"line {ln}: matrix is not symplectic")
-        word = tuple(token_gate(t) for t in fields[17:])
+        try:
+            word = tuple(token_gate(t) for t in fields[17:])
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
         if not np.array_equal(word_symplectic(word, d), m):
             raise ValueError(f"line {ln}: word does not replay to the matrix")
         entries.append(

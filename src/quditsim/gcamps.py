@@ -71,7 +71,8 @@ class GateLog:
     disentangler inverses append on the right, and the two accumulations
     never interleave algebraically. Replay onto a vector therefore applies
     the absorbed words in reverse order first, then the circuit gates in
-    order.
+    order. Each absorbed entry is a (word, sites) pair: a word over local
+    sites 0..m-1 whose local site j acts on sites[j].
     """
 
     cliffords: list = field(default_factory=list)
@@ -156,9 +157,6 @@ class GcampsState:
 
     # ------------------------------------------------------------------
     # Clifford path: tableau only
-
-    def apply_clifford(self, g: GateOp):
-        return self.apply_clifford_word((g,))
 
     def apply_clifford_word(self, word):
         """Fold a word into C in one layered tableau update."""
@@ -290,13 +288,10 @@ class GcampsState:
         if best_idx < 0:
             return 0
         mps.apply_two_site(i, self.catalog.unitaries()[best_idx])
-        inverse = tuple(
-            GateOp(g.name, tuple(i + s_ for s_ in g.sites))
-            for g in self.catalog.inverse_words()[best_idx]
-        )
-        self.tableau.right_multiply(inverse)
+        word, frame = self.catalog.absorptions()[best_idx]
+        self.tableau.right_multiply(frame, (i, i + 1))
         if self.gate_log is not None:
-            self.gate_log.absorbed.append(inverse)
+            self.gate_log.absorbed.append((word, (i, i + 1)))
         report.gates_applied.append((best_idx, i))
         report.objective_after[i] = best
         return 1
@@ -331,9 +326,10 @@ class GcampsState:
         ref = DenseState(
             self.d, self.n, self.mps.to_dense(max_dim=max_dim), max_dim=max_dim
         )
-        for word in reversed(self.gate_log.absorbed):
+        for word, sites in reversed(self.gate_log.absorbed):
             for g in word:
-                ref.apply_unitary(gate_matrix(g, self.d), g.sites)
+                ref.apply_unitary(gate_matrix(g, self.d),
+                                  [sites[s] for s in g.sites])
         for g in self.gate_log.cliffords:
             ref.apply_unitary(gate_matrix(g, self.d), g.sites)
         return ref.amps.reshape(-1)

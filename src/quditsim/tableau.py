@@ -21,7 +21,6 @@ polynomial, so the even/odd-d case split cannot creep in as a bug source.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -32,9 +31,6 @@ from .pauli import PauliString, QuditDim
 
 # (name, d) -> flat code/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
-# distinct local words right_multiply keeps tableaux for; the engine only
-# absorbs inverse catalog words, about 90 of them per d
-_LOCAL_CACHE_SIZE = 512
 
 
 def _base_images(name: str, d: int):
@@ -247,37 +243,42 @@ class Tableau:
             raise np.linalg.LinAlgError("tableau rows do not span the Pauli group")
         return PauliString(d, xpow, zpow, (p.phase - rph) % (2 * d))
 
-    def right_multiply(self, word) -> "Tableau":
-        """Compose on the right: stored C becomes C W for the word's unitary.
+    def right_multiply(self, local: "Tableau", sites) -> "Tableau":
+        """Compose on the right: stored C becomes C W, for the Clifford W
+        whose m-site tableau is `local`, its local site j acting on
+        sites[j].
 
-        W acts only on the word's m sites, so only rows s and n+s of those
-        sites change: each new row is C (W B W^dagger) C^dagger for a basis
-        element B on those sites. The images W B W^dagger are the rows of
-        the m-site tableau of W, memoized by the word's local signature;
-        the 2m new rows are then multiplied out of the old ones by a single
-        stacked rowprod. The other 2n - 2m rows are not touched, so a
-        two-site word costs O(n).
+        W acts only on those m sites, so only rows s and n+s of them
+        change: each new row is C (W B W^dagger) C^dagger for a basis
+        element B on those sites, and W B W^dagger is the matching row of
+        `local` with its columns placed on `sites`. The 2m new rows are
+        multiplied out of the old ones by a single stacked rowprod; the
+        other 2n - 2m rows are not touched, so a two-site W costs O(n). The
+        sites may come in any order and at any distance. A local tableau of
+        another d, a site count other than local.n, a repeated site or one
+        outside [0, n) raises ValueError with the tableau untouched.
         """
-        word = list(word)
-        sites = sorted({s for g in word for s in g.sites})
-        if not sites:
-            return self
-        if sites[-1] >= self.n:
-            raise ValueError(f"word sites {sites} exceed n={self.n}")
         n, d = self.n, self.d
-        local = {s: j for j, s in enumerate(sites)}
-        w = _local_tableau(d, tuple(
-            (g.name, tuple(local[s] for s in g.sites)) for g in word))
+        sites = list(sites)
+        if local.d != d:
+            raise ValueError(f"local tableau has d={local.d}, frame has d={d}")
+        if len(sites) != local.n:
+            raise ValueError(
+                f"{len(sites)} sites given for a {local.n}-site tableau")
+        if len(set(sites)) != len(sites):
+            raise ValueError(f"sites {sites} repeat a site")
+        if not all(0 <= s < n for s in sites):
+            raise ValueError(f"sites {sites} fall outside [0, {n})")
         xpow = np.zeros((2 * len(sites), n), dtype=np.int64)
         zpow = np.zeros_like(xpow)
-        xpow[:, sites] = w.xs
-        zpow[:, sites] = w.zs
+        xpow[:, sites] = local.xs
+        zpow[:, sites] = local.zs
         x, z, ph = kernels.rowprod(self.xs, self.zs, self.phases,
                                    xpow, zpow, d)
         targets = sites + [n + s for s in sites]
         self.xs[targets] = x
         self.zs[targets] = z
-        self.phases[targets] = (ph + w.phases) % (2 * d)
+        self.phases[targets] = (ph + local.phases) % (2 * d)
         return self
 
     # -- structure -----------------------------------------------------------
@@ -327,15 +328,3 @@ def identity_tableau(n: int, d: int) -> Tableau:
     zs[:n] = np.eye(n, dtype=np.int64)
     xs[n:] = np.eye(n, dtype=np.int64)
     return Tableau(d, n, xs, zs, np.zeros(2 * n, dtype=np.int64))
-
-
-@lru_cache(maxsize=_LOCAL_CACHE_SIZE)
-def _local_tableau(d: int, signature) -> Tableau:
-    """Read-only m-site tableau of a word given by its local signature,
-    a tuple of (name, local sites) over sites 0..m-1."""
-    m = 1 + max(s for _, sites in signature for s in sites)
-    w = identity_tableau(m, d).apply_word(
-        GateOp(name, sites) for name, sites in signature)
-    for a in (w.xs, w.zs, w.phases):
-        a.setflags(write=False)
-    return w

@@ -281,6 +281,23 @@ def right_multiply_full(t, word):
     return out
 
 
+def local_frame(word, d):
+    """(local tableau, sites) of a word for Tableau.right_multiply.
+
+    The word's sites, in the order they first appear, become local sites
+    0..m-1; the local tableau is the relabelled word applied to a fresh
+    m-site tableau.
+    """
+    from quditsim.gates import GateOp
+    from quditsim.tableau import identity_tableau
+
+    sites = list(dict.fromkeys(s for g in word for s in g.sites))
+    local = {s: j for j, s in enumerate(sites)}
+    w = identity_tableau(len(sites), d).apply_word(
+        [GateOp(g.name, tuple(local[s] for s in g.sites)) for g in word])
+    return w, tuple(sites)
+
+
 def objective_scalar(s, cutoff):
     """Reference bond objective: (rank above the cutoff, Renyi-2 entropy)."""
     s2 = s * s

@@ -31,6 +31,7 @@ from quditsim.circuits import (
     t_doped_circuit,
 )
 from quditsim.disentanglers import load_catalog
+from quditsim.gates import inverse_gate
 from quditsim.gcamps import new_state
 from quditsim.mps import Mps, TruncationPolicy, mps_model_bytes
 from quditsim.pauli import PauliString, decompose_unitary
@@ -136,7 +137,7 @@ def test_clifford_only_bulk_run_stays_product(cat3):
     state = new_state(n, 3, cat3)
     t0 = time.perf_counter()
     for g in word:
-        state.apply_clifford(g)
+        state.apply_op(g)
     dt = time.perf_counter() - t0
     assert state.mps.bond_dims() == [1] * (n - 1)
     # the Clifford path must never have touched the MPS factor at all
@@ -144,6 +145,30 @@ def test_clifford_only_bulk_run_stays_product(cat3):
     assert all(np.array_equal(a, b)
                for a, b in zip(state.mps.tensors, fresh.tensors))
     assert dt < CLIFFORD_BULK_BUDGET
+
+
+def test_inverse_circuit_echo_past_the_dense_guard(cat3):
+    # A width-shaped run (d=3, n=96, 2 T layers after 8n-gate blocks), far
+    # past the dense guard, then its inverse op by op: every absorption on
+    # the way goes through Tableau.right_multiply, and the state must come
+    # back to |0...0>.
+    n, d = 96, 3
+    circ = t_doped_circuit(n, d, layers=2, rng_seed=3, block_len=8 * n)
+    state = new_state(n, d, cat3)
+    undo = []
+    for op in reversed(circ.ops):
+        undo += ([GateOp("Tdg", op.sites)] if op.name == "T"
+                 else inverse_gate(op, d))
+    absorbed = 0
+    for op in circ.ops + undo:
+        report = state.apply_op(op)
+        if report is not None:
+            absorbed += len(report.gates_applied)
+    assert absorbed > 0
+    assert state.tableau.symplectic_ok()
+    for i in range(n):
+        z = state.expectation(PauliString.single(d, n, i, 0, 1))
+        assert abs(z - 1) <= 1e-8
 
 
 def test_low_doping_engine_bonds_stay_small(cat3):

@@ -103,6 +103,20 @@ def test_run_header_only_catalog_exits_2(circuit_file, tmp_path, capsys):
     assert "malformed catalog header" in capsys.readouterr().err
 
 
+def test_run_bad_catalog_token_names_its_line(circuit_file, catalog_file,
+                                              tmp_path, capsys):
+    lines = catalog_file.read_text().splitlines()
+    lines[2] += " Q0"
+    cat = tmp_path / "cat.txt"
+    cat.write_text("\n".join(lines) + "\n")
+    code = main([
+        "run", "--backend", "gcamps", "--circuit", str(circuit_file),
+        "--catalog", str(cat),
+    ])
+    assert code == 2
+    assert "error: line 3: bad word token 'Q0'" in capsys.readouterr().err
+
+
 def test_run_statevector_guard_exits_2(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text(emit(t_doped_circuit(12, 3, layers=1, rng_seed=0,

@@ -23,6 +23,7 @@ from quditsim.disentanglers import (
     GENERATOR_TOKENS,
 )
 from quditsim.gates import GateOp, gate_matrix, invert_word
+from quditsim.tableau import identity_tableau
 
 from helpers import sum_permutation
 
@@ -479,6 +480,21 @@ def test_load_rejects_tampered_word(tmp_path, catalog2):
         load_catalog(p)
 
 
+@pytest.mark.parametrize("token", ["Q0", "H2", "SUM00"])
+def test_load_rejects_bad_word_token_with_its_line(tmp_path, catalog2, token):
+    p = tmp_path / "cat.txt"
+    save_catalog(catalog2, p)
+    lines = p.read_text().splitlines()
+    lines[3] += f" {token}"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^line 4: bad word token '{token}'$"):
+        load_catalog(p)
+    # blank lines are skipped but still counted
+    p.write_text("\n".join(lines[:2] + ["", "  "] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match=f"^line 6: bad word token '{token}'$"):
+        load_catalog(p)
+
+
 def test_load_rejects_tampered_class_size(tmp_path, catalog2):
     p = tmp_path / "cat.txt"
     save_catalog(catalog2, p)
@@ -563,17 +579,20 @@ def test_load_rejects_distinct_members_of_one_coset(tmp_path, group3, catalog3):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_inverse_words_are_cached_entry_inverses(d):
+def test_absorptions_are_cached_inverse_frames(d):
     cat = generate_catalog(d)
-    assert cat._inverse_words is None  # not built with the catalog
-    words = cat.inverse_words()
-    assert cat.inverse_words() is words
-    assert isinstance(words, tuple) and len(words) == cat.n_entries
-    for entry, word in zip(cat.entries, words):
+    assert cat._absorptions is None  # not built with the catalog
+    absorptions = cat.absorptions()
+    assert cat.absorptions() is absorptions
+    assert isinstance(absorptions, tuple) and len(absorptions) == cat.n_entries
+    for entry, (word, frame) in zip(cat.entries, absorptions):
         assert isinstance(word, tuple)
         assert list(word) == invert_word(entry.word, d)
+        assert frame == identity_tableau(2, d).apply_word(word)
+        for a in (frame.xs, frame.zs, frame.phases):
+            assert not a.flags.writeable
     with pytest.raises(AttributeError):
-        words[-1][0].sites = (1,)  # frozen gates
+        absorptions[-1][0][0].sites = (1,)  # frozen gates
 
 
 def test_entry_repr_mentions_class():

@@ -17,7 +17,7 @@ from quditsim.gcamps import GcampsState, new_state, tableau_bytes
 from quditsim.mps import Mps, TruncationPolicy, mps_model_bytes
 from quditsim.pauli import PauliString
 from quditsim.statevector import DenseState, run_circuit
-from quditsim.tableau import _local_tableau, identity_tableau
+from quditsim.tableau import identity_tableau
 
 from helpers import (
     dense_pauli,
@@ -97,7 +97,7 @@ def test_apply_clifford_never_touches_mps(cat3):
     st = new_state(4, 3, cat3)
     before = [t.copy() for t in st.mps.tensors]
     for g in random_clifford_word(4, 3, length=60, rng_seed=3):
-        st.apply_clifford(g)
+        st.apply_op(g)
     assert st.mps.bond_dims() == [1, 1, 1]
     for got, want in zip(st.mps.tensors, before):
         assert np.array_equal(got, want)
@@ -176,7 +176,7 @@ def test_clifford_gate_through_pipeline_is_exact(d, cat2, cat3):
 
 def test_single_site_chain_edge_case(cat2):
     st = new_state(1, 2, cat2, verify=True)
-    st.apply_clifford(GateOp("H", (0,)))
+    st.apply_op(GateOp("H", (0,)))
     t = np.diag([1.0, np.exp(1j * np.pi / 4)])
     report = st.apply_non_clifford(0, t)
     assert report.bonds_visited == [] and report.gates_applied == []
@@ -390,8 +390,8 @@ def test_expectation_matches_dense_after_t_doping(seed, cat3):
 
 def test_hermitian_expectation_is_real_part(cat2):
     st = new_state(2, 2, cat2)
-    st.apply_clifford(GateOp("H", (0,)))
-    st.apply_clifford(GateOp("S", (0,)))
+    st.apply_op(GateOp("H", (0,)))
+    st.apply_op(GateOp("S", (0,)))
     p = PauliString.single(2, 2, 0, 1, 1, phase=1)
     assert st.hermitian_expectation(p) == pytest.approx(st.expectation(p).real)
 
@@ -453,9 +453,9 @@ def test_dense_vector_requires_verification_mode(cat2):
 
 def test_copy_is_independent(cat2):
     st = new_state(3, 2, cat2, verify=True)
-    st.apply_clifford(GateOp("H", (0,)))
+    st.apply_op(GateOp("H", (0,)))
     twin = st.copy()
-    twin.apply_clifford(GateOp("H", (1,)))
+    twin.apply_op(GateOp("H", (1,)))
     twin.apply_non_clifford(0, np.diag([1.0, 1j]) @ HADAMARD2 @ np.diag([1.0, -1j]))
     assert len(st.gate_log.cliffords) == 1
     assert st.tableau.dump() != twin.tableau.dump()
@@ -475,16 +475,24 @@ def test_non_clifford_in_word_leaves_frame_and_log_untouched(bad, cat2):
     assert st.gate_log == log
 
 
-def test_gate_log_partition(cat2):
-    st = new_state(2, 2, cat2, verify=True)
-    st.apply_clifford(GateOp("H", (0,)))
-    st.mps.apply_single_site(0, HADAMARD2)
-    st.mps.apply_two_site(0, sum_matrix(2))
-    st.disentangle((0, 2))
-    assert len(st.gate_log.cliffords) == 1
-    assert len(st.gate_log.absorbed) >= 1
-    for word in st.gate_log.absorbed:
-        assert all(isinstance(g, GateOp) and g.is_clifford for g in word)
+def test_gate_log_partition(cat3):
+    n, d = 5, 3
+    circ = t_doped_circuit(n, d, layers=6, rng_seed=11, block_len=3 * n)
+    st = new_state(n, d, cat3, verify=True)
+    applied = []
+    for op in circ.ops:
+        report = st.apply_op(op)
+        if report is not None:
+            applied += report.gates_applied
+    assert st.gate_log.cliffords == [op for op in circ.ops if op.is_clifford]
+    # one (inverse word over sites 0, 1; bond sites) pair per accepted gate
+    assert len(st.gate_log.absorbed) == len(applied)
+    for (word, sites), (idx, i) in zip(st.gate_log.absorbed, applied):
+        assert sites == (i, i + 1)
+        assert word == tuple(invert_word(cat3.entries[idx].word, d))
+    assert len({sites for _, sites in st.gate_log.absorbed}) > 1
+    oracle = run_circuit(circ)
+    assert abs(np.vdot(oracle.amps, st.dense_vector())) > 1 - 1e-10
 
 
 # -- batched scan against the brute-force reference ---------------------------
@@ -598,19 +606,3 @@ def test_crossover_shaped_scan_skips_settled_bonds(cat3, scan_log):
     assert all(n == 0 for settled, _, n in scan_log if settled)
     skipped = sum(settled and not product for settled, product, _ in scan_log)
     assert skipped > 0
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_local_tableau_of_every_inverse_catalog_word(d, cat2, cat3):
-    cat = catalog_for(d, cat2, cat3)
-    for idx in cat.entangling_stack()[0]:
-        inverse = invert_word(cat.entries[idx].word, d)
-        w = _local_tableau(d, tuple((g.name, g.sites) for g in inverse))
-        assert w == identity_tableau(2, d).apply_word(inverse)
-        for a in (w.xs, w.zs, w.phases):
-            assert not a.flags.writeable
-    # absorbing the last word at another bond reuses its memoized tableau
-    hits = _local_tableau.cache_info().hits
-    identity_tableau(6, d).right_multiply(
-        GateOp(g.name, tuple(3 + s for s in g.sites)) for g in inverse)
-    assert _local_tableau.cache_info().hits == hits + 1

@@ -21,6 +21,7 @@ from helpers import (
     dense_pauli,
     dense_word_unitary,
     gate,
+    local_frame,
     random_clifford_gates,
     random_pauli_exponents,
     right_multiply_full,
@@ -214,9 +215,6 @@ def test_apply_word_non_clifford_leaves_tableau_untouched(bad):
     with pytest.raises(ValueError, match="not a Clifford gate"):
         t.apply_word([gate("H", 0), bad, gate("SUM", 1, 2)])
     assert t == before
-    with pytest.raises(ValueError):
-        t.right_multiply([gate("H", 0), bad])
-    assert t == before
 
 
 @pytest.mark.parametrize("d", DS)
@@ -327,15 +325,16 @@ def test_conjugate_inverse_corrupted_tableau_raises():
 # -- right multiplication -------------------------------------------------------------
 
 def test_right_multiply_empty_word():
+    # the empty word's local tableau is the identity
     rng = np.random.default_rng(3)
     t, _ = random_tableau(rng, 3, 3, 15)
     before = t.dump()
-    t.right_multiply([])
+    t.right_multiply(identity_tableau(2, 3), (2, 0))
     assert t.dump() == before
 
 
 def test_right_multiply_identity_base():
-    t = identity_tableau(2, 3).right_multiply([gate("H", 0)])
+    t = identity_tableau(2, 3).right_multiply(*local_frame([gate("H", 0)], 3))
     want = identity_tableau(2, 3).apply_gate(gate("H", 0))
     assert t == want
 
@@ -346,7 +345,7 @@ def test_right_multiply_dense(d):
     t, word_a = random_tableau(rng, 3, d, 15)
     word_b = [gate("SUM", 2, 1), gate("H", 2), gate("S", 1), gate("SUMdg", 1, 2),
               gate("SWAP", 0, 2)]
-    t.right_multiply(word_b)
+    t.right_multiply(*local_frame(word_b, d))
     u = dense_word_unitary(word_a, 3, d) @ dense_word_unitary(word_b, 3, d)
     for r in range(6):
         p = identity_tableau(3, d).row(r)
@@ -360,7 +359,7 @@ def test_right_multiply_matches_prepended_word(d):
     rng = np.random.default_rng(19 + d)
     t, word = random_tableau(rng, 3, d, 10)
     extra = random_clifford_gates(rng, 3, d, 6)
-    t.right_multiply(extra)
+    t.right_multiply(*local_frame(extra, d))
     ref = identity_tableau(3, d).apply_word(extra).apply_word(word)
     assert t == ref
 
@@ -376,7 +375,7 @@ def test_right_multiply_two_site_matches_full_construction(n, d):
                 gate("SUMdg", i, i + 1), gate("Hdg", i + 1)]
         want = right_multiply_full(t, word)
         before = t.copy()
-        t.right_multiply(word)
+        t.right_multiply(*local_frame(word, d))
         assert t == want
         assert t.symplectic_ok()
         others = [r for r in range(2 * n) if r % n not in (i, i + 1)]
@@ -391,13 +390,49 @@ def test_right_multiply_far_apart_sites():
     word = [gate("SUM", 7, 1), gate("S", 4), gate("SUMdg", 1, 7),
             gate("SWAP", 8, 1)]
     want = right_multiply_full(t, word)
-    assert t.right_multiply(word) == want
+    assert t.right_multiply(*local_frame(word, 3)) == want
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("sites", [(5, 4, 3), (6, 1, 3), (8, 0), (0, 8)],
+                         ids=["descending", "shuffled", "far", "far-ascending"])
+def test_right_multiply_any_site_order_matches_full_construction(sites, d):
+    """A local tableau placed on sites in any order and at any distance
+    equals the full construction on the word mapped to those sites, bit
+    for bit, phases included."""
+    rng = np.random.default_rng(500 + 11 * d + sum(sites))
+    m = len(sites)
+    t, _ = random_tableau(rng, 9, d, 60)
+    local_word = random_clifford_word(m, d, length=12, rng_seed=d + m)
+    local_word += [gate("SWAP", 0, m - 1), gate("Hdg", m - 1),
+                   gate("SUMdg", m - 1, 0), gate("X", 0), gate("Z", m - 1)]
+    local = identity_tableau(m, d).apply_word(local_word)
+    mapped = [GateOp(g.name, tuple(sites[s] for s in g.sites))
+              for g in local_word]
+    want = right_multiply_full(t, mapped)
+    assert_bit_identical(t.right_multiply(local, sites), want)
+    assert t.symplectic_ok()
+
+
+@pytest.mark.parametrize("local_d, sites", [
+    (5, (0, 1)), (3, (0, 1, 2)), (3, (1,)), (3, (1, 1)), (3, (1, 3)),
+    (3, (-1, 0)),
+], ids=["wrong-d", "extra-site", "missing-site", "repeated-site", "past-n",
+        "negative"])
+def test_right_multiply_rejects_mismatch_untouched(local_d, sites):
+    rng = np.random.default_rng(8)
+    t, _ = random_tableau(rng, 3, 3, 20)
+    before = t.copy()
+    local = identity_tableau(2, local_d).apply_word([gate("SUM", 0, 1)])
+    with pytest.raises(ValueError):
+        t.right_multiply(local, sites)
+    assert_bit_identical(t, before)
 
 
 def test_right_multiply_rejects_out_of_range():
     t = identity_tableau(3, 3)
     with pytest.raises(ValueError):
-        t.right_multiply([gate("SUM", 1, 3)])
+        t.right_multiply(*local_frame([gate("SUM", 1, 3)], 3))
 
 
 # -- invariants ---------------------------------------------------------------------
