@@ -579,7 +579,7 @@ def test_load_rejects_distinct_members_of_one_coset(tmp_path, group3, catalog3):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_absorptions_are_cached_inverse_frames(d):
+def test_inverse_words_are_cached_entry_inverses(d):
     cat = generate_catalog(d)
     assert cat._absorptions is None  # not built with the catalog
     absorptions = cat.absorptions()

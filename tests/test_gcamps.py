@@ -606,3 +606,20 @@ def test_crossover_shaped_scan_skips_settled_bonds(cat3, scan_log):
     assert all(n == 0 for settled, _, n in scan_log if settled)
     skipped = sum(settled and not product for settled, product, _ in scan_log)
     assert skipped > 0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_tableau_of_every_inverse_catalog_word(d, cat2, cat3):
+    cat = catalog_for(d, cat2, cat3)
+    absorptions = cat.absorptions()
+    for idx in cat.entangling_stack()[0]:
+        inverse = invert_word(cat.entries[idx].word, d)
+        word, w = absorptions[idx]
+        assert list(word) == inverse
+        assert w == identity_tableau(2, d).apply_word(inverse)
+        for a in (w.xs, w.zs, w.phases):
+            assert not a.flags.writeable
+    # absorbing the last word at another bond uses the same two-site tableau
+    shifted = [GateOp(g.name, tuple(3 + s for s in g.sites)) for g in inverse]
+    assert (identity_tableau(6, d).right_multiply(w, (3, 4))
+            == identity_tableau(6, d).apply_word(shifted))
