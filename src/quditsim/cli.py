@@ -72,7 +72,7 @@ def cmd_run(args) -> int:
             vec = state.amps
         fid = abs(np.vdot(vec, oracle.amps))
         print(f"verify_fidelity={fid:.12f}")
-        if 1.0 - fid > _VERIFY_TOL:
+        if not 1.0 - fid <= _VERIFY_TOL:
             print(f"error: verification fidelity {fid} below tolerance",
                   file=sys.stderr)
             return 1

@@ -12,6 +12,7 @@ d=2 and a dense oracle at d=5 in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,8 @@ class GateOp:
             raise ValueError("site indices must be nonnegative")
         if want == 2 and sites[0] == sites[1]:
             raise ValueError(f"{self.name} sites must differ")
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{self.name} params must be finite")
         if self.name == "RZ":
             if len(params) != 1:
                 raise ValueError("RZ takes exactly one angle parameter")

@@ -177,7 +177,7 @@ class GcampsState:
         u = np.asarray(u, dtype=np.complex128)
         if u.shape != (d, d):
             raise ValueError("operator must be d x d")
-        if np.abs(u @ u.conj().T - np.eye(d)).max() > _UNITARY_TOL:
+        if not np.abs(u @ u.conj().T - np.eye(d)).max() <= _UNITARY_TOL:
             raise ValueError("operator is not unitary")
         local = decompose_unitary(u, d)
         terms = []

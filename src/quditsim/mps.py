@@ -84,7 +84,7 @@ def robust_svd(mat, compute_uv=True):
 
 def _warn_if_not_unitary(u, label):
     dev = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if dev > _UNITARY_TOL:
+    if not dev <= _UNITARY_TOL:
         warnings.warn(
             f"{label} deviates from unitarity by {dev:.3g}", stacklevel=3
         )
@@ -229,29 +229,27 @@ class Mps:
         while self.center > site:
             self._push_left(self.center)
 
-    def _select_rank(self, s):
-        total = float(s @ s)
+    def _truncated_svd(self, mat, bond):
+        """SVD of mat cut to the policy's rank at `bond`, below its ceiling:
+        u, kept singular values at unit norm, vh, and the discarded weight."""
+        u, s, vh = robust_svd(mat)
         if s.size == 0:
             raise np.linalg.LinAlgError("empty singular spectrum")
-        keep = s > (self.policy.cutoff * s[0])
-        k = max(int(np.count_nonzero(keep)), 1)
+        k = max(int(np.count_nonzero(s > (self.policy.cutoff * s[0]))), 1)
         if self.policy.chi_max is not None:
             k = min(k, self.policy.chi_max)
-        kept = float(s[:k] @ s[:k])
-        return max(total - kept, 0.0), k
-
-    def _split_pair(self, i, theta):
-        l, d1, d2, r = theta.shape
-        u, s, vh = robust_svd(theta.reshape(l * d1, d2 * r))
-        err, k = self._select_rank(s)
-        bond = i + 1
         cap = self.d ** min(bond, self.n - bond)
         if k > cap:
             raise RuntimeError(f"bond {bond} grew to {k}, past the "
                                f"structural ceiling {cap}")
-        su = s[:k] / np.linalg.norm(s[:k])
-        self.tensors[i] = u[:, :k].reshape(l, d1, k)
-        self.tensors[i + 1] = (su[:, None] * vh[:k]).reshape(k, d2, r)
+        err = max(float(s @ s) - float(s[:k] @ s[:k]), 0.0)
+        return u[:, :k], s[:k] / np.linalg.norm(s[:k]), vh[:k], err
+
+    def _split_pair(self, i, theta):
+        l, d1, d2, r = theta.shape
+        u, su, vh, err = self._truncated_svd(theta.reshape(l * d1, d2 * r), i + 1)
+        self.tensors[i] = u.reshape(l, d1, -1)
+        self.tensors[i + 1] = (su[:, None] * vh).reshape(-1, d2, r)
         self.center = i + 1
         return err
 
@@ -377,15 +375,9 @@ class Mps:
     def _truncate_left(self, i):
         t = self.tensors[i]
         l, d_, r = t.shape
-        u, s, vh = robust_svd(t.reshape(l, d_ * r))
-        err, k = self._select_rank(s)
-        cap = self.d ** min(i, self.n - i)
-        if k > cap:
-            raise RuntimeError(f"bond {i} grew to {k}, past the "
-                               f"structural ceiling {cap}")
-        su = s[:k] / np.linalg.norm(s[:k])
-        self.tensors[i] = vh[:k].reshape(k, d_, r)
-        carry = u[:, :k] * su[None, :]
+        u, su, vh, err = self._truncated_svd(t.reshape(l, d_ * r), i)
+        self.tensors[i] = vh.reshape(-1, d_, r)
+        carry = u * su[None, :]
         self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], carry, axes=([2], [0]))
         self.center = i - 1
         return err

@@ -118,7 +118,7 @@ def run_circuit(circuit, max_dim: int = DENSE_DIM_GUARD) -> DenseState:
     s = DenseState(circuit.d, circuit.n, max_dim=max_dim)
     for op in circuit.ops:
         u = gate_matrix(op, circuit.d)
-        if np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) > _UNITARY_TOL:
+        if not np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))) <= _UNITARY_TOL:
             raise ValueError(f"gate {op.name} is not unitary")
         s.apply_unitary(u, op.sites)
     return s

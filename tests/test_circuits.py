@@ -218,6 +218,12 @@ def test_parse_errors_carry_line_numbers():
         parse("# qsim v1 d=3 n=2\nU1 0 0.5 0.25\n")
     with pytest.raises(CircuitParseError, match="line 1: need at least one"):
         parse("# qsim v1 d=2 n=0\n")
+    with pytest.raises(CircuitParseError, match="line 3: U1 params must be finite"):
+        parse("# qsim v1 d=3 n=2\nH 0\nU1 1 nan 0.5 0.25\n")
+    with pytest.raises(CircuitParseError, match="line 2: RZ params must be finite"):
+        parse("# qsim v1 d=2 n=2\nRZ 1 inf\n")
+    with pytest.raises(CircuitParseError, match="line 2: RZ params must be finite"):
+        parse("# qsim v1 d=2 n=2\nRZ 1 -inf\n")
 
 
 def test_comments_ignored():

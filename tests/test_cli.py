@@ -81,6 +81,16 @@ def test_run_parse_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_non_finite_param_exits_2(tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("# qsim v1 d=3 n=2\nH 0\nSUM 0 1\nU1 1 nan 0.5 0.25\n")
+    code = main(["run", "--backend", "mps", "--circuit", str(bad), "--verify"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: line 4: U1 params must be finite" in captured.err
+    assert "verify_fidelity" not in captured.out
+
+
 def test_run_catalog_dimension_mismatch_exits_2(catalog_file, tmp_path, capsys):
     circ3 = tmp_path / "c3.txt"
     circ3.write_text(emit(t_doped_circuit(3, 3, layers=1, rng_seed=1)))

@@ -151,6 +151,8 @@ def test_non_clifford_validation(cat2):
     st = new_state(2, 2, cat2)
     with pytest.raises(ValueError, match="unitary"):
         st.apply_non_clifford(0, np.array([[1.0, 0.0], [0.0, 2.0]]))
+    with pytest.raises(ValueError, match="operator is not unitary"):
+        st.apply_non_clifford(0, np.full((2, 2), np.nan))
     with pytest.raises(ValueError, match="d x d"):
         st.apply_non_clifford(0, np.eye(4))
     with pytest.raises(ValueError, match="site"):

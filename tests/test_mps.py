@@ -221,6 +221,8 @@ def test_non_unitary_input_warns():
         m.apply_single_site(0, 2.0 * np.eye(2))
     with pytest.warns(UserWarning, match="unitarity"):
         m.apply_two_site(0, 0.5 * np.eye(4))
+    with pytest.warns(UserWarning, match="unitarity by nan"):
+        m.apply_single_site(0, np.full((2, 2), np.nan))
 
 
 # ----------------------------------------------------------------------

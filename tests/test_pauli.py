@@ -191,12 +191,22 @@ def test_decompose_t3_three_diagonal_terms():
     np.testing.assert_allclose(ps.to_matrix(), t3, atol=1e-12)
 
 
+def _assert_matches_oracle(ps, u, d, k):
+    """Same terms in product order (x-exponents, then z-exponents) and the
+    same coefficients as the brute-force trace formula."""
+    oracle = _trace_coeffs(u, d, k)
+    assert [(tuple(p.x), tuple(p.z)) for _, p in ps] == list(oracle)
+    for c, p in ps:
+        assert abs(c - oracle[(tuple(p.x), tuple(p.z))]) <= 1e-14
+
+
 def test_decompose_random_roundtrip():
     rng = np.random.default_rng(5)
     for d in (2, 3, 5):
         u = random_unitary(rng, d)
         ps = decompose_unitary(u, d)
         np.testing.assert_allclose(ps.to_matrix(), u, atol=1e-12)
+        _assert_matches_oracle(ps, u, d, 1)
 
 
 def test_decompose_two_site_roundtrip():
@@ -206,11 +216,19 @@ def test_decompose_two_site_roundtrip():
         ps = decompose_unitary(u, d)
         assert ps.n_sites == 2
         np.testing.assert_allclose(ps.to_matrix(), u, atol=1e-12)
+        _assert_matches_oracle(ps, u, d, 2)
 
 
 def test_decompose_rejects_nonunitary():
     with pytest.raises(ValueError):
         decompose_unitary(np.ones((3, 3)), 3)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_unitary(np.full((2, 2), bad), 2)
+        u = np.eye(4, dtype=complex)
+        u[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_unitary(u, 2)
 
 
 def test_decompose_rejects_bad_size():
