@@ -10,13 +10,14 @@ representative is kept per coset. The coset of the locals themselves is
 retained but flagged as non-entangling.
 
 The group is one breadth-first closure over {H0, H1, S0, S1, SUM01, SUM10},
-run on arrays: each matrix is one int64 code, each level one stacked
-product, and each element keeps only a parent pointer and the generator
-that reached it. The local subgroup is the closure's local elements. Only
-the coset representatives get a word, a shortest one rebuilt from the
-parent pointers; replaying it through a fresh two-site tableau must
-reproduce the matrix exactly, which doubles as an integrity check for saved
-catalog files.
+run over int64 codes: each matrix is one code, each level is decoded,
+multiplied by the generators and re-encoded in bounded chunks, and each
+element keeps only its code, a parent pointer and the generator that
+reached it. The local subgroup is the closure's local elements. Only the
+coset representatives get a word, a shortest one rebuilt from the parent
+pointers; replaying it through a fresh two-site tableau must reproduce the
+matrix exactly, which doubles as an integrity check for saved catalog
+files.
 """
 
 from __future__ import annotations
@@ -44,8 +45,15 @@ __all__ = [
 
 GENERATOR_TOKENS = ("H0", "H1", "S0", "S1", "SUM01", "SUM10")
 
-# elements whose BFS would outgrow memory need an explicit opt-in
+# elements whose BFS would outgrow memory need an explicit opt-in: the
+# closure keeps 13 bytes per element (int64 code, int32 parent, int8
+# generator), 122 MB at d=5, and a level's candidate buffers add more on top
+# (a d=5 build traced a 455 MB peak)
 _ENUM_GUARD = 100_000
+
+# frontier codes decoded and multiplied at a time: each chunk's int64
+# products take 6 * 128 bytes per code, so this bounds a level's working set
+_CHUNK = 1024
 
 _FILE_VERSION = "# qsim-catalog v1"
 
@@ -111,27 +119,40 @@ def _local_order(d: int) -> int:
     return (d * (d * d - 1)) ** 2
 
 
+def _weights(d: int) -> np.ndarray:
+    return d ** np.arange(15, -1, -1, dtype=np.int64)
+
+
 def _codes(mats, d: int) -> np.ndarray:
     """One int64 per 4x4 matrix over Z_d: its entries as base-d digits,
     row-major, so integer order is the lexicographic order of the entries."""
-    weights = d ** np.arange(15, -1, -1, dtype=np.int64)
-    return np.asarray(mats, dtype=np.int64).reshape(-1, 16) @ weights
+    return np.asarray(mats, dtype=np.int64).reshape(-1, 16) @ _weights(d)
+
+
+def _decode(codes, d: int) -> np.ndarray:
+    """The 4x4 matrices of a sequence of codes; inverts _codes."""
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 1)
+    return (codes // _weights(d) % d).reshape(-1, 4, 4)
 
 
 class GroupClosure:
-    """Every two-site symplectic matrix over Z_d in breadth-first order.
+    """Every two-site symplectic matrix over Z_d in breadth-first order,
+    held as one int64 code per element.
 
     Element 0 is the identity; element i is `generator[i]` (an index into
     GENERATOR_TOKENS) applied after element `parent[i]`, so `word(i)`
     rebuilds a shortest generator word from the parent pointers.
     """
 
-    def __init__(self, d, matrices, parent, generator):
+    def __init__(self, d, codes, parent, generator):
         self.d = int(d)
-        self.matrices = matrices
-        self.codes = _codes(matrices, self.d)
+        self.codes = codes
         self.parent = parent
         self.generator = generator
+
+    def matrices(self) -> np.ndarray:
+        """Every element's matrix, decoded from its code on each call."""
+        return _decode(self.codes, self.d)
 
     def word(self, i: int) -> tuple:
         tokens = []
@@ -143,14 +164,15 @@ class GroupClosure:
 
 def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
     """Breadth-first closure of {H0, H1, S0, S1, SUM01, SUM10} from the
-    identity, one array product per level.
+    identity over int64 codes.
 
-    Each level's candidates are ordered generator-major, then by frontier
-    position, and the first occurrence of each new matrix is kept. One
-    generator maps distinct matrices to distinct ones, so a tie is always
-    decided by the lower generator index and the frontier may stay in code
-    order. Dimensions whose group outgrows the memory guard require
-    allow_large=True.
+    Each level decodes its frontier _CHUNK codes at a time, multiplies by
+    every generator and re-encodes the products. The candidates are ordered
+    generator-major, then by frontier position, and the first occurrence of
+    each new code is kept. One generator maps distinct matrices to distinct
+    ones, so a tie is always decided by the lower generator index and the
+    frontier may stay in code order. Dimensions whose group outgrows the
+    memory guard require allow_large=True.
     """
     d = int(QuditDim(d))
     order = group_order_formula(d)
@@ -162,26 +184,47 @@ def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
     if d**16 > np.iinfo(np.int64).max:
         raise ValueError(f"d={d} matrices do not fit one int64 code")
     gens = np.stack([word_symplectic([token_gate(t)], d) for t in GENERATOR_TOKENS])
-    frontier = np.eye(4, dtype=np.int64)[None]
-    levels = [(frontier, np.array([-1]), np.array([-1]))]
-    seen = _codes(frontier, d)  # sorted
-    start = 0  # index of the frontier's first element
-    while len(frontier):
-        n = len(frontier)
-        prods = (gens[:, None] @ frontier % d).reshape(-1, 4, 4)
-        codes, first = np.unique(_codes(prods, d), return_index=True)
-        fresh = first[~np.isin(codes, seen, assume_unique=True)]
-        frontier = prods[fresh]
-        levels.append((frontier, start + fresh % n, fresh // n))
-        seen = np.union1d(seen, codes)
-        start += n
-        if start + len(frontier) > order:
+    codes = np.empty(order, dtype=np.int64)
+    parent = np.empty(order, dtype=np.min_scalar_type(-order))
+    generator = np.empty(order, dtype=np.int8)
+    codes[0] = _codes(np.eye(4, dtype=np.int64), d)[0]
+    parent[0] = generator[0] = -1
+    seen = codes[:1]  # sorted
+    start, end = 0, 1  # the frontier is codes[start:end]
+    while start < end:
+        frontier, n = codes[start:end], end - start
+        # candidate k is generator k // n applied to frontier element k % n;
+        # only candidates outside `seen` are kept
+        cands, ks = [], []
+        for lo in range(0, n, _CHUNK):
+            mats = _decode(frontier[lo:lo + _CHUNK], d)
+            prods = gens[:, None] @ mats
+            prods %= d
+            c = _codes(prods, d).reshape(len(gens), -1)
+            k = n * np.arange(len(gens))[:, None] + np.arange(lo, lo + len(mats))
+            new = seen.take(np.searchsorted(seen, c), mode="clip") != c
+            cands.append(c[new])
+            ks.append(k[new])
+        cands, ks = np.concatenate(cands), np.concatenate(ks)
+        # each new code once, with its least k, in code order
+        by_code = np.lexsort((ks, cands))
+        cands, ks = cands[by_code], ks[by_code]
+        first = np.ones(len(cands), dtype=bool)
+        first[1:] = cands[1:] != cands[:-1]
+        fresh, ks = cands[first], ks[first]
+        nxt = end + len(fresh)
+        if nxt > order:
             raise RuntimeError("closure exceeded the expected group order")
-    if start != order:
+        codes[end:nxt] = fresh
+        parent[end:nxt] = start + ks % n
+        generator[end:nxt] = ks // n
+        seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
+        start, end = end, nxt
+    if end != order:
         raise RuntimeError(
-            f"BFS closure found {start} elements, expected {order}"
+            f"BFS closure found {end} elements, expected {order}"
         )
-    return GroupClosure(d, *(np.concatenate(col) for col in zip(*levels)))
+    return GroupClosure(d, codes, parent, generator)
 
 
 class DisentanglerEntry:
@@ -308,30 +351,34 @@ def generate_catalog(d: int, allow_large: bool = False) -> DisentanglerCatalog:
     coset equal to L itself is flagged non-entangling.
     """
     closure = group_closure(d, allow_large=allow_large)
-    d, mats = closure.d, closure.matrices
-    locals_ = mats[is_local_matrix(mats)]
+    d, codes = closure.d, closure.codes
+    locals_ = []
+    for lo in range(0, len(codes), _CHUNK):
+        mats = _decode(codes[lo:lo + _CHUNK], d)
+        locals_.append(mats[is_local_matrix(mats)])
+    locals_ = np.concatenate(locals_)
     if len(locals_) != _local_order(d):
         raise RuntimeError("local subgroup has unexpected size")
-    by_code = np.argsort(closure.codes)
-    sorted_codes = closure.codes[by_code]
-    covered = np.zeros(len(mats), dtype=bool)
+    by_code = np.argsort(codes)
+    sorted_codes = codes[by_code]
+    covered = np.zeros(len(codes), dtype=bool)
     entries = []
-    for pos in range(len(mats)):
+    for pos in range(len(codes)):
         if covered[pos]:
             continue
-        coset = _codes(locals_ @ mats[by_code[pos]] % d, d)
-        hit = np.searchsorted(sorted_codes, coset)
-        if np.unique(hit).size != len(locals_) or covered[hit].any():
+        # every element below pos is covered, so pos is its coset's minimum
+        m = _decode(sorted_codes[pos], d)[0]
+        hit = np.sort(np.searchsorted(sorted_codes, _codes(locals_ @ m % d, d)))
+        if not np.diff(hit).all() or covered[hit].any():
             raise RuntimeError("coset size differs from the local order")
         covered[hit] = True
-        rep = by_code[hit.min()]
+        rep = by_code[pos]
         entries.append(DisentanglerEntry(
-            mats[rep], closure.word(rep), len(locals_),
-            not is_local_matrix(mats[rep]),
+            m, closure.word(rep), len(locals_), not is_local_matrix(m),
         ))
-    if len(entries) * len(locals_) != len(mats):
+    if len(entries) * len(locals_) != len(codes):
         raise RuntimeError("cosets do not partition the group")
-    return DisentanglerCatalog(d, len(mats), entries)
+    return DisentanglerCatalog(d, len(codes), entries)
 
 
 def save_catalog(catalog: DisentanglerCatalog, path) -> None:

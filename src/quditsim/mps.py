@@ -82,6 +82,17 @@ def robust_svd(mat, compute_uv=True):
         return _scipy_svd(mat, compute_uv=False, lapack_driver="gesvd")
 
 
+def _operator(u, dim, shape_text):
+    """u as a complex dim x dim array; raises ValueError, before the caller
+    changes any state, for another shape or a non-finite entry."""
+    u = np.asarray(u, dtype=np.complex128)
+    if u.shape != (dim, dim):
+        raise ValueError(f"operator must be {shape_text}")
+    if not np.isfinite(u).all():
+        raise ValueError("operator has non-finite entries")
+    return u
+
+
 def _warn_if_not_unitary(u, label):
     dev = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
     if not dev <= _UNITARY_TOL:
@@ -259,9 +270,7 @@ class Mps:
     def apply_single_site(self, site, u):
         if not 0 <= site < self.n:
             raise ValueError("site out of range")
-        u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (self.d, self.d):
-            raise ValueError("operator must be d x d")
+        u = _operator(u, self.d, "d x d")
         _warn_if_not_unitary(u, "single-site operator")
         self.tensors[site] = np.einsum("ab,lbr->lar", u, self.tensors[site])
         return 0.0
@@ -277,9 +286,7 @@ class Mps:
         if not 0 <= i < self.n - 1:
             raise ValueError("left_site out of range")
         d = self.d
-        u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (d * d, d * d):
-            raise ValueError("operator must be d^2 x d^2")
+        u = _operator(u, d * d, "d^2 x d^2")
         _warn_if_not_unitary(u, "two-site operator")
         self.move_center(i)
         theta = np.tensordot(self.tensors[i], self.tensors[i + 1], axes=([2], [0]))
@@ -305,6 +312,8 @@ class Mps:
             raise ValueError("sites must be distinct")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError("site out of range")
+        # checked before the swap network moves any tensor
+        u = _operator(u, self.d * self.d, "d^2 x d^2")
         if a > b:
             u = swap_legs(u, self.d)
             a, b = b, a

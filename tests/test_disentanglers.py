@@ -1,10 +1,12 @@
 """Tests for the two-qudit entanglement-class catalog."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from quditsim import disentanglers
 from quditsim.disentanglers import (
     DisentanglerCatalog,
     DisentanglerEntry,
@@ -52,12 +54,13 @@ def catalog3():
 
 def local_elements(closure):
     """Matrices and words of the closure's local elements."""
-    idx = np.flatnonzero(is_local_matrix(closure.matrices))
-    return closure.matrices[idx], [closure.word(i) for i in idx]
+    mats = closure.matrices()
+    idx = np.flatnonzero(is_local_matrix(mats))
+    return mats[idx], [closure.word(i) for i in idx]
 
 
 def element_index(closure, m):
-    hit = np.flatnonzero((closure.matrices == m).all(axis=(1, 2)))
+    hit = np.flatnonzero((closure.matrices() == m).all(axis=(1, 2)))
     assert len(hit) == 1
     return int(hit[0])
 
@@ -137,13 +140,41 @@ def test_group_order_formula_values():
 
 
 def test_enumerate_group_d2_order(group2):
-    assert len(group2.matrices) == 720
+    assert len(group2.matrices()) == 720
     assert len(np.unique(group2.codes)) == 720
 
 
 def test_enumerate_group_d3_order(group3):
-    assert len(group3.matrices) == 51840
+    assert len(group3.matrices()) == 51840
     assert len(np.unique(group3.codes)) == 51840
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_and_catalog_do_not_depend_on_chunk_size(
+    d, chunk, monkeypatch, request
+):
+    want = request.getfixturevalue(f"group{d}")
+    monkeypatch.setattr(disentanglers, "_CHUNK", chunk)
+    got = group_closure(d)
+    for name in ("codes", "parent", "generator"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert generate_catalog(d) == request.getfixturevalue(f"catalog{d}")
+
+
+def test_catalog_build_traced_peak_stays_small():
+    # the closure keeps one int64 code per element and decodes in chunks; a
+    # build that held every level as int64 4x4 stacks peaked near 45 MB
+    generate_catalog(3)  # fills lazy caches outside the build
+    tracemalloc.start()
+    try:
+        generate_catalog(3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6
 
 
 def test_memory_guard_requires_opt_in():
@@ -158,15 +189,16 @@ def test_identity_has_empty_word(group2):
 
 
 def test_every_d2_element_symplectic_and_replayable(group2):
-    for i, m in enumerate(group2.matrices):
+    for i, m in enumerate(group2.matrices()):
         assert is_symplectic(m, 2)
         np.testing.assert_array_equal(word_symplectic(group2.word(i), 2), m)
 
 
 def test_sampled_d3_elements_symplectic_and_replayable(group3):
     rng = np.random.default_rng(11)
-    for i in rng.choice(len(group3.matrices), size=200, replace=False):
-        m = group3.matrices[int(i)]
+    mats = group3.matrices()
+    for i in rng.choice(len(mats), size=200, replace=False):
+        m = mats[int(i)]
         assert is_symplectic(m, 3)
         np.testing.assert_array_equal(
             word_symplectic(group3.word(int(i)), 3), m
@@ -192,7 +224,7 @@ def test_local_group_order(d, size, request):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_is_local_matrix_on_a_stack(d, request):
-    mats = request.getfixturevalue(f"group{d}").matrices
+    mats = request.getfixturevalue(f"group{d}").matrices()
     assert is_local_matrix(mats).tolist() == [is_local_matrix(m) for m in mats]
 
 

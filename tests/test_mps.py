@@ -221,8 +221,33 @@ def test_non_unitary_input_warns():
         m.apply_single_site(0, 2.0 * np.eye(2))
     with pytest.warns(UserWarning, match="unitarity"):
         m.apply_two_site(0, 0.5 * np.eye(4))
-    with pytest.warns(UserWarning, match="unitarity by nan"):
-        m.apply_single_site(0, np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "shape"])
+@pytest.mark.parametrize("sites", [(1,), (1, 2), (2, 1), (0, 3), (3, 0)])
+def test_bad_operator_raises_with_state_untouched(bad, sites):
+    d = 3
+    m = Mps.product_state(4, d)
+    rng = np.random.default_rng(5)
+    m.apply_unitary(random_unitary(rng, d * d), (0, 1))
+    m.apply_unitary(random_unitary(rng, d * d), (2, 3))
+    before = [t.copy() for t in m.tensors]
+    center = m.center
+    if bad == "shape":
+        u = np.eye(d ** len(sites) + 1, dtype=complex)
+    else:
+        u = np.eye(d ** len(sites), dtype=complex)
+        u[0, -1] = float(bad)
+    calls = [lambda: m.apply_unitary(u, sites)]
+    if len(sites) == 1:
+        calls.append(lambda: m.apply_single_site(sites[0], u))
+    elif sites[1] == sites[0] + 1:
+        calls.append(lambda: m.apply_two_site(sites[0], u))
+    for call in calls:
+        with pytest.raises(ValueError, match="non-finite|must be"):
+            call()
+        assert m.center == center
+        assert all(np.array_equal(t, b) for t, b in zip(m.tensors, before))
 
 
 # ----------------------------------------------------------------------
