@@ -136,16 +136,21 @@ def parse(text: str) -> Circuit:
 # -- random circuits --------------------------------------------------------------
 
 
-def _word_pool(n: int) -> list:
-    pool = [("H", (i,)) for i in range(n)] + [("S", (i,)) for i in range(n)]
-    pool += [("SUM", (a, b)) for a in range(n) for b in range(n) if a != b]
-    return pool
-
-
 def _sample_word(rng, n: int, length: int) -> list:
-    pool = _word_pool(n)
-    picks = rng.integers(0, len(pool), size=int(length))
-    return [GateOp(*pool[int(i)]) for i in picks]
+    """`length` i.i.d. draws from the pool H_0..H_{n-1}, S_0..S_{n-1}, then
+    SUM_ab for a != b in row-major (a, b) order; each drawn index is mapped
+    to its gate arithmetically, without listing the n^2-entry pool."""
+    picks = rng.integers(0, 2 * n + n * (n - 1), size=int(length)).tolist()
+    ops = []
+    for p in picks:
+        if p < n:
+            ops.append(GateOp("H", (p,)))
+        elif p < 2 * n:
+            ops.append(GateOp("S", (p - n,)))
+        else:
+            a, b = divmod(p - 2 * n, n - 1)
+            ops.append(GateOp("SUM", (a, b + (b >= a))))
+    return ops
 
 
 def random_clifford_word(n: int, d: int, length=None, rng_seed=0) -> list:

@@ -43,6 +43,8 @@ __all__ = [
     "GENERATOR_TOKENS",
 ]
 
+_UNITARY_TOL = 1e-10
+
 GENERATOR_TOKENS = ("H0", "H1", "S0", "S1", "SUM01", "SUM10")
 
 # elements whose BFS would outgrow memory need an explicit opt-in: the
@@ -311,7 +313,13 @@ class DisentanglerCatalog:
     def entangling_stack(self):
         """Catalog indices of the entangling entries, ascending, and their
         unitaries stacked in that order as an (m, d^2, d^2) array; built on
-        first use, cached and read-only."""
+        first use, cached and read-only.
+
+        The engine absorbs a scored candidate without looking at its
+        unitary again, so the build raises ValueError when any stacked
+        matrix has a non-finite entry or deviates from unitarity by more
+        than 1e-10.
+        """
         if self._entangling is None:
             us = self.unitaries()
             idx = np.array(
@@ -321,6 +329,13 @@ class DisentanglerCatalog:
             dd = int(self.d) ** 2
             stack = np.array([us[k] for k in idx], dtype=np.complex128)
             stack = stack.reshape(len(idx), dd, dd)
+            if not np.isfinite(stack).all():
+                raise ValueError("a catalog unitary has non-finite entries")
+            gram = stack @ stack.conj().transpose(0, 2, 1)
+            dev = np.abs(gram - np.eye(dd)).max(initial=0.0)
+            if not dev <= _UNITARY_TOL:
+                raise ValueError(
+                    f"a catalog unitary deviates from unitarity by {dev:.3g}")
             idx.setflags(write=False)
             stack.setflags(write=False)
             self._entangling = (idx, stack)

@@ -28,7 +28,7 @@ _INVERSE_NAME = {"H": "Hdg", "Hdg": "H", "S": "Sdg", "Sdg": "S",
                  "SUM": "SUMdg", "SUMdg": "SUM", "SWAP": "SWAP"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GateOp:
     name: str
     sites: tuple

@@ -7,7 +7,9 @@ u C = C (C^dag u C)), apply the resulting operator sum to the MPS, then try
 to push the created entanglement back into C by scanning the two-site
 catalog at every affected bond. An accepted catalog gate Q moves the MPS to
 Q|mps> while C absorbs the inverse, C <- C Q^dag, so the physical state
-never changes.
+never changes. Q|mps> is not formed a second time: the pair tensor the scan
+scored for Q is split in place by the MPS's own truncating SVD
+(Mps.split_pair), which leaves the same bits as Mps.apply_two_site would.
 
 The bond objective is lexicographic: first the number of singular values
 above the policy cutoff (the truncated bond dimension), then the Renyi-2
@@ -99,10 +101,12 @@ def _objectives(s, cutoff):
     singular values; an all-zero row scores (0, 0.0)."""
     s2 = s * s
     total = s2.sum(axis=1)
-    ranks = np.count_nonzero(s > cutoff * s[:, :1], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        entropy = -np.log((s2 * s2).sum(axis=1) / (total * total))
-    entropy[total <= 0.0] = 0.0
+    ranks = (s > cutoff * s[:, :1]).sum(axis=1)
+    live = total > 0.0
+    p2 = np.divide((s2 * s2).sum(axis=1), total * total,
+                   out=np.ones_like(total), where=live)
+    entropy = np.log(p2)
+    np.negative(entropy, out=entropy, where=live)
     return list(zip(ranks.tolist(), entropy.tolist()))
 
 
@@ -255,11 +259,17 @@ class GcampsState:
         scan stops once the best is _unbeatable. A settled bond (its last
         scan accepted nothing and no gate has touched its neighbourhood
         since) gets its current objective recorded but no candidate scan.
+
+        The winner is absorbed from the pair tensor it was scored on: that
+        row of the chunk's product is split at bond i by Mps.split_pair,
+        with no second contraction and no second look at the catalog
+        unitary, which DisentanglerCatalog.entangling_stack checked when
+        it was built.
         """
         mps = self.mps
         d = self.d
         mps.move_center(i)
-        theta = np.tensordot(mps.tensors[i], mps.tensors[i + 1], axes=([2], [0]))
+        theta = mps.pair_tensor(i)
         l, _, _, r = theta.shape
         cutoff = mps.policy.cutoff
         s0 = robust_svd(theta.reshape(1, l * d, d * r), compute_uv=False)
@@ -272,22 +282,26 @@ class GcampsState:
         paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
         indices, stack = self.catalog.entangling_stack()
         budget = max(1, _SCAN_CHUNK_BYTES // paired.nbytes)
-        best, best_idx = current, -1
+        best, best_idx, best_theta = current, -1, None
         start, size = 0, min(_FIRST_CHUNK, budget)
         while start < len(indices) and not _unbeatable(best):
             stop = start + size
             y = (stack[start:stop] @ paired).reshape(-1, d, d, l, r)
             y = y.transpose(0, 3, 1, 2, 4).reshape(-1, l * d, d * r)
             scores = _objectives(robust_svd(y, compute_uv=False), cutoff)
-            for idx, obj in zip(indices[start:stop].tolist(), scores):
+            winner = -1
+            for k, obj in enumerate(scores):
                 if _better(obj, best):
-                    best, best_idx = obj, idx
+                    best, winner = obj, k
                     if _unbeatable(best):
                         break
+            if winner >= 0:  # copied, so the chunk is freed before the next
+                best_idx = int(indices[start + winner])
+                best_theta = y[winner].reshape(l, d, d, r).copy()
             start, size = stop, budget
         if best_idx < 0:
             return 0
-        mps.apply_two_site(i, self.catalog.unitaries()[best_idx])
+        mps.split_pair(i, best_theta)
         word, frame = self.catalog.absorptions()[best_idx]
         self.tableau.right_multiply(frame, (i, i + 1))
         if self.gate_log is not None:

@@ -101,6 +101,13 @@ def _warn_if_not_unitary(u, label):
         )
 
 
+def _carry_left(t, carry):
+    """t (l, d, m) contracted with carry (m, k) over its right bond, as the
+    one np.dot that np.tensordot would make, without its axis bookkeeping."""
+    l, d_, m = t.shape
+    return np.dot(t.reshape(l * d_, m), carry).reshape(l, d_, -1)
+
+
 class Mps:
     """Qudit chain in mixed-canonical form."""
 
@@ -219,7 +226,10 @@ class Mps:
         l, d_, r = t.shape
         q, rr = np.linalg.qr(t.reshape(l * d_, r))
         self.tensors[i] = q.reshape(l, d_, q.shape[1])
-        self.tensors[i + 1] = np.tensordot(rr, self.tensors[i + 1], axes=([1], [0]))
+        nxt = self.tensors[i + 1]
+        _, d2, r2 = nxt.shape
+        self.tensors[i + 1] = np.dot(rr, nxt.reshape(r, d2 * r2)).reshape(
+            -1, d2, r2)
         self.center = i + 1
 
     def _push_left(self, i):
@@ -227,9 +237,7 @@ class Mps:
         l, d_, r = t.shape
         q, rr = np.linalg.qr(t.reshape(l, d_ * r).conj().T)
         self.tensors[i] = q.conj().T.reshape(q.shape[1], d_, r)
-        self.tensors[i - 1] = np.tensordot(
-            self.tensors[i - 1], rr.conj().T, axes=([2], [0])
-        )
+        self.tensors[i - 1] = _carry_left(self.tensors[i - 1], rr.conj().T)
         self.center = i - 1
 
     def move_center(self, site):
@@ -255,6 +263,46 @@ class Mps:
                                f"structural ceiling {cap}")
         err = max(float(s @ s) - float(s[:k] @ s[:k]), 0.0)
         return u[:, :k], s[:k] / np.linalg.norm(s[:k]), vh[:k], err
+
+    def pair_tensor(self, left_site):
+        """Pair tensor (l, d, d, r) of sites left_site and left_site + 1,
+        contracted over the bond between them; the center stays put."""
+        i = int(left_site)
+        if not 0 <= i < self.n - 1:
+            raise ValueError("left_site out of range")
+        a, b = self.tensors[i], self.tensors[i + 1]
+        l, d_, m = a.shape
+        r = b.shape[2]
+        return np.dot(a.reshape(l * d_, m), b.reshape(m, d_ * r)).reshape(
+            l, d_, d_, r)
+
+    def split_pair(self, left_site, theta):
+        """Replace sites (left_site, left_site + 1) by the truncating SVD
+        split of the pair tensor theta, legs (left bond, left site, right
+        site, right bond); the center lands on left_site + 1.
+
+        theta must keep the outer bonds of the pair and the center must lie
+        on the pair, so the rest of the chain stays canonical. Returns the
+        discarded Schmidt weight, as apply_two_site does. A left_site out
+        of range, a shape that disagrees with the neighbouring bonds, a
+        center off the pair or a non-finite entry raises ValueError before
+        any tensor or the center changes.
+        """
+        i = int(left_site)
+        if not 0 <= i < self.n - 1:
+            raise ValueError("left_site out of range")
+        theta = np.asarray(theta, dtype=np.complex128)
+        want = (self.tensors[i].shape[0], self.d, self.d,
+                self.tensors[i + 1].shape[2])
+        if theta.shape != want:
+            raise ValueError(f"pair tensor must have shape {want}, "
+                             f"got {theta.shape}")
+        if self.center not in (i, i + 1):
+            raise ValueError(f"center {self.center} is not on the pair "
+                             f"({i}, {i + 1})")
+        if not np.isfinite(theta).all():
+            raise ValueError("pair tensor has non-finite entries")
+        return self._split_pair(i, theta)
 
     def _split_pair(self, i, theta):
         l, d1, d2, r = theta.shape
@@ -289,9 +337,8 @@ class Mps:
         u = _operator(u, d * d, "d^2 x d^2")
         _warn_if_not_unitary(u, "two-site operator")
         self.move_center(i)
-        theta = np.tensordot(self.tensors[i], self.tensors[i + 1], axes=([2], [0]))
         theta = np.tensordot(
-            u.reshape(d, d, d, d), theta, axes=([2, 3], [1, 2])
+            u.reshape(d, d, d, d), self.pair_tensor(i), axes=([2, 3], [1, 2])
         ).transpose(2, 0, 1, 3)
         return self._split_pair(i, theta)
 
@@ -386,8 +433,7 @@ class Mps:
         l, d_, r = t.shape
         u, su, vh, err = self._truncated_svd(t.reshape(l, d_ * r), i)
         self.tensors[i] = vh.reshape(-1, d_, r)
-        carry = u * su[None, :]
-        self.tensors[i - 1] = np.tensordot(self.tensors[i - 1], carry, axes=([2], [0]))
+        self.tensors[i - 1] = _carry_left(self.tensors[i - 1], u * su[None, :])
         self.center = i - 1
         return err
 

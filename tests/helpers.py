@@ -164,6 +164,16 @@ def random_clifford_gates(rng, n, d, length):
     return out
 
 
+def sample_word_from_pool(rng, n, length):
+    """Reference for circuits._sample_word: the pool it replaced, listed in
+    full (H_0..H_{n-1}, S_0..S_{n-1}, then SUM_ab for a != b in row-major
+    order) and indexed by the same draws."""
+    pool = [("H", (i,)) for i in range(n)] + [("S", (i,)) for i in range(n)]
+    pool += [("SUM", (a, b)) for a in range(n) for b in range(n) if a != b]
+    picks = rng.integers(0, len(pool), size=int(length))
+    return [gate(pool[int(i)][0], *pool[int(i)][1]) for i in picks]
+
+
 def rowprod_loop(xs, zs, phases, xpow, zpow, d):
     """Reference for kernels.rowprod: multiply the rows out one copy at a time.
 

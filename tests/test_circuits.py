@@ -8,6 +8,7 @@ from quditsim.circuits import (
     Circuit,
     CircuitParseError,
     GateOp,
+    _sample_word,
     emit,
     gate_matrix,
     parse,
@@ -21,7 +22,8 @@ from quditsim.statevector import run_circuit
 from quditsim.tableau import identity_tableau
 
 from helpers import (
-    CLIFFORD_NAMES, dense_pauli, dense_word_unitary, embed_gate, swap_word,
+    CLIFFORD_NAMES, dense_pauli, dense_word_unitary, embed_gate,
+    sample_word_from_pool, swap_word,
 )
 
 
@@ -291,3 +293,16 @@ def test_t_doped_runs_dense():
     c = t_doped_circuit(3, 3, layers=2, rng_seed=3, block_len=5)
     s = run_circuit(c)
     assert abs(s.norm() - 1) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 96])
+@pytest.mark.parametrize("seed", [0, 5, 731])
+def test_sampled_word_matches_listed_pool(n, seed):
+    got_rng = np.random.default_rng(seed)
+    want_rng = np.random.default_rng(seed)
+    # consecutive blocks from one generator, as t_doped_circuit draws them
+    for length in (1, 7, 8 * n, 5 * n * n):
+        got = _sample_word(got_rng, n, length)
+        assert got == sample_word_from_pool(want_rng, n, length)
+        assert all(type(g) is GateOp for g in got)
+    assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)

@@ -417,6 +417,27 @@ def test_entangling_stack_is_lazy_cached_and_in_catalog_order():
     assert not stack.flags.writeable and not idx.flags.writeable
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "scaled"])
+def test_entangling_stack_rejects_a_bad_unitary(bad, catalog2, monkeypatch):
+    victim = next(e.word for e in catalog2.entries if e.entangling)
+    honest = disentanglers.two_site_word_unitary
+
+    def corrupt(word, d):
+        u = honest(word, d)
+        if word != victim:
+            return u
+        if bad == "scaled":
+            return u * (1 + 1e-9)
+        u[1, 2] = float(bad)
+        return u
+
+    monkeypatch.setattr(disentanglers, "two_site_word_unitary", corrupt)
+    cat = DisentanglerCatalog(catalog2.d, catalog2.group_order,
+                              catalog2.entries)
+    with pytest.raises(ValueError, match="non-finite|unitarity"):
+        cat.entangling_stack()
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_two_site_word_unitary_embedding(d):
     h = gate_matrix(GateOp("H", (0,)), d)

@@ -1,6 +1,8 @@
 """Gates: GateOp validation, dense matrices, inversion, the swap identity,
 plus self-checks of the embedding oracle the tableau tests lean on."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,3 +166,10 @@ def test_gate_validation():
     assert g.name == "SUM" and g.sites == (0, 3) and g.is_clifford
     assert not GateOp("T", (0,)).is_clifford
 
+
+def test_gateop_is_slotted_and_frozen():
+    g = GateOp("SUM", (0, 1))
+    assert not hasattr(g, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.name = "H"
+    assert g == GateOp("SUM", [0, 1]) and hash(g) == hash(GateOp("SUM", (0, 1)))

@@ -21,6 +21,7 @@ from quditsim.tableau import identity_tableau
 
 from helpers import (
     dense_pauli,
+    objective_scalar,
     random_clifford_gates,
     random_unitary,
     reference_gcamps_state,
@@ -625,3 +626,75 @@ def test_local_tableau_of_every_inverse_catalog_word(d, cat2, cat3):
     shifted = [GateOp(g.name, tuple(3 + s for s in g.sites)) for g in inverse]
     assert (identity_tableau(6, d).right_multiply(w, (3, 4))
             == identity_tableau(6, d).apply_word(shifted))
+
+
+# -- absorption of the scored candidate -----------------------------------------
+
+
+def test_objectives_match_the_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(19)
+    s = -np.sort(-np.abs(rng.standard_normal((6, 9))), axis=1)
+    s[1, 1:] = 0.0  # a product: rank 1
+    s[2] = 0.0  # an all-zero row
+    s[3, 4:] = 1e-14 * s[3, 0]  # below the cutoff
+    got = gcamps._objectives(s, 1e-12)
+    for row, (rank, entropy) in zip(s, got):
+        want = objective_scalar(row, 1e-12)
+        assert rank == want[0]
+        assert np.float64(entropy).tobytes() == np.float64(want[1]).tobytes()
+    assert got[2] == (0, 0.0)
+
+
+@pytest.mark.parametrize("shape", ["width", "crossover", "chi_max"])
+def test_absorbed_pair_equals_apply_two_site(shape, cat3, monkeypatch):
+    """Every accepted candidate's scored pair tensor, split in place, leaves
+    the same bits as applying its catalog unitary to a copy taken just
+    before the absorption."""
+    policy = None
+    if shape == "width":
+        circ = t_doped_circuit(24, 3, layers=2, rng_seed=7, block_len=8 * 24)
+    elif shape == "crossover":
+        circ = t_doped_circuit(8, 3, layers=28, rng_seed=3, block_len=16)
+    else:
+        circ = t_doped_circuit(8, 3, layers=10, rng_seed=5, block_len=16)
+        policy = TruncationPolicy(chi_max=2)
+    splits = []
+    split, optimize = Mps.split_pair, GcampsState._optimize_bond
+
+    def recorded_split(self, i, theta):
+        before = self.copy()
+        err = split(self, i, theta)
+        splits.append((before, err))
+        return err
+
+    checked = []
+
+    def checked_optimize(self, i, report, settled=False):
+        del splits[:]
+        if not optimize(self, i, report, settled):
+            assert not splits
+            return 0
+        (before, err), = splits
+        idx, site = report.gates_applied[-1]
+        assert site == i
+        want = before.apply_two_site(i, cat3.unitaries()[idx])
+        assert err == want
+        assert self.mps.center == before.center
+        for a, b in zip(self.mps.tensors, before.tensors):
+            assert np.array_equal(a, b)
+        checked.append(err)
+        return 1
+
+    monkeypatch.setattr(Mps, "split_pair", recorded_split)
+    monkeypatch.setattr(GcampsState, "_optimize_bond", checked_optimize)
+    st = new_state(circ.n, circ.d, cat3, policy=policy)
+    peak = 1
+    for op in circ.ops:
+        st.apply_op(op)
+        peak = max([peak] + st.mps.bond_dims())
+    assert checked
+    if shape != "width":  # the bonds reach the ceiling or the cap
+        assert peak == (81 if shape == "crossover" else 2)
+    # an accepted candidate never ranks above the bond it replaces, so its
+    # split discards no more than the weight below the cutoff
+    assert max(checked) <= 1e-20

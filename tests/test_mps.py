@@ -306,6 +306,90 @@ def test_split_pair_rejects_bond_past_ceiling():
         m._split_pair(0, theta)
 
 
+def entangled_chain(d=3, n=4, policy=None, seed=6):
+    """A chain with bonds above 1 everywhere, its center on site 1."""
+    rng = np.random.default_rng(seed)
+    m = Mps.product_state(n, d, policy=policy)
+    for i in (0, 2, 1):
+        m.apply_two_site(i, random_unitary(rng, d * d))
+    m.move_center(1)
+    return m
+
+
+def rotated_pair(m, i, u):
+    """The pair tensor of bond i with u applied, as apply_two_site forms it."""
+    d = m.d
+    return np.tensordot(u.reshape(d, d, d, d), m.pair_tensor(i),
+                        axes=([2, 3], [1, 2])).transpose(2, 0, 1, 3)
+
+
+@pytest.mark.parametrize("chi_max", [None, 2])
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_split_pair_equals_apply_two_site(chi_max, i):
+    m = entangled_chain(policy=TruncationPolicy(chi_max=chi_max))
+    m.move_center(i)
+    u = random_unitary(np.random.default_rng(7), 9)
+    ref = m.copy()
+    want = ref.apply_two_site(i, u)
+    got = m.split_pair(i, rotated_pair(m, i, u))
+    assert got == want
+    if chi_max is not None and i == 1:
+        assert got > 0.0
+    assert m.center == ref.center == i + 1
+    assert all(np.array_equal(a, b) for a, b in zip(m.tensors, ref.tensors))
+
+
+def test_split_pair_accepts_center_on_right_site():
+    m = entangled_chain()
+    theta = m.pair_tensor(0)
+    m.move_center(1)
+    assert m.split_pair(0, theta) == pytest.approx(0.0, abs=1e-14)
+    assert m.center == 1 and m.canonical_ok()
+
+
+@pytest.mark.parametrize("bad", [
+    "left_site -1", "left_site n-1", "left bond", "right bond", "site dim",
+    "rank", "center", "nan", "inf",
+])
+def test_split_pair_rejects_bad_input_with_state_untouched(bad):
+    m = entangled_chain()
+    i = 1
+    theta = m.pair_tensor(i)
+    if bad == "left_site -1":
+        i = -1
+    elif bad == "left_site n-1":
+        i = m.n - 1
+    elif bad == "left bond":
+        theta = theta[:-1]
+    elif bad == "right bond":
+        theta = theta[..., :-1]
+    elif bad == "site dim":
+        theta = theta[:, :-1]
+    elif bad == "rank":
+        theta = theta.reshape(theta.shape[0], 9, -1)
+    elif bad == "center":
+        m.move_center(3)
+    else:
+        theta = theta.copy()
+        theta[0, 1, 2, 0] = float(bad)
+    before = [t.copy() for t in m.tensors]
+    center = m.center
+    with pytest.raises(ValueError, match="out of range|shape|center|non-finite"):
+        m.split_pair(i, theta)
+    assert m.center == center
+    assert all(np.array_equal(t, b) for t, b in zip(m.tensors, before))
+
+
+def test_pair_tensor_contracts_the_bond():
+    m = entangled_chain()
+    for i in range(m.n - 1):
+        want = np.einsum("lsm,mtr->lstr", m.tensors[i], m.tensors[i + 1])
+        np.testing.assert_allclose(m.pair_tensor(i), want, atol=1e-14)
+    for i in (-1, m.n - 1):
+        with pytest.raises(ValueError, match="out of range"):
+            m.pair_tensor(i)
+
+
 def test_truncate_left_rejects_bond_past_ceiling():
     rng = np.random.default_rng(58)
     m = Mps.product_state(4, 2)  # bond 2 holds at most 4
