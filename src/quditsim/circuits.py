@@ -15,6 +15,8 @@ round-trips are exact. `#` starts a comment line.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # gate_matrix is re-exported: callers and the tracer use circuits.gate_matrix
@@ -136,21 +138,24 @@ def parse(text: str) -> Circuit:
 # -- random circuits --------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 14)
+def _pool_gate(p: int, n: int) -> GateOp:
+    """Entry p of the n-site pool H_0..H_{n-1}, S_0..S_{n-1}, then SUM_ab
+    for a != b in row-major (a, b) order, mapped arithmetically without
+    listing the n^2-entry pool. Cached, so every circuit drawn from the
+    pool shares one frozen GateOp per entry (n=96's 9,312 entries fit)."""
+    if p < n:
+        return GateOp("H", (p,))
+    if p < 2 * n:
+        return GateOp("S", (p - n,))
+    a, b = divmod(p - 2 * n, n - 1)
+    return GateOp("SUM", (a, b + (b >= a)))
+
+
 def _sample_word(rng, n: int, length: int) -> list:
-    """`length` i.i.d. draws from the pool H_0..H_{n-1}, S_0..S_{n-1}, then
-    SUM_ab for a != b in row-major (a, b) order; each drawn index is mapped
-    to its gate arithmetically, without listing the n^2-entry pool."""
+    """`length` i.i.d. draws from the pool of _pool_gate."""
     picks = rng.integers(0, 2 * n + n * (n - 1), size=int(length)).tolist()
-    ops = []
-    for p in picks:
-        if p < n:
-            ops.append(GateOp("H", (p,)))
-        elif p < 2 * n:
-            ops.append(GateOp("S", (p - n,)))
-        else:
-            a, b = divmod(p - 2 * n, n - 1)
-            ops.append(GateOp("SUM", (a, b + (b >= a))))
-    return ops
+    return [_pool_gate(p, n) for p in picks]
 
 
 def random_clifford_word(n: int, d: int, length=None, rng_seed=0) -> list:

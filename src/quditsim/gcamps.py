@@ -20,10 +20,11 @@ stacked SVD and one vectorized objective per chunk), and the winner is the
 first entry of the best score, so ties resolve to the earliest entry. The
 scan stops at the first candidate that makes the bond a product, since no
 later one can beat it; the first chunk is kept small because one usually
-turns up early. A bond whose last scan in a disentangle run accepted
-nothing, and whose neighbourhood has seen no gate since, is settled: its
-current objective is still recorded, but its candidates are not scored
-again.
+turns up early. A bond is settled when its last scan in a disentangle run
+accepted nothing and its neighbourhood has seen no gate since, or when it
+is a product across its cut, which no candidate can beat. A settled bond is
+skipped outright, with no center move and no SVD: its objective cannot have
+changed, so the report carries the one from its last visit.
 """
 
 from __future__ import annotations
@@ -86,7 +87,15 @@ class GateLog:
 
 @dataclass
 class DisentangleReport:
-    """Outcome of one disentangle run."""
+    """Outcome of one disentangle run.
+
+    Every pass walks the whole window: each bond is either visited (listed
+    in bonds_visited, in visiting order) or skipped as settled (counted in
+    bonds_skipped). objective_before holds a bond's objective at its first
+    visit and objective_after the one its last visit left, which a skipped
+    bond carries unchanged. candidates_scored counts the candidate pair
+    tensors whose spectra the scans computed.
+    """
 
     bonds_visited: list = field(default_factory=list)
     gates_applied: list = field(default_factory=list)  # (entry index, left site)
@@ -94,6 +103,8 @@ class DisentangleReport:
     objective_after: dict = field(default_factory=dict)
     early_termination: bool = False
     passes: int = 0
+    bonds_skipped: int = 0
+    candidates_scored: int = 0
 
 
 def _objectives(s, cutoff):
@@ -206,6 +217,18 @@ class GcampsState:
 
     def disentangle(self, window=None, anchor=None,
                     pass_limit=_DEFAULT_PASS_LIMIT) -> DisentangleReport:
+        """Sweep the bonds of window (sites lo..hi-1, default the chain),
+        nearest the anchor first, until a pass accepts no gate or
+        pass_limit passes have run.
+
+        Each pass offers every bond that is not settled to _optimize_bond.
+        A settled bond, one whose last scan accepted nothing with no gate
+        on bonds i-1, i or i+1 since, or one left a product across its cut,
+        is skipped with no center move, pair tensor or SVD, and keeps the
+        objective of its last visit. A pass in which every bond is settled
+        visits nothing and ends the run. early_termination is set when the
+        last allowed pass still accepted a gate.
+        """
         n = self.n
         if window is None:
             window = (0, n)
@@ -223,22 +246,34 @@ class GcampsState:
         # sites i, i+1; a gate on sites j, j+1 lying wholly on one side of
         # that cut (j < i-1 or j > i+1) commutes with it and cannot change
         # that spectrum, so only bonds j-1, j, j+1 need a rescan. A chi_max
-        # truncation is not local, so with chi_max set every bond does.
+        # truncation is a projector, which can change the spectrum across
+        # any cut, so with chi_max set every bond does.
         settled = set()
+        # Bonds left a product across their cut. A later gate at bond j != i
+        # acts on one side of that cut, and so does its chi_max truncation,
+        # a projector on the side of cut j away from cut i. No operator on
+        # one side can entangle across the cut, so the bond stays a product,
+        # which no candidate can beat.
+        products = set()
         truncating = self.mps.policy.chi_max is not None
         accepted = 0
         while report.passes < pass_limit:
             report.passes += 1
             accepted = 0
             for i in bonds:
-                if not self._optimize_bond(i, report, i in settled):
-                    settled.add(i)
+                if i in settled or i in products:
+                    report.bonds_skipped += 1
                     continue
-                accepted += 1
-                if truncating:
-                    settled.clear()
+                if not self._optimize_bond(i, report):
+                    settled.add(i)
                 else:
-                    settled.difference_update((i - 1, i, i + 1))
+                    accepted += 1
+                    if truncating:
+                        settled.clear()
+                    else:
+                        settled.difference_update((i - 1, i, i + 1))
+                if _unbeatable(report.objective_after[i]):
+                    products.add(i)
             if accepted == 0:
                 break
         report.early_termination = bool(
@@ -246,7 +281,7 @@ class GcampsState:
         )
         return report
 
-    def _optimize_bond(self, i, report, settled=False) -> int:
+    def _optimize_bond(self, i, report) -> int:
         """Apply the catalog entry that best disentangles bond i, if any
         strictly beats the bond as it stands; returns 1 if one was applied.
 
@@ -256,9 +291,10 @@ class GcampsState:
         first chunk at most _FIRST_CHUNK candidates and each later one at
         most _SCAN_CHUNK_BYTES of candidate matrices. The scores are walked
         in catalog order, so ties resolve to the earliest entry, and the
-        scan stops once the best is _unbeatable. A settled bond (its last
-        scan accepted nothing and no gate has touched its neighbourhood
-        since) gets its current objective recorded but no candidate scan.
+        scan stops once the best is _unbeatable, and a bond that already is
+        one is not scanned. Every row of a chunk counts toward the report's
+        candidates_scored. disentangle calls this only on bonds that are
+        not settled.
 
         The winner is absorbed from the pair tensor it was scored on: that
         row of the chunk's product is split at bond i by Mps.split_pair,
@@ -277,7 +313,7 @@ class GcampsState:
         report.bonds_visited.append(i)
         report.objective_before.setdefault(i, current)
         report.objective_after[i] = current
-        if settled or _unbeatable(current):
+        if _unbeatable(current):
             return 0
         paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
         indices, stack = self.catalog.entangling_stack()
@@ -289,6 +325,7 @@ class GcampsState:
             y = (stack[start:stop] @ paired).reshape(-1, d, d, l, r)
             y = y.transpose(0, 3, 1, 2, 4).reshape(-1, l * d, d * r)
             scores = _objectives(robust_svd(y, compute_uv=False), cutoff)
+            report.candidates_scored += len(scores)
             winner = -1
             for k, obj in enumerate(scores):
                 if _better(obj, best):

@@ -261,7 +261,7 @@ class Mps:
         if k > cap:
             raise RuntimeError(f"bond {bond} grew to {k}, past the "
                                f"structural ceiling {cap}")
-        err = max(float(s @ s) - float(s[:k] @ s[:k]), 0.0)
+        err = float(s[k:] @ s[k:])
         return u[:, :k], s[:k] / np.linalg.norm(s[:k]), vh[:k], err
 
     def pair_tensor(self, left_site):

@@ -306,3 +306,17 @@ def test_sampled_word_matches_listed_pool(n, seed):
         assert got == sample_word_from_pool(want_rng, n, length)
         assert all(type(g) is GateOp for g in got)
     assert got_rng.integers(1 << 30) == want_rng.integers(1 << 30)
+
+
+def test_sampled_words_share_equal_ops():
+    # two seeds' width-sized blocks draw many of the same pool entries; each
+    # is one shared frozen GateOp, so kept circuits do not copy it
+    n = 96
+    a = _sample_word(np.random.default_rng(1), n, 8 * n)
+    b = _sample_word(np.random.default_rng(2), n, 8 * n)
+    first = {g: g for g in a}
+    common = [g for g in b if g in first]
+    assert len(common) > 8
+    assert all(g is first[g] for g in common)
+    c = random_clifford_word(n, 3, length=8 * n, rng_seed=1)
+    assert all(g is h for g, h in zip(a, c))

@@ -1,5 +1,7 @@
 """Hybrid engine tests: Clifford frame times MPS with catalog disentangling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from quditsim.tableau import identity_tableau
 
 from helpers import (
     dense_pauli,
+    full_visit_gcamps_state,
     objective_scalar,
     random_clifford_gates,
     random_unitary,
@@ -28,6 +31,9 @@ from helpers import (
 )
 
 HADAMARD2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+# T layers of the n=8 crossover shape: enough for the bonds to reach their
+# ceiling (16 at d=2, 81 at d=3)
+CROSSOVER_LAYERS = {2: 28, 3: 20}
 
 
 @pytest.fixture(scope="module")
@@ -568,9 +574,9 @@ def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
 
 @pytest.fixture
 def scan_log(monkeypatch):
-    """Engine bond visits as (settled, product, candidate rows scored): the
-    settled flag passed in, whether the bond was left a product, and the
-    candidate matrices counted through a patched gcamps.robust_svd."""
+    """Engine bond visits as (product, candidate rows scored): whether the
+    bond was left a product, and the candidate matrices counted through a
+    patched gcamps.robust_svd."""
     rows, visits = [], []
     svd, optimize = gcamps.robust_svd, GcampsState._optimize_bond
 
@@ -578,11 +584,11 @@ def scan_log(monkeypatch):
         rows.append(a.shape[0])
         return svd(a, compute_uv=compute_uv)
 
-    def logged(self, i, report, settled=False):
+    def logged(self, i, report):
         first = len(rows)
-        out = optimize(self, i, report, settled)
+        out = optimize(self, i, report)
         product = gcamps._unbeatable(report.objective_after[i])
-        visits.append((settled, product, sum(rows[first + 1:])))
+        visits.append((product, sum(rows[first + 1:])))
         return out
 
     monkeypatch.setattr(gcamps, "robust_svd", counting_svd)
@@ -596,19 +602,153 @@ def test_width_shaped_scan_exits_early_and_matches_reference(cat3, scan_log):
     circ = t_doped_circuit(24, 3, layers=2, rng_seed=7, block_len=8 * 24)
     assert_scan_matches_reference(circ, cat3)
     full = len(cat3.entangling_stack()[0])
-    scored = [n for _, _, n in scan_log if n]
+    scored = [n for _, n in scan_log if n]
     assert scored and max(scored) <= full
     assert min(scored) < full
 
 
-def test_crossover_shaped_scan_skips_settled_bonds(cat3, scan_log):
+def test_crossover_shaped_scan_skips_settled_bonds(cat3):
     # d=3, T layers after 2n-gate blocks: bonds grow past what the catalog
-    # can undo, so later passes revisit bonds that accepted nothing
+    # can undo, so later passes meet bonds that accepted nothing; the engine
+    # visits none of them, nor any product bond, and makes the choices the
+    # full-visit loop makes
     circ = t_doped_circuit(6, 3, layers=12, rng_seed=2, block_len=12)
     assert_scan_matches_reference(circ, cat3)
-    assert all(n == 0 for settled, _, n in scan_log if settled)
-    skipped = sum(settled and not product for settled, product, _ in scan_log)
-    assert skipped > 0
+    visits = assert_skips_match_full_visit(circ, cat3)
+    assert visits["engine"] < visits["full"]
+    assert visits["settled"] > 0
+
+
+def test_candidates_scored_counts_the_scanned_rows(cat3, scan_log):
+    circ = mid_chain_circuit(6, 3, layers=4, seed=23)
+    st = new_state(circ.n, circ.d, cat3)
+    scored = 0
+    for op in circ.ops:
+        report = st.apply_op(op)
+        if report is not None:
+            scored += report.candidates_scored
+    assert scored == sum(n for _, n in scan_log) > 0
+
+
+def test_product_bond_is_skipped_on_the_next_pass(cat2):
+    st = new_state(4, 2, cat2)
+    st.mps.apply_single_site(1, HADAMARD2)
+    st.mps.apply_two_site(1, sum_matrix(2))
+    report = st.disentangle()
+    # pass 1 visits all three bonds and leaves them products; pass 2 has
+    # nothing to visit, so it accepts nothing and ends the run
+    assert report.passes == 2 and len(report.gates_applied) == 1
+    assert report.bonds_visited == [1, 0, 2] and report.bonds_skipped == 3
+    assert len(report.bonds_visited) + report.bonds_skipped == report.passes * 3
+    assert st.mps.bond_dims() == [1, 1, 1]
+    assert report.objective_after[1] == (1, pytest.approx(0.0, abs=1e-12))
+
+
+# -- skipping settled bonds against the full-visit loop ------------------------
+
+
+def assert_skips_match_full_visit(circ, catalog, policy=None, cuts=None):
+    """Run circ on the engine and on the full-visit loop; the two make the
+    same choices, and the engine visits exactly the bonds that loop visits
+    while they are not settled. Returns a Counter of the engine's visits,
+    the full-visit loop's visits, and the reasons the engine skipped the
+    rest ("settled", "product").
+
+    With cuts, a list that a truncation_cuts fixture fills, the comparison
+    ends at the first op whose chi_max truncation cuts through tied Schmidt
+    values: which of the tied vectors survive depends on the gauge the MPS
+    is in, and skipping visits leaves it in another one. Both sides must
+    then have discarded the same weights.
+    """
+    st = new_state(circ.n, circ.d, catalog, policy=policy)
+    ref = full_visit_gcamps_state(circ.n, circ.d, catalog, policy=policy)
+    visits = Counter()
+    for op in circ.ops:
+        if cuts is None:
+            got, want = st.apply_op(op), ref.apply_op(op)
+        else:
+            del cuts[:]
+            got = st.apply_op(op)
+            mine = cuts[:]
+            del cuts[:]
+            want = ref.apply_op(op)
+            if any(tie for _, tie in mine + cuts):
+                assert [w for w, _ in mine] == pytest.approx(
+                    [w for w, _ in cuts], abs=1e-12)
+                break
+        assert st.mps.bond_dims() == ref.mps.bond_dims()
+        if got is None:
+            assert want is None
+            continue
+        assert got.gates_applied == want.gates_applied
+        assert (got.passes, got.early_termination) == (
+            want.passes, want.early_termination
+        )
+        if not want.passes:  # no bond changed, so no disentangle run
+            assert got == want
+            continue
+        assert got.bonds_visited == [
+            i for i, skip in zip(want.bonds_visited, want.skippable)
+            if skip is None
+        ]
+        window = len(set(want.bonds_visited))
+        assert len(want.bonds_visited) == want.passes * window
+        assert len(got.bonds_visited) + got.bonds_skipped == len(
+            want.bonds_visited)
+        for mine, theirs in ((got.objective_before, want.objective_before),
+                             (got.objective_after, want.objective_after)):
+            assert mine.keys() == theirs.keys()
+            for bond, (rank, entropy) in mine.items():
+                assert rank == theirs[bond][0]
+                assert abs(entropy - theirs[bond][1]) <= 1e-12
+        visits.update(skip for skip in want.skippable if skip is not None)
+        visits["engine"] += len(got.bonds_visited)
+        visits["full"] += len(want.bonds_visited)
+    assert np.array_equal(st.tableau.xs, ref.tableau.xs)
+    assert np.array_equal(st.tableau.zs, ref.tableau.zs)
+    assert np.array_equal(st.tableau.phases, ref.tableau.phases)
+    return visits
+
+
+@pytest.fixture
+def truncation_cuts(monkeypatch):
+    """(discarded weight, tie) per truncating SVD that chi_max cut short of
+    the cutoff's rank; tie is True when the last kept and the first dropped
+    singular values agree to 1e-9 of the largest."""
+    cuts = []
+    truncated_svd = Mps._truncated_svd
+
+    def recorded(self, mat, bond):
+        out = truncated_svd(self, mat, bond)
+        k, err = out[1].size, out[3]
+        s = np.linalg.svd(mat, compute_uv=False)
+        if k < s.size and s[k] > self.policy.cutoff * s[0]:
+            cuts.append((err, bool(s[k - 1] - s[k] <= 1e-9 * s[0])))
+        return out
+
+    monkeypatch.setattr(Mps, "_truncated_svd", recorded)
+    return cuts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("shape", ["width", "crossover", "chi_max"])
+def test_skipping_settled_bonds_keeps_the_choices(shape, d, seed, cat2, cat3,
+                                                  request):
+    policy, cuts = None, None
+    if shape == "width":
+        circ = t_doped_circuit(24, d, layers=2, rng_seed=seed,
+                               block_len=8 * 24)
+    elif shape == "crossover":
+        circ = t_doped_circuit(8, d, layers=CROSSOVER_LAYERS[d],
+                               rng_seed=seed, block_len=16)
+    else:
+        circ = t_doped_circuit(8, d, layers=10, rng_seed=seed, block_len=16)
+        policy = TruncationPolicy(chi_max=2)
+        cuts = request.getfixturevalue("truncation_cuts")
+    visits = assert_skips_match_full_visit(
+        circ, catalog_for(d, cat2, cat3), policy=policy, cuts=cuts)
+    assert visits["engine"] < visits["full"]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -669,9 +809,9 @@ def test_absorbed_pair_equals_apply_two_site(shape, cat3, monkeypatch):
 
     checked = []
 
-    def checked_optimize(self, i, report, settled=False):
+    def checked_optimize(self, i, report):
         del splits[:]
-        if not optimize(self, i, report, settled):
+        if not optimize(self, i, report):
             assert not splits
             return 0
         (before, err), = splits

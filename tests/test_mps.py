@@ -347,6 +347,14 @@ def test_split_pair_accepts_center_on_right_site():
     assert m.center == 1 and m.canonical_ok()
 
 
+def test_split_pair_reports_a_tiny_discarded_weight():
+    # a difference of two sums near 1 would cancel the 1e-26 tail to 0
+    m = Mps.product_state(2, 3)
+    theta = np.diag([0.8, 0.6, 1e-13]).astype(complex).reshape(1, 3, 3, 1)
+    assert m.split_pair(0, theta) == pytest.approx(1e-26, rel=1e-6, abs=0)
+    assert m.bond_dims() == [2]
+
+
 @pytest.mark.parametrize("bad", [
     "left_site -1", "left_site n-1", "left bond", "right bond", "site dim",
     "rank", "center", "nan", "inf",
