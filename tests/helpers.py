@@ -320,25 +320,76 @@ def objective_scalar(s, cutoff):
 
 
 def reference_gcamps_state(n, d, catalog, policy=None):
-    """Fresh C|mps> whose disentangler scores one catalog entry at a time.
+    """Fresh C|mps> whose disentangle visits every bond of every pass and
+    scores every catalog entry at each visit.
 
-    The bond scan is the brute-force loop: one SVD and one scalar objective
-    per entangling entry, in catalog order, keeping the first strictly
-    better one, at every bond the engine's disentangle loop visits. The
-    engine's batched scan, with its early exit, must make the same choices.
-    The accepted gate is absorbed by the full construction, so the frame
-    is an independent check on the engine's Tableau.right_multiply.
+    This is the engine's sweep without its skips: each pass walks the whole
+    window, settled, product or not, and each visit is the brute-force scan,
+    one SVD and one scalar objective per entangling entry, in catalog order,
+    keeping the first strictly better one. The engine, which skips settled
+    and product bonds and exits its batched scan early, must make the same
+    choices, so a bond it skips must have no better candidate here. The
+    settled and product bookkeeping only labels the visits: each report
+    gets `skippable`, one entry per entry of bonds_visited, None where the
+    engine visits the bond too, else why the engine skips it, "product" for
+    a bond left a product across its cut and "settled" for any other bond
+    whose last scan accepted nothing with no gate on bonds i-1, i or i+1
+    since (any gate at all when chi_max is set). The accepted gate is
+    absorbed by the full construction, so the frame is an independent check
+    on the engine's Tableau.right_multiply.
     """
     from quditsim.gates import GateOp, invert_word
-    from quditsim.gcamps import GcampsState, _TIE_EPS, _better
+    from quditsim.gcamps import (
+        DisentangleReport, GcampsState, _DEFAULT_PASS_LIMIT, _better,
+        _unbeatable,
+    )
     from quditsim.mps import Mps, TruncationPolicy, robust_svd
     from quditsim.tableau import identity_tableau
 
     class ReferenceGcampsState(GcampsState):
         __slots__ = ()
 
+        def disentangle(self, window=None, anchor=None,
+                        pass_limit=_DEFAULT_PASS_LIMIT):
+            lo, hi = (0, self.n) if window is None else window
+            report = DisentangleReport()
+            report.skippable = []
+            bonds = list(range(lo, hi - 1))
+            if not bonds:
+                return report
+            mid = anchor if anchor is not None else (lo + hi - 1) / 2
+            bonds.sort(key=lambda i: (abs(i + 0.5 - mid), i))
+            settled, products = set(), set()
+            truncating = self.mps.policy.chi_max is not None
+            accepted = 0
+            while report.passes < pass_limit:
+                report.passes += 1
+                accepted = 0
+                for i in bonds:
+                    report.skippable.append(
+                        "product" if i in products
+                        else "settled" if i in settled else None)
+                    ok = self._optimize_bond(i, report)
+                    if _unbeatable(report.objective_after[i]):
+                        products.add(i)
+                    if not ok:
+                        settled.add(i)
+                        continue
+                    accepted += 1
+                    if truncating:
+                        settled.clear()
+                    else:
+                        settled.difference_update((i - 1, i, i + 1))
+                if accepted == 0:
+                    break
+            report.early_termination = bool(
+                report.passes == pass_limit and accepted > 0
+            )
+            return report
+
         def _optimize_bond(self, i, report):
-            # scans every candidate in full, with no early exit
+            # scans every candidate in full, with no early exit, even at a
+            # product bond
             mps = self.mps
             mps.move_center(i)
             theta = np.tensordot(
@@ -351,8 +402,6 @@ def reference_gcamps_state(n, d, catalog, policy=None):
             report.bonds_visited.append(i)
             report.objective_before.setdefault(i, current)
             report.objective_after[i] = current
-            if current[0] <= 1 and current[1] <= _TIE_EPS:
-                return 0
             paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
             best, best_idx = current, -1
             unitaries = self.catalog.unitaries()
@@ -381,88 +430,5 @@ def reference_gcamps_state(n, d, catalog, policy=None):
     if policy is None:
         policy = TruncationPolicy()
     return ReferenceGcampsState(
-        identity_tableau(n, d), Mps.product_state(n, d, policy=policy), catalog
-    )
-
-
-def full_visit_gcamps_state(n, d, catalog, policy=None):
-    """Fresh C|mps> whose disentangle is the loop the engine's replaced.
-
-    Every pass visits every bond of the window. A settled bond, one whose
-    last scan in the run accepted nothing with no gate on bonds i-1, i or
-    i+1 since (any gate at all when chi_max is set), is still visited: the
-    center moves to it and its objective is recorded afresh, but its
-    candidates are not scored. Other bonds go through the engine's own
-    _optimize_bond. Each report also gets `skippable`, one entry per entry
-    of bonds_visited: None where the engine visits the bond too, else why
-    the engine skips it, "product" for a bond left a product across its
-    cut and "settled" for any other settled bond.
-    """
-    from quditsim.gcamps import (
-        GcampsState, _DEFAULT_PASS_LIMIT, _objectives, _unbeatable,
-        DisentangleReport,
-    )
-    from quditsim.mps import Mps, TruncationPolicy, robust_svd
-    from quditsim.tableau import identity_tableau
-
-    class FullVisitGcampsState(GcampsState):
-        __slots__ = ()
-
-        def _record_bond(self, i, report):
-            mps = self.mps
-            mps.move_center(i)
-            theta = mps.pair_tensor(i)
-            l, _, _, r = theta.shape
-            s0 = robust_svd(theta.reshape(1, l * d, d * r), compute_uv=False)
-            current = _objectives(s0, mps.policy.cutoff)[0]
-            report.bonds_visited.append(i)
-            report.objective_before.setdefault(i, current)
-            report.objective_after[i] = current
-
-        def disentangle(self, window=None, anchor=None,
-                        pass_limit=_DEFAULT_PASS_LIMIT):
-            lo, hi = (0, self.n) if window is None else window
-            report = DisentangleReport()
-            report.skippable = []
-            bonds = list(range(lo, hi - 1))
-            if not bonds:
-                return report
-            mid = anchor if anchor is not None else (lo + hi - 1) / 2
-            bonds.sort(key=lambda i: (abs(i + 0.5 - mid), i))
-            settled, products = set(), set()
-            truncating = self.mps.policy.chi_max is not None
-            accepted = 0
-            while report.passes < pass_limit:
-                report.passes += 1
-                accepted = 0
-                for i in bonds:
-                    report.skippable.append(
-                        "product" if i in products
-                        else "settled" if i in settled else None)
-                    if i in settled:
-                        self._record_bond(i, report)
-                        ok = 0
-                    else:
-                        ok = self._optimize_bond(i, report)
-                    if _unbeatable(report.objective_after[i]):
-                        products.add(i)
-                    if not ok:
-                        settled.add(i)
-                        continue
-                    accepted += 1
-                    if truncating:
-                        settled.clear()
-                    else:
-                        settled.difference_update((i - 1, i, i + 1))
-                if accepted == 0:
-                    break
-            report.early_termination = bool(
-                report.passes == pass_limit and accepted > 0
-            )
-            return report
-
-    if policy is None:
-        policy = TruncationPolicy()
-    return FullVisitGcampsState(
         identity_tableau(n, d), Mps.product_state(n, d, policy=policy), catalog
     )

@@ -23,7 +23,6 @@ from quditsim.tableau import identity_tableau
 
 from helpers import (
     dense_pauli,
-    full_visit_gcamps_state,
     objective_scalar,
     random_clifford_gates,
     random_unitary,
@@ -519,30 +518,82 @@ def mid_chain_circuit(n, d, layers, seed):
     return Circuit(n, d, ops)
 
 
-def assert_scan_matches_reference(circ, catalog, policy=None):
+def run_against_reference(circ, catalog, policy=None, cuts=None):
+    """Run circ on the engine and on reference_gcamps_state, which visits
+    every bond of every pass and scans every candidate at each visit; the
+    two make the same choices, and the engine visits exactly the bonds the
+    reference visits while they are neither settled nor products. Returns
+    a Counter: gates "absorbed", the "peak" rank met, the "engine"'s and
+    the reference's ("full") visits, and the reasons the engine skipped the
+    rest ("settled", "product").
+
+    Objectives agree in rank, and in entropy to 1e-12: a skipped bond
+    carries its objective where the reference computes it afresh, and the
+    visits the engine skips leave its MPS in another gauge.
+
+    With cuts, a list that a truncation_cuts fixture fills, the comparison
+    ends at the first op whose chi_max truncation cuts through tied Schmidt
+    values: which of the tied vectors survive depends on the gauge. Both
+    sides must then have discarded the same weights.
+    """
     st = new_state(circ.n, circ.d, catalog, policy=policy)
     ref = reference_gcamps_state(circ.n, circ.d, catalog, policy=policy)
-    absorbed, peak = 0, 1
+    stats = Counter(peak=1)
     for op in circ.ops:
-        got, want = st.apply_op(op), ref.apply_op(op)
+        if cuts is None:
+            got, want = st.apply_op(op), ref.apply_op(op)
+        else:
+            del cuts[:]
+            got = st.apply_op(op)
+            mine = cuts[:]
+            del cuts[:]
+            want = ref.apply_op(op)
+            if any(tie for _, tie in mine + cuts):
+                assert [w for w, _ in mine] == pytest.approx(
+                    [w for w, _ in cuts], abs=1e-12)
+                break
+        assert st.mps.bond_dims() == ref.mps.bond_dims()
         if got is None:
             assert want is None
             continue
         assert got.gates_applied == want.gates_applied
-        assert got.bonds_visited == want.bonds_visited
-        assert got.objective_before == want.objective_before
-        assert got.objective_after == want.objective_after
         assert (got.passes, got.early_termination) == (
             want.passes, want.early_termination
         )
-        assert st.mps.bond_dims() == ref.mps.bond_dims()
-        absorbed += len(got.gates_applied)
-        peak = max([peak] + [rank for rank, _ in got.objective_before.values()])
+        if not want.passes:  # no bond changed, so no disentangle run
+            assert got == want
+            continue
+        assert got.bonds_visited == [
+            i for i, skip in zip(want.bonds_visited, want.skippable)
+            if skip is None
+        ]
+        window = len(set(want.bonds_visited))
+        assert len(want.bonds_visited) == want.passes * window
+        assert len(got.bonds_visited) + got.bonds_skipped == len(
+            want.bonds_visited)
+        for mine, theirs in ((got.objective_before, want.objective_before),
+                             (got.objective_after, want.objective_after)):
+            assert mine.keys() == theirs.keys()
+            for bond, (rank, entropy) in mine.items():
+                assert rank == theirs[bond][0]
+                assert abs(entropy - theirs[bond][1]) <= 1e-12
+        stats.update(skip for skip in want.skippable if skip is not None)
+        stats["engine"] += len(got.bonds_visited)
+        stats["full"] += len(want.bonds_visited)
+        stats["absorbed"] += len(got.gates_applied)
+        stats["peak"] = max(
+            [stats["peak"]]
+            + [rank for rank, _ in got.objective_before.values()])
     assert np.array_equal(st.tableau.xs, ref.tableau.xs)
     assert np.array_equal(st.tableau.zs, ref.tableau.zs)
     assert np.array_equal(st.tableau.phases, ref.tableau.phases)
-    assert absorbed > 0  # the scan had choices to make
-    return peak
+    return stats
+
+
+def assert_scan_matches_reference(circ, catalog, policy=None):
+    stats = run_against_reference(circ, catalog, policy=policy)
+    assert stats["absorbed"] > 0  # the scan had choices to make
+    return stats["peak"]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -610,11 +661,11 @@ def test_width_shaped_scan_exits_early_and_matches_reference(cat3, scan_log):
 def test_crossover_shaped_scan_skips_settled_bonds(cat3):
     # d=3, T layers after 2n-gate blocks: bonds grow past what the catalog
     # can undo, so later passes meet bonds that accepted nothing; the engine
-    # visits none of them, nor any product bond, and makes the choices the
-    # full-visit loop makes
+    # visits none of them, nor any product bond, and makes the choices of
+    # the reference, which visits and scans them all
     circ = t_doped_circuit(6, 3, layers=12, rng_seed=2, block_len=12)
-    assert_scan_matches_reference(circ, cat3)
-    visits = assert_skips_match_full_visit(circ, cat3)
+    visits = run_against_reference(circ, cat3)
+    assert visits["absorbed"] > 0
     assert visits["engine"] < visits["full"]
     assert visits["settled"] > 0
 
@@ -644,70 +695,7 @@ def test_product_bond_is_skipped_on_the_next_pass(cat2):
     assert report.objective_after[1] == (1, pytest.approx(0.0, abs=1e-12))
 
 
-# -- skipping settled bonds against the full-visit loop ------------------------
-
-
-def assert_skips_match_full_visit(circ, catalog, policy=None, cuts=None):
-    """Run circ on the engine and on the full-visit loop; the two make the
-    same choices, and the engine visits exactly the bonds that loop visits
-    while they are not settled. Returns a Counter of the engine's visits,
-    the full-visit loop's visits, and the reasons the engine skipped the
-    rest ("settled", "product").
-
-    With cuts, a list that a truncation_cuts fixture fills, the comparison
-    ends at the first op whose chi_max truncation cuts through tied Schmidt
-    values: which of the tied vectors survive depends on the gauge the MPS
-    is in, and skipping visits leaves it in another one. Both sides must
-    then have discarded the same weights.
-    """
-    st = new_state(circ.n, circ.d, catalog, policy=policy)
-    ref = full_visit_gcamps_state(circ.n, circ.d, catalog, policy=policy)
-    visits = Counter()
-    for op in circ.ops:
-        if cuts is None:
-            got, want = st.apply_op(op), ref.apply_op(op)
-        else:
-            del cuts[:]
-            got = st.apply_op(op)
-            mine = cuts[:]
-            del cuts[:]
-            want = ref.apply_op(op)
-            if any(tie for _, tie in mine + cuts):
-                assert [w for w, _ in mine] == pytest.approx(
-                    [w for w, _ in cuts], abs=1e-12)
-                break
-        assert st.mps.bond_dims() == ref.mps.bond_dims()
-        if got is None:
-            assert want is None
-            continue
-        assert got.gates_applied == want.gates_applied
-        assert (got.passes, got.early_termination) == (
-            want.passes, want.early_termination
-        )
-        if not want.passes:  # no bond changed, so no disentangle run
-            assert got == want
-            continue
-        assert got.bonds_visited == [
-            i for i, skip in zip(want.bonds_visited, want.skippable)
-            if skip is None
-        ]
-        window = len(set(want.bonds_visited))
-        assert len(want.bonds_visited) == want.passes * window
-        assert len(got.bonds_visited) + got.bonds_skipped == len(
-            want.bonds_visited)
-        for mine, theirs in ((got.objective_before, want.objective_before),
-                             (got.objective_after, want.objective_after)):
-            assert mine.keys() == theirs.keys()
-            for bond, (rank, entropy) in mine.items():
-                assert rank == theirs[bond][0]
-                assert abs(entropy - theirs[bond][1]) <= 1e-12
-        visits.update(skip for skip in want.skippable if skip is not None)
-        visits["engine"] += len(got.bonds_visited)
-        visits["full"] += len(want.bonds_visited)
-    assert np.array_equal(st.tableau.xs, ref.tableau.xs)
-    assert np.array_equal(st.tableau.zs, ref.tableau.zs)
-    assert np.array_equal(st.tableau.phases, ref.tableau.phases)
-    return visits
+# -- skipping settled bonds against the full-visit reference ---------------
 
 
 @pytest.fixture
@@ -746,7 +734,7 @@ def test_skipping_settled_bonds_keeps_the_choices(shape, d, seed, cat2, cat3,
         circ = t_doped_circuit(8, d, layers=10, rng_seed=seed, block_len=16)
         policy = TruncationPolicy(chi_max=2)
         cuts = request.getfixturevalue("truncation_cuts")
-    visits = assert_skips_match_full_visit(
+    visits = run_against_reference(
         circ, catalog_for(d, cat2, cat3), policy=policy, cuts=cuts)
     assert visits["engine"] < visits["full"]
 
