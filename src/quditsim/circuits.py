@@ -20,7 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 # gate_matrix is re-exported: callers and the tracer use circuits.gate_matrix
-from .gates import GATE_NAMES, TWO_SITE_NAMES, GateOp, gate_matrix  # noqa: F401
+from .gates import (  # noqa: F401
+    GATE_NAMES, TWO_SITE_NAMES, GateOp, check_dimension, gate_matrix,
+)
 from .pauli import QuditDim
 
 _HEADER_PREFIX = "# qsim v1 "
@@ -46,12 +48,7 @@ class Circuit:
     def _check_op(self, op: GateOp) -> None:
         if any(s >= self.n for s in op.sites):
             raise ValueError(f"{op.name} sites {op.sites} exceed n={self.n}")
-        if op.name == "U1" and len(op.params) != self.d:
-            raise ValueError(f"U1 needs {self.d} params, got {len(op.params)}")
-        if op.name == "RZ" and self.d != 2:
-            raise ValueError("RZ is defined for d=2 only")
-        if op.name in ("T", "Tdg") and self.d not in (2, 3):
-            raise ValueError("T gate matrices are defined for d in {2, 3}")
+        check_dimension(op, self.d)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Circuit) and self.n == other.n

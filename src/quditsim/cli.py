@@ -85,7 +85,7 @@ def cmd_bench_tdoped(args) -> int:
         records = bench.bench_tdoped(
             args.d, args.sites, args.layers, args.shots, args.seed,
             backends=backends, block_len=args.block_len,
-            policy=TruncationPolicy(chi_max=args.chi_max, cutoff=args.cutoff),
+            policy=_policy(args),
         )
         bench.write_csv(args.out, records)
         if args.json:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gates import GateOp, gate_matrix, invert_word, swap_legs
-from .pauli import QuditDim
+from .pauli import QuditDim, checked_unitary
 from .tableau import identity_tableau
 
 __all__ = [
@@ -42,8 +42,6 @@ __all__ = [
     "word_symplectic",
     "GENERATOR_TOKENS",
 ]
-
-_UNITARY_TOL = 1e-10
 
 GENERATOR_TOKENS = ("H0", "H1", "S0", "S1", "SUM01", "SUM10")
 
@@ -316,9 +314,9 @@ class DisentanglerCatalog:
         first use, cached and read-only.
 
         The engine absorbs a scored candidate without looking at its
-        unitary again, so the build raises ValueError when any stacked
-        matrix has a non-finite entry or deviates from unitarity by more
-        than 1e-10.
+        unitary again, so the build admits the whole stack through
+        checked_unitary in one call: it raises ValueError when any stacked
+        matrix has a non-finite entry or is not unitary.
         """
         if self._entangling is None:
             us = self.unitaries()
@@ -328,14 +326,7 @@ class DisentanglerCatalog:
             )
             dd = int(self.d) ** 2
             stack = np.array([us[k] for k in idx], dtype=np.complex128)
-            stack = stack.reshape(len(idx), dd, dd)
-            if not np.isfinite(stack).all():
-                raise ValueError("a catalog unitary has non-finite entries")
-            gram = stack @ stack.conj().transpose(0, 2, 1)
-            dev = np.abs(gram - np.eye(dd)).max(initial=0.0)
-            if not dev <= _UNITARY_TOL:
-                raise ValueError(
-                    f"a catalog unitary deviates from unitarity by {dev:.3g}")
+            stack = checked_unitary(stack.reshape(len(idx), dd, dd), self.d, 2)
             idx.setflags(write=False)
             stack.setflags(write=False)
             self._entangling = (idx, stack)

@@ -88,25 +88,32 @@ def _matrix(name: str, params: tuple, d: int) -> np.ndarray:
     if name == "T":
         if d == 2:
             return np.diag([1.0, np.exp(1j * np.pi / 4)])
-        if d == 3:
-            return np.diag([1.0, np.exp(1j * np.pi / 9), np.exp(8j * np.pi / 9)])
-        raise ValueError("T gate matrices are defined for d in {2, 3}")
+        return np.diag([1.0, np.exp(1j * np.pi / 9), np.exp(8j * np.pi / 9)])
     if name == "RZ":
-        if d != 2:
-            raise ValueError("RZ is defined for d=2 only")
         th = params[0]
         return np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
     if name == "U1":
-        if len(params) != d:
-            raise ValueError(f"U1 needs {d} params, got {len(params)}")
         return np.diag(np.exp(1j * np.asarray(params)))
     raise ValueError(f"unknown gate name {name!r}")
+
+
+def check_dimension(op: GateOp, d: int) -> None:
+    """Raise ValueError when op has no matrix at qudit dimension d: T and
+    Tdg exist at d in {2, 3} only, RZ at d = 2 only, and U1 takes d params.
+    Circuit and gate_matrix both admit ops by this one rule."""
+    if op.name in ("T", "Tdg") and d not in (2, 3):
+        raise ValueError("T gate matrices are defined for d in {2, 3}")
+    if op.name == "RZ" and d != 2:
+        raise ValueError("RZ is defined for d=2 only")
+    if op.name == "U1" and len(op.params) != d:
+        raise ValueError(f"U1 needs {d} params, got {len(op.params)}")
 
 
 def gate_matrix(op: GateOp, d: int) -> np.ndarray:
     """Dense unitary of one op: d x d, or d^2 x d^2 with the first listed
     site on the first tensor leg. Each `dg` name is its base's dagger."""
     d = int(QuditDim(d))
+    check_dimension(op, d)
     if op.name.endswith("dg"):
         return _matrix(op.name[:-2], op.params, d).conj().T
     return _matrix(op.name, op.params, d)

@@ -50,7 +50,6 @@ __all__ = [
     "tableau_bytes",
 ]
 
-_UNITARY_TOL = 1e-10
 _TIE_EPS = 1e-12
 _DEFAULT_PASS_LIMIT = 4
 # bytes of candidate matrices formed at once; bounds the scan's memory at
@@ -189,12 +188,8 @@ class GcampsState:
         site = int(site)
         if not 0 <= site < n:
             raise ValueError("site out of range")
-        u = np.asarray(u, dtype=np.complex128)
-        if u.shape != (d, d):
-            raise ValueError("operator must be d x d")
-        if not np.abs(u @ u.conj().T - np.eye(d)).max() <= _UNITARY_TOL:
-            raise ValueError("operator is not unitary")
-        local = decompose_unitary(u, d)
+        # admits u through checked_unitary before any state changes
+        local = decompose_unitary(u, d, k=1)
         terms = []
         for c, p1 in local.terms:
             embedded = PauliString.single(

@@ -10,13 +10,14 @@ to the caller.  The state is renormalized after every public operation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gates import swap_legs, swap_matrix
-from .pauli import DENSE_DIM_GUARD, PauliSum, QuditDim, site_matrix_table
+from .pauli import (
+    DENSE_DIM_GUARD, PauliSum, QuditDim, checked_unitary, site_matrix_table,
+)
 
 __all__ = [
     "TruncationPolicy",
@@ -27,14 +28,23 @@ __all__ = [
     "worst_case_chi",
 ]
 
-_UNITARY_TOL = 1e-10
 _NORM_DRIFT_TOL = 1e-8
+# singular values closer than this times the largest are tied
+_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Bond-truncation rule: keep at most chi_max singular values and drop
-    any with sigma/sigma_max below the relative cutoff."""
+    any with sigma/sigma_max below the relative cutoff.
+
+    A chi_max cut never splits a group of tied singular values, neighbours
+    within 1e-9 * sigma_max of each other, since which of a tied group's
+    vectors survive would depend on the gauge, not on the state: the cut
+    moves down to the first value of the group straddling it. When that
+    group starts at sigma_max, chi_max values are kept, and only that
+    truncation stays gauge-dependent.
+    """
 
     chi_max: int | None = None
     cutoff: float = 1e-12
@@ -80,25 +90,6 @@ def robust_svd(mat, compute_uv=True):
         if compute_uv:
             return _scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
         return _scipy_svd(mat, compute_uv=False, lapack_driver="gesvd")
-
-
-def _operator(u, dim, shape_text):
-    """u as a complex dim x dim array; raises ValueError, before the caller
-    changes any state, for another shape or a non-finite entry."""
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (dim, dim):
-        raise ValueError(f"operator must be {shape_text}")
-    if not np.isfinite(u).all():
-        raise ValueError("operator has non-finite entries")
-    return u
-
-
-def _warn_if_not_unitary(u, label):
-    dev = np.abs(u @ u.conj().T - np.eye(u.shape[0])).max()
-    if not dev <= _UNITARY_TOL:
-        warnings.warn(
-            f"{label} deviates from unitarity by {dev:.3g}", stacklevel=3
-        )
 
 
 def _carry_left(t, carry):
@@ -255,8 +246,12 @@ class Mps:
         if s.size == 0:
             raise np.linalg.LinAlgError("empty singular spectrum")
         k = max(int(np.count_nonzero(s > (self.policy.cutoff * s[0]))), 1)
-        if self.policy.chi_max is not None:
-            k = min(k, self.policy.chi_max)
+        chi_max = self.policy.chi_max
+        if chi_max is not None and k > chi_max:
+            # the last gap wider than a tie at or before the cut, if any
+            gaps = np.flatnonzero(s[:chi_max] - s[1:chi_max + 1]
+                                  > _TIE_TOL * s[0])
+            k = int(gaps[-1]) + 1 if gaps.size else chi_max
         cap = self.d ** min(bond, self.n - bond)
         if k > cap:
             raise RuntimeError(f"bond {bond} grew to {k}, past the "
@@ -318,8 +313,7 @@ class Mps:
     def apply_single_site(self, site, u):
         if not 0 <= site < self.n:
             raise ValueError("site out of range")
-        u = _operator(u, self.d, "d x d")
-        _warn_if_not_unitary(u, "single-site operator")
+        u = checked_unitary(u, self.d)
         self.tensors[site] = np.einsum("ab,lbr->lar", u, self.tensors[site])
         return 0.0
 
@@ -328,14 +322,16 @@ class Mps:
 
         Operator legs follow (left site, right site) in row-major order.
         Returns the discarded Schmidt weight, i.e. 1 - |psi|^2 before the
-        kept spectrum is renormalized.
+        kept spectrum is renormalized. Every gate method raises ValueError,
+        with the chain untouched, for an operator checked_unitary rejects.
         """
         i = int(left_site)
         if not 0 <= i < self.n - 1:
             raise ValueError("left_site out of range")
+        return self._apply_two_site(i, checked_unitary(u, self.d, 2))
+
+    def _apply_two_site(self, i, u):
         d = self.d
-        u = _operator(u, d * d, "d^2 x d^2")
-        _warn_if_not_unitary(u, "two-site operator")
         self.move_center(i)
         theta = np.tensordot(
             u.reshape(d, d, d, d), self.pair_tensor(i), axes=([2, 3], [1, 2])
@@ -359,20 +355,20 @@ class Mps:
             raise ValueError("sites must be distinct")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError("site out of range")
-        # checked before the swap network moves any tensor
-        u = _operator(u, self.d * self.d, "d^2 x d^2")
+        # checked once, before the swap network moves any tensor
+        u = checked_unitary(u, self.d, 2)
         if a > b:
             u = swap_legs(u, self.d)
             a, b = b, a
         if b == a + 1:
-            return self.apply_two_site(a, u)
+            return self._apply_two_site(a, u)
         sw = swap_matrix(self.d)
         err = 0.0
         for k in range(b - 1, a, -1):
-            err += self.apply_two_site(k, sw)
-        err += self.apply_two_site(a, u)
+            err += self._apply_two_site(k, sw)
+        err += self._apply_two_site(a, u)
         for k in range(a + 1, b):
-            err += self.apply_two_site(k, sw)
+            err += self._apply_two_site(k, sw)
         return err
 
     # ------------------------------------------------------------------
@@ -381,9 +377,9 @@ class Mps:
     def apply_pauli_sum(self, ps):
         """Apply a Pauli operator sum, which must be unitary as a whole.
 
-        A single term is routed through plain single-site gates.  A k-term
-        sum is contracted as an MPO of bond dimension k and then compressed;
-        a norm drift beyond 1e-8 reports a non-unitary sum.
+        Every sum, a single term included, takes one path: it is contracted
+        as an MPO of bond dimension equal to its term count and then
+        compressed, and a norm drift beyond 1e-8 reports a non-unitary sum.
         """
         if not isinstance(ps, PauliSum):
             raise TypeError("expected a PauliSum")
@@ -391,17 +387,6 @@ class Mps:
             raise ValueError("operator does not match the chain")
         if len(ps) == 0:
             raise ValueError("empty operator sum")
-        if len(ps) == 1:
-            c, p = ps.terms[0]
-            if abs(abs(c) - 1.0) > _NORM_DRIFT_TOL:
-                raise ValueError("single-term sum is not unitary")
-            table = site_matrix_table(self.d)
-            for i in range(self.n):
-                xi, zi = int(p.x[i]), int(p.z[i])
-                if xi or zi:
-                    self.apply_single_site(i, table[xi, zi])
-            self.tensors[self.center] = self.tensors[self.center] * c
-            return 0.0
         return self._apply_mpo(PauliMpo(ps))
 
     def _apply_mpo(self, mpo):

@@ -24,6 +24,7 @@ import numpy as np
 
 DENSE_DIM_GUARD = 2 ** 14
 COEFF_DROP_TOL = 1e-14
+UNITARY_TOL = 1e-10
 
 
 def _is_prime(v: int) -> bool:
@@ -58,6 +59,29 @@ def omega(d: int) -> complex:
 def phase_factor(k: int, d: int) -> complex:
     """The scalar tau**k."""
     return np.exp(1j * np.pi * (k % (2 * d)) / d)
+
+
+def checked_unitary(u, d: int, k: int = 1) -> np.ndarray:
+    """u as a complex128 array of d**k x d**k matrices, one or a stack along
+    leading axes; the one admission rule for operators in the package.
+
+    Raises ValueError for another shape, a non-finite entry, or a deviation
+    max|u u^dagger - 1| above UNITARY_TOL in any matrix, so a caller that
+    checks first changes no state for an operator it cannot apply.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    dim = int(d) ** k
+    if u.ndim < 2 or u.shape[-2:] != (dim, dim):
+        side = "d" if k == 1 else f"d^{k}"
+        raise ValueError(f"operator must be {side} x {side}")
+    if not np.isfinite(u).all():
+        raise ValueError("operator is not unitary: non-finite entries")
+    gram = u @ u.conj().swapaxes(-1, -2)
+    dev = np.abs(gram - np.eye(dim)).max(initial=0.0)
+    if not dev <= UNITARY_TOL:
+        raise ValueError(
+            f"operator is not unitary: it deviates from unitarity by {dev:.3g}")
+    return u
 
 
 def shift_matrix(d: int) -> np.ndarray:
@@ -248,7 +272,8 @@ class PauliSum:
         return out
 
 
-def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD) -> PauliSum:
+def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD,
+                      k: int | None = None) -> PauliSum:
     """Expand a 1- or 2-site unitary in the Pauli basis, in closed form.
 
     Coefficients are c_xz = Tr(u @ (X**x Z**z)^dagger) / d**k: u contracted
@@ -257,27 +282,24 @@ def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD) -> PauliSum:
     contracted with the same table to verify u to 1e-12 before returning.
 
     Args:
-        u: dense d**k x d**k unitary, k in {1, 2}.
+        u: dense d**k x d**k unitary, admitted by checked_unitary.
         d: qudit dimension.
+        k: site count, 1 or 2; None reads it from the shape of u.
 
     Returns:
         PauliSum over k sites.
     """
     d = int(QuditDim(d))
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("input must be a square matrix")
-    dim = u.shape[0]
-    k = {d: 1, d * d: 2}.get(dim)
     if k is None:
-        raise ValueError(f"matrix size {dim} is not d or d**2 for d={d}")
+        k = {(d, d): 1, (d * d, d * d): 2}.get(np.shape(u))
+        if k is None:
+            raise ValueError("operator must be d x d or d^2 x d^2")
+    if k not in (1, 2):
+        raise ValueError("only one- and two-site operators decompose")
+    dim = d ** k
     if dim > max_dim:
         raise ValueError("size guard exceeded")
-    if not np.isfinite(u).all():
-        raise ValueError("input has non-finite entries")
-    err = np.max(np.abs(u.conj().T @ u - np.eye(dim)))
-    if not err <= 1e-8:
-        raise ValueError(f"input is not unitary (deviation {err:.3g})")
+    u = checked_unitary(u, d, k)
 
     table = site_matrix_table(d)
     if k == 1:

@@ -531,10 +531,10 @@ def run_against_reference(circ, catalog, policy=None, cuts=None):
     carries its objective where the reference computes it afresh, and the
     visits the engine skips leave its MPS in another gauge.
 
-    With cuts, a list that a truncation_cuts fixture fills, the comparison
-    ends at the first op whose chi_max truncation cuts through tied Schmidt
-    values: which of the tied vectors survive depends on the gauge. Both
-    sides must then have discarded the same weights.
+    With cuts, a list that a truncation_cuts fixture fills, no chi_max
+    truncation may cut through tied Schmidt values, since the policy keeps a
+    tied group whole, and both sides must discard the same weights at every
+    op.
     """
     st = new_state(circ.n, circ.d, catalog, policy=policy)
     ref = reference_gcamps_state(circ.n, circ.d, catalog, policy=policy)
@@ -548,10 +548,9 @@ def run_against_reference(circ, catalog, policy=None, cuts=None):
             mine = cuts[:]
             del cuts[:]
             want = ref.apply_op(op)
-            if any(tie for _, tie in mine + cuts):
-                assert [w for w, _ in mine] == pytest.approx(
-                    [w for w, _ in cuts], abs=1e-12)
-                break
+            assert not any(tie for _, tie in mine + cuts)
+            assert [w for w, _ in mine] == pytest.approx(
+                [w for w, _ in cuts], abs=1e-12)
         assert st.mps.bond_dims() == ref.mps.bond_dims()
         if got is None:
             assert want is None

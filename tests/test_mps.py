@@ -215,11 +215,11 @@ def test_apply_unitary_validation():
         m.apply_single_site(0, np.eye(4))
 
 
-def test_non_unitary_input_warns():
+def test_non_unitary_input_raises():
     m = Mps.product_state(2, 2)
-    with pytest.warns(UserWarning, match="unitarity"):
+    with pytest.raises(ValueError, match="unitarity"):
         m.apply_single_site(0, 2.0 * np.eye(2))
-    with pytest.warns(UserWarning, match="unitarity"):
+    with pytest.raises(ValueError, match="unitarity"):
         m.apply_two_site(0, 0.5 * np.eye(4))
 
 
@@ -353,6 +353,29 @@ def test_split_pair_reports_a_tiny_discarded_weight():
     theta = np.diag([0.8, 0.6, 1e-13]).astype(complex).reshape(1, 3, 3, 1)
     assert m.split_pair(0, theta) == pytest.approx(1e-26, rel=1e-6, abs=0)
     assert m.bond_dims() == [2]
+
+
+SIX_VALUES = (0.6, 0.5, 0.5, 0.3, 0.2, 0.1)  # squares sum to 1
+
+
+@pytest.mark.parametrize("spectrum, chi_max, kept", [
+    (SIX_VALUES, 2, 1),  # the tied pair straddles the cut: keep neither
+    (SIX_VALUES, 3, 3),  # the cut falls after the tied pair
+    (SIX_VALUES, 4, 4),
+    ((6 ** -0.5,) * 6, 2, 2),  # tied from the largest value: keep chi_max
+])
+def test_chi_max_cut_keeps_tied_values_together(spectrum, chi_max, kept):
+    d = 7
+    m = Mps.product_state(2, d, policy=TruncationPolicy(chi_max=chi_max))
+    s = np.zeros(d)
+    s[:len(spectrum)] = spectrum
+    theta = np.diag(s).astype(complex).reshape(1, d, d, 1)
+    err = m.split_pair(0, theta)
+    assert m.bond_dims() == [kept]
+    assert err == pytest.approx(float(s[kept:] @ s[kept:]), abs=1e-14)
+    np.testing.assert_allclose(
+        m.schmidt_spectrum(1), s[:kept] / np.linalg.norm(s[:kept]),
+        atol=1e-14)
 
 
 @pytest.mark.parametrize("bad", [
