@@ -188,8 +188,10 @@ class GcampsState:
         site = int(site)
         if not 0 <= site < n:
             raise ValueError("site out of range")
-        # admits u through checked_unitary before any state changes
-        local = decompose_unitary(u, d, k=1)
+        if np.shape(u) != (d, d):
+            raise ValueError("operator must be d x d")
+        # decompose_unitary admits u through checked_unitary
+        local = decompose_unitary(u, d)
         terms = []
         for c, p1 in local.terms:
             embedded = PauliString.single(

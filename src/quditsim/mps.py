@@ -328,10 +328,8 @@ class Mps:
         i = int(left_site)
         if not 0 <= i < self.n - 1:
             raise ValueError("left_site out of range")
-        return self._apply_two_site(i, checked_unitary(u, self.d, 2))
-
-    def _apply_two_site(self, i, u):
         d = self.d
+        u = checked_unitary(u, d, 2)
         self.move_center(i)
         theta = np.tensordot(
             u.reshape(d, d, d, d), self.pair_tensor(i), axes=([2, 3], [1, 2])
@@ -355,20 +353,20 @@ class Mps:
             raise ValueError("sites must be distinct")
         if not (0 <= a < self.n and 0 <= b < self.n):
             raise ValueError("site out of range")
-        # checked once, before the swap network moves any tensor
+        # checked before the swap network moves any tensor
         u = checked_unitary(u, self.d, 2)
         if a > b:
             u = swap_legs(u, self.d)
             a, b = b, a
         if b == a + 1:
-            return self._apply_two_site(a, u)
+            return self.apply_two_site(a, u)
         sw = swap_matrix(self.d)
         err = 0.0
         for k in range(b - 1, a, -1):
-            err += self._apply_two_site(k, sw)
-        err += self._apply_two_site(a, u)
+            err += self.apply_two_site(k, sw)
+        err += self.apply_two_site(a, u)
         for k in range(a + 1, b):
-            err += self._apply_two_site(k, sw)
+            err += self.apply_two_site(k, sw)
         return err
 
     # ------------------------------------------------------------------

@@ -272,8 +272,7 @@ class PauliSum:
         return out
 
 
-def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD,
-                      k: int | None = None) -> PauliSum:
+def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD) -> PauliSum:
     """Expand a 1- or 2-site unitary in the Pauli basis, in closed form.
 
     Coefficients are c_xz = Tr(u @ (X**x Z**z)^dagger) / d**k: u contracted
@@ -282,20 +281,17 @@ def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD,
     contracted with the same table to verify u to 1e-12 before returning.
 
     Args:
-        u: dense d**k x d**k unitary, admitted by checked_unitary.
+        u: dense d**k x d**k unitary, k in {1, 2}, admitted by
+            checked_unitary.
         d: qudit dimension.
-        k: site count, 1 or 2; None reads it from the shape of u.
 
     Returns:
         PauliSum over k sites.
     """
     d = int(QuditDim(d))
+    k = {(d, d): 1, (d * d, d * d): 2}.get(np.shape(u))
     if k is None:
-        k = {(d, d): 1, (d * d, d * d): 2}.get(np.shape(u))
-        if k is None:
-            raise ValueError("operator must be d x d or d^2 x d^2")
-    if k not in (1, 2):
-        raise ValueError("only one- and two-site operators decompose")
+        raise ValueError("operator must be d x d or d^2 x d^2")
     dim = d ** k
     if dim > max_dim:
         raise ValueError("size guard exceeded")
