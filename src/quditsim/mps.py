@@ -50,8 +50,14 @@ class TruncationPolicy:
     cutoff: float = 1e-12
 
     def __post_init__(self):
-        if self.chi_max is not None and int(self.chi_max) < 1:
-            raise ValueError("chi_max must be at least 1")
+        chi = self.chi_max
+        if chi is not None:
+            # a float or string would only fail at the first cut, mid-update
+            if isinstance(chi, bool) or not isinstance(chi, (int, np.integer)):
+                raise ValueError(f"chi_max must be an integer, got {chi!r}")
+            if chi < 1:
+                raise ValueError("chi_max must be at least 1")
+            object.__setattr__(self, "chi_max", int(chi))
         if not 0.0 <= self.cutoff < 1.0:
             raise ValueError("cutoff must lie in [0, 1)")
 

@@ -4,19 +4,25 @@ Row i (0 <= i < n) stores C Z_i C^dagger, row n+i stores C X_i C^dagger,
 each as a full PauliString with its own tau-exponent phase.
 
 Words are sequences of Clifford GateOps, the circuit's own ops: H, Hdg, S,
-Sdg, X, Z, SUM, SUMdg and SWAP, each with its own image table. A
-non-Clifford op in a word raises ValueError before anything changes.
+Sdg, X, Z, SUM, SUMdg and SWAP. A non-Clifford op in a word raises
+ValueError before anything changes.
 
 A Clifford word is applied in as-soon-as-possible layers: each gate goes
 one layer past the last gate on any of its sites, so the gates of a layer
 act on disjoint sites and commute. The tableau is packed site-major, one
 code x*d + z per (site, row), and each (layer, name) rewrites the codes of
-all its sites over all 2n rows with one lookup in a flat table of that
-gate's images. Gates on disjoint sites change disjoint codes and their
-phase increments add mod 2d, so the result is bit-identical to
-applying the gates one at a time. Every table entry, phase included, is
-produced by explicit string multiplication, never by a precomputed phase
-polynomial, so the even/odd-d case split cannot creep in as a bug source.
+all its sites over all 2n rows with one lookup in a table of that gate's
+images, indexed by the codes of its k sites. Gates on disjoint sites
+change disjoint codes and their phase increments add mod 2d, so the
+result is bit-identical to applying the gates one at a time.
+
+A gate's action is defined once, by its matrix in gates.gate_matrix. The
+table reads the images of the 2k generators X_j, Z_j off that matrix:
+each is conjugated densely and decomposed, and must come out as a single
+Pauli string times a power of tau. Every table entry, phase included, is
+then produced by explicit string multiplication of generator powers,
+never by a precomputed phase polynomial, so the even/odd-d case split
+cannot creep in as a bug source.
 """
 
 from __future__ import annotations
@@ -26,84 +32,67 @@ from itertools import product
 import numpy as np
 
 from . import kernels
-from .gates import GateOp
-from .pauli import PauliString, QuditDim
+from .gates import NON_CLIFFORD_NAMES, TWO_SITE_NAMES, GateOp, gate_matrix
+from .pauli import PauliString, QuditDim, decompose_unitary, phase_factor
 
-# (name, d) -> flat code/phase lookup arrays, built lazily
+# (name, d) -> read-only code/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
 
 
-def _base_images(name: str, d: int):
-    """Conjugation images g P g^dagger of the generator Paulis.
+def _generator_images(name: str, d: int):
+    """Images g P g^dagger of the generators (X_0, Z_0, ..., X_{k-1},
+    Z_{k-1}) of the gate's k-site register, read off gate_matrix.
 
-    One-site gates return (image of X, image of Z) on a one-site register;
-    two-site gates return images of (X_c, Z_c, X_t, Z_t) on a two-site
-    register with site 0 as the control (the first listed site). The
-    even-d phase gate picks up the odd tau exponent that makes
-    Y = tau X Z unitary of order 2d.
+    Each image must decompose into one Pauli string whose coefficient is
+    tau**ph for an integer ph, to 1e-9; anything else raises
+    ArithmeticError, since the gate would then not be Clifford.
     """
-    P = PauliString
-    eps = 1 if d % 2 == 0 else 0
-    if name == "H":
-        return P(d, [0], [1]), P(d, [d - 1], [0])
-    if name == "Hdg":
-        return P(d, [0], [d - 1]), P(d, [1], [0])
-    if name == "S":
-        return P(d, [1], [1], eps), P(d, [0], [1])
-    if name == "Sdg":
-        return P(d, [1], [d - 1], -eps), P(d, [0], [1])
-    if name == "X":
-        return P(d, [1], [0]), P(d, [0], [1], 2 * d - 2)
-    if name == "Z":
-        return P(d, [1], [0], 2), P(d, [0], [1])
-    if name == "SUM":
-        return (P(d, [1, 1], [0, 0]), P(d, [0, 0], [1, 0]),
-                P(d, [0, 1], [0, 0]), P(d, [0, 0], [d - 1, 1]))
-    if name == "SUMdg":
-        return (P(d, [1, d - 1], [0, 0]), P(d, [0, 0], [1, 0]),
-                P(d, [0, 1], [0, 0]), P(d, [0, 0], [1, 1]))
-    if name == "SWAP":
-        return (P(d, [0, 1], [0, 0]), P(d, [0, 0], [0, 1]),
-                P(d, [1, 0], [0, 0]), P(d, [0, 0], [1, 0]))
-    raise ValueError(f"{name} is not a Clifford gate")
+    k = 2 if name in TWO_SITE_NAMES else 1
+    u = gate_matrix(GateOp(name, range(k)), d)
+    images = []
+    for j, (x, z) in product(range(k), ((1, 0), (0, 1))):
+        gen = PauliString.single(d, k, j, x, z).to_matrix()
+        terms = decompose_unitary(u @ gen @ u.conj().T, d).terms
+        if len(terms) != 1:
+            raise ArithmeticError(f"{name} maps a Pauli to {len(terms)} terms")
+        (c, p), = terms
+        ph = round(np.angle(c) * d / np.pi) % (2 * d)
+        if not abs(c - phase_factor(ph, d)) <= 1e-9:
+            raise ArithmeticError(f"{name} image coefficient {c} is not a "
+                                  "power of tau")
+        images.append(PauliString(d, p.x, p.z, ph))
+    return images
 
 
 def _image_tables(name: str, d: int):
-    """Flat lookup tables mapping packed site codes x*d + z to their
-    conjugated images.
+    """(codes, phase) lookup tables for a Clifford gate on k sites.
 
-    A one-site gate gives (code, phase), indexed by the site's code. A
-    two-site gate gives (control code, target code, phase), indexed by
-    control code * d^2 + target code. Built once per (name, d) by
-    multiplying out powers of the generator images, so the phase column is
-    exact by construction; the arrays are read-only.
+    Both are indexed by the k sites' packed codes x*d + z read as one
+    base-d^2 number, first listed site first: codes[j, i] is the code of
+    the image on site j and phase[i] its tau exponent. Built once per
+    (name, d) by multiplying out powers of the generator images, so the
+    phase column is exact by construction; the arrays are read-only.
     """
     key = (name, d)
     hit = _IMAGE_CACHE.get(key)
     if hit is not None:
         return hit
-    images = _base_images(name, d)
-    if len(images) == 2:
-        gx, gz = images
-        code = np.empty(d * d, dtype=np.int64)
-        po = np.empty(d * d, dtype=np.int64)
-        for x, z in product(range(d), repeat=2):
-            q = gx.power(x) * gz.power(z)
-            code[x * d + z] = q.x[0] * d + q.z[0]
-            po[x * d + z] = q.phase
-        out = (code, po)
-    else:
-        gxc, gzc, gxt, gzt = images
-        size = d**4
-        cc = np.empty(size, dtype=np.int64)
-        tc = np.empty(size, dtype=np.int64)
-        po = np.empty(size, dtype=np.int64)
-        for k, (xc, zc, xt, zt) in enumerate(product(range(d), repeat=4)):
-            q = gxc.power(xc) * gzc.power(zc) * gxt.power(xt) * gzt.power(zt)
-            cc[k] = q.x[0] * d + q.z[0]
-            tc[k] = q.x[1] * d + q.z[1]
-            po[k] = q.phase
-        out = (cc, tc, po)
+    if name in NON_CLIFFORD_NAMES:
+        raise ValueError(f"{name} is not a Clifford gate")
+    images = _generator_images(name, d)
+    k = len(images) // 2
+    powers = [[img.power(e) for e in range(d)] for img in images]
+    codes = np.empty((k, d ** (2 * k)), dtype=np.int64)
+    phase = np.empty(d ** (2 * k), dtype=np.int64)
+    # product() counts (x_0, z_0, ..., x_{k-1}, z_{k-1}) in base d, which
+    # is the packed index
+    for i, exps in enumerate(product(range(d), repeat=2 * k)):
+        q = powers[0][exps[0]]
+        for pw, e in zip(powers[1:], exps[1:]):
+            q = q * pw[e]
+        codes[:, i] = q.x * d + q.z
+        phase[i] = q.phase
+    out = (codes, phase)
     for a in out:
         a.setflags(write=False)
     _IMAGE_CACHE[key] = out
@@ -112,25 +101,18 @@ def _image_tables(name: str, d: int):
 
 def _layers(word, n: int):
     """A word's gates in as-soon-as-possible layers, as sorted
-    ((layer, name), sites) pairs: one site index per one-site gate, a
-    (first, second) pair per two-site gate. Every site is checked against
-    n."""
+    ((layer, name), sites) pairs, one tuple of sites per gate. Every site
+    is checked against n."""
     depth = [0] * n
     groups = {}
     for g in word:
         sites = g.sites
         if max(sites) >= n:
             raise ValueError(f"gate sites {sites} exceed n={n}")
-        if len(sites) == 1:
-            (a,) = sites
-            layer = depth[a]
-            depth[a] = layer + 1
-            groups.setdefault((layer, g.name), []).append(a)
-        else:
-            a, b = sites
-            layer = max(depth[a], depth[b])
-            depth[a] = depth[b] = layer + 1
-            groups.setdefault((layer, g.name), []).append(sites)
+        layer = max(map(depth.__getitem__, sites))
+        for s in sites:
+            depth[s] = layer + 1
+        groups.setdefault((layer, g.name), []).append(sites)
     return sorted(groups.items())
 
 
@@ -188,18 +170,14 @@ class Tableau:
         codes = (self.xs * d + self.zs).T.copy()  # (n, 2n)
         dphase = np.zeros(2 * self.n, dtype=np.int64)
         for (_, name), sites in groups:
-            tables = _image_tables(name, d)
-            if len(tables) == 2:
-                image, phase = tables
-                old = codes[sites]
-                codes[sites] = image[old]
-            else:
-                cimage, timage, phase = tables
-                c, t = np.array(sites).T
-                old = codes[c] * (d * d) + codes[t]
-                codes[c] = cimage[old]
-                codes[t] = timage[old]
-            dphase += phase[old].sum(axis=0)
+            image, phase = _image_tables(name, d)
+            legs = np.array(sites).T  # row j: the j-th site of every gate
+            packed = codes[legs[0]]
+            for leg in legs[1:]:
+                packed = packed * (d * d) + codes[leg]
+            for leg, leg_image in zip(legs, image):
+                codes[leg] = leg_image[packed]
+            dphase += phase[packed].sum(axis=0)
         xs, zs = np.divmod(codes.T, d)
         self.xs = np.ascontiguousarray(xs)
         self.zs = np.ascontiguousarray(zs)

@@ -4,7 +4,9 @@ Everything here is built from first principles (np.roll / np.diag / kron)
 without calling the package's own realization code, so package bugs cannot
 cancel out in comparisons. The exceptions are the brute-force references
 at the end: the plain loops that the package's vectorized paths replaced,
-and the five-gate SWAP word that the tableau's native SWAP replaced.
+the five-gate SWAP word that the tableau's native SWAP replaced, and the
+hand-written gate images that the tableau's tables, derived from
+gate_matrix, must reproduce.
 """
 
 from functools import lru_cache
@@ -207,14 +209,49 @@ def swap_word(a, b):
             gate("H", a), gate("H", a)]
 
 
+def reference_generator_images(name, d):
+    """Reference for the tableau's generator images: g P g^dagger written
+    out by hand for each Clifford name, as PauliStrings.
+
+    One-site gates return (image of X, image of Z) on a one-site register;
+    two-site gates return images of (X_c, Z_c, X_t, Z_t) on a two-site
+    register with site 0 as the control (the first listed site). The
+    even-d phase gate picks up the odd tau exponent that makes
+    Y = tau X Z unitary of order 2d.
+    """
+    from quditsim.pauli import PauliString as P
+
+    eps = 1 if d % 2 == 0 else 0
+    if name == "H":
+        return P(d, [0], [1]), P(d, [d - 1], [0])
+    if name == "Hdg":
+        return P(d, [0], [d - 1]), P(d, [1], [0])
+    if name == "S":
+        return P(d, [1], [1], eps), P(d, [0], [1])
+    if name == "Sdg":
+        return P(d, [1], [d - 1], -eps), P(d, [0], [1])
+    if name == "X":
+        return P(d, [1], [0]), P(d, [0], [1], 2 * d - 2)
+    if name == "Z":
+        return P(d, [1], [0], 2), P(d, [0], [1])
+    if name == "SUM":
+        return (P(d, [1, 1], [0, 0]), P(d, [0, 0], [1, 0]),
+                P(d, [0, 1], [0, 0]), P(d, [0, 0], [d - 1, 1]))
+    if name == "SUMdg":
+        return (P(d, [1, d - 1], [0, 0]), P(d, [0, 0], [1, 0]),
+                P(d, [0, 1], [0, 0]), P(d, [0, 0], [1, 1]))
+    if name == "SWAP":
+        return (P(d, [0, 1], [0, 0]), P(d, [0, 0], [0, 1]),
+                P(d, [1, 0], [0, 0]), P(d, [0, 0], [1, 0]))
+    raise ValueError(f"{name} is not a Clifford gate")
+
+
 @lru_cache(maxsize=None)
 def _exponent_image_tables(name, d):
     """(x, z) exponents and phase of the image of every Pauli on a gate's
-    sites, indexed by (x0, z0[, x1, z1]), multiplied out of the generator
-    images as the per-gate loop did."""
-    from quditsim.tableau import _base_images
-
-    images = _base_images(name, d)
+    sites, indexed by (x0, z0[, x1, z1]), multiplied out of the
+    hand-written generator images one power at a time."""
+    images = reference_generator_images(name, d)
     k = len(images) // 2
     xo = np.empty((d,) * (2 * k) + (k,), dtype=np.int64)
     zo = np.empty_like(xo)

@@ -98,6 +98,20 @@ def test_policy_validation():
     assert p.chi_max == 7 and p.cutoff == 0.0
 
 
+@pytest.mark.parametrize("chi_max", [2.5, 2.0, "2", True, np.float64(2.0)])
+def test_policy_rejects_non_integral_chi_max(chi_max):
+    with pytest.raises(ValueError, match="chi_max must be an integer"):
+        TruncationPolicy(chi_max=chi_max)
+
+
+@pytest.mark.parametrize("chi_max", [np.int64(2), np.int32(2), np.uint8(2)])
+def test_policy_accepts_numpy_integer_chi_max(chi_max):
+    p = TruncationPolicy(chi_max=chi_max)
+    assert p.chi_max == 2 and type(p.chi_max) is int
+    m = entangled_chain(policy=p)
+    assert max(m.bond_dims()) <= 2
+
+
 def test_entropy_of_product_state_is_zero():
     m = Mps.product_state(5, 3)
     for bond in range(1, 5):

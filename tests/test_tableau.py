@@ -13,10 +13,13 @@ import pytest
 from quditsim.circuits import random_clifford_word
 from quditsim.gates import TWO_SITE_NAMES, GateOp, inverse_gate
 from quditsim.pauli import PauliString
-from quditsim.tableau import Tableau, identity_tableau
+from quditsim.tableau import (
+    Tableau, _generator_images, _image_tables, identity_tableau,
+)
 
 from helpers import (
     CLIFFORD_NAMES,
+    _exponent_image_tables,
     apply_word_per_gate,
     dense_pauli,
     dense_word_unitary,
@@ -119,6 +122,27 @@ def test_generator_images_dense(name, d):
                 f"{name} on {sites}, row {r}"
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+@pytest.mark.parametrize("name", CLIFFORD_NAMES)
+def test_image_tables_match_hand_written_images(name, d):
+    """Tables read off gate_matrix equal the ones multiplied out of the
+    hand-written generator images, entry for entry, phases included."""
+    codes, phase = _image_tables(name, d)
+    xo, zo, po = _exponent_image_tables(name, d)
+    k = codes.shape[0]
+    assert codes.shape == (k, d ** (2 * k)) and phase.shape == (d ** (2 * k),)
+    xs, zs = np.divmod(codes.T.reshape(xo.shape), d)
+    assert np.array_equal(xs, xo)
+    assert np.array_equal(zs, zo)
+    assert np.array_equal(phase.reshape(po.shape), po)
+
+
+def test_generator_images_refuse_a_matrix_that_is_not_clifford():
+    # T at d=3 takes X to a sum of Paulis, which no table entry can hold
+    with pytest.raises(ArithmeticError, match="terms"):
+        _generator_images("T", 3)
+
+
 @pytest.mark.parametrize("d", DS)
 def test_apply_gate_on_nontrivial_rows_dense(d):
     """Image tables must be right on all exponent pairs, not just generators."""
@@ -207,12 +231,20 @@ def test_apply_word_out_of_range_leaves_tableau_untouched():
     assert t == before
 
 
-@pytest.mark.parametrize("bad", [GateOp("T", (1,)),
-                                 GateOp("U1", (0,), (0.1, 0.2, 0.3))])
+@pytest.mark.parametrize("bad", [
+    (3, GateOp("T", (1,))),
+    (3, GateOp("U1", (0,), (0.1, 0.2, 0.3))),
+    (5, GateOp("T", (1,))),
+    (3, GateOp("RZ", (2,), (0.3,))),
+    (5, GateOp("U1", (0,), (0.1, 0.2, 0.3))),
+])
 def test_apply_word_non_clifford_leaves_tableau_untouched(bad):
-    t = identity_tableau(3, 3).apply_word([gate("S", 1), gate("SUM", 0, 2)])
+    # the name is refused before any matrix is asked for, so T at d=5 or RZ
+    # at d=3 report a non-Clifford gate, not a missing matrix
+    d, bad = bad
+    t = identity_tableau(3, d).apply_word([gate("S", 1), gate("SUM", 0, 2)])
     before = t.copy()
-    with pytest.raises(ValueError, match="not a Clifford gate"):
+    with pytest.raises(ValueError, match=f"^{bad.name} is not a Clifford gate$"):
         t.apply_word([gate("H", 0), bad, gate("SUM", 1, 2)])
     assert t == before
 
