@@ -61,8 +61,11 @@ _FIRST_CHUNK = 16
 
 
 def tableau_bytes(n: int) -> int:
-    """2n(2n+1) stored machine integers at 8 bytes each."""
-    return 8 * 2 * n * (2 * n + 1)
+    """Bytes of an n-site tableau: 2n(2n+1) stored exponents and phases at
+    one byte each. Exact for d <= 127; beyond, each entry takes two bytes
+    (tableau.storage_dtype), and GcampsState.memory_estimate, which reads
+    the tableau's own size, counts them."""
+    return 2 * n * (2 * n + 1)
 
 
 @dataclass
@@ -362,10 +365,12 @@ class GcampsState:
     # accounting and verification
 
     def memory_estimate(self, worst_case: bool = False) -> int:
+        """Modeled MPS bytes (at the worst-case bonds if asked) plus the
+        bytes the tableau actually stores."""
         chi = self.mps.bond_dims()
         if worst_case:
             chi = worst_case_chi(chi, self.d, self.n)
-        return mps_model_bytes(chi, self.d) + tableau_bytes(self.n)
+        return mps_model_bytes(chi, self.d) + self.tableau.nbytes
 
     def dense_vector(self, max_dim: int = DENSE_DIM_GUARD) -> np.ndarray:
         """Contract the MPS and replay C onto it. Needs the gate log."""

@@ -1,6 +1,7 @@
 """Exact integer kernel: the ordered product of stabilizer-tableau rows.
 
-One vectorized numpy path in exact int64 arithmetic; tests/helpers.py keeps
+One vectorized numpy path in exact int64 arithmetic on the rows a product
+uses, whatever integer type the tableau stores; tests/helpers.py keeps
 the plain loop it replaced as the reference it must match bit for bit.
 """
 
@@ -31,9 +32,7 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     tau**(2 acc_z . x), so the phase is sum k ph + 2 sum k (prefix kz) . x
     over the rows in order, plus k(k-1) z . x for a row's own repeats.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    zs = np.asarray(zs, dtype=np.int64)
-    phases = np.asarray(phases, dtype=np.int64)
+    xs, zs, phases = np.asarray(xs), np.asarray(zs), np.asarray(phases)
     n = xs.shape[1]
     powers = np.concatenate([np.asarray(xpow, dtype=np.int64),
                              np.asarray(zpow, dtype=np.int64)], axis=-1)
@@ -42,12 +41,15 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     used = np.flatnonzero(powers.any(axis=0))
     k = powers[:, used]  # (m, u)
     rows = (used + n) % (2 * n)  # xpow[i] -> row n+i, zpow[i] -> row i
-    x, z = xs[rows], zs[rows]
+    # gather the rows used, then widen: the tableau may be stored narrower
+    x = np.asarray(xs[rows], dtype=np.int64)
+    z = np.asarray(zs[rows], dtype=np.int64)
+    ph_rows = np.asarray(phases[rows], dtype=np.int64)
     kz = k[:, :, None] * z
     before = np.cumsum(kz, axis=1) - kz  # Z exponents of the rows to the left
     cross = np.einsum("mij,ij->mi", before, x)
     own = np.einsum("ij,ij->i", z, x)
-    ph = (k @ phases[rows] + 2 * (k * cross).sum(axis=1)
+    ph = (k @ ph_rows + 2 * (k * cross).sum(axis=1)
           + (k * (k - 1)) @ own) % (2 * d)
     px, pz = (k @ x) % d, (k @ z) % d
     if single:

@@ -3,6 +3,12 @@
 Row i (0 <= i < n) stores C Z_i C^dagger, row n+i stores C X_i C^dagger,
 each as a full PauliString with its own tau-exponent phase.
 
+Exponents lie in [0, d) and phases in [0, 2d), so the arrays are stored in
+the narrowest unsigned type that holds 2d - 1 (storage_dtype): one byte per
+entry up to d = 127. Every product is taken in int64 working copies of
+just the entries it reads, since a product of two uint8 arrays wraps mod
+256 without a word.
+
 Words are sequences of Clifford GateOps, the circuit's own ops: H, Hdg, S,
 Sdg, X, Z, SUM, SUMdg and SWAP. A non-Clifford op in a word raises
 ValueError before anything changes.
@@ -99,42 +105,66 @@ def _image_tables(name: str, d: int):
     return out
 
 
+def storage_dtype(d: int) -> np.dtype:
+    """Narrowest unsigned type holding every stored value, exponents below
+    d and phases below 2d: uint8 for d <= 127, uint16 beyond."""
+    return np.min_scalar_type(2 * int(d) - 1)
+
+
 def _layers(word, n: int):
     """A word's gates in as-soon-as-possible layers, as sorted
-    ((layer, name), sites) pairs, one tuple of sites per gate. Every site
-    is checked against n."""
+    ((layer, name), sites) pairs, the sites of all the group's gates in one
+    flat list, gate after gate. A site past n raises ValueError (GateOp
+    already refuses negative ones)."""
     depth = [0] * n
     groups = {}
-    for g in word:
-        sites = g.sites
-        if max(sites) >= n:
-            raise ValueError(f"gate sites {sites} exceed n={n}")
-        layer = max(map(depth.__getitem__, sites))
-        for s in sites:
-            depth[s] = layer + 1
-        groups.setdefault((layer, g.name), []).append(sites)
+    try:
+        for g in word:
+            sites = g.sites
+            layer = max(map(depth.__getitem__, sites))
+            for s in sites:
+                depth[s] = layer + 1
+            groups.setdefault((layer, g.name), []).extend(sites)
+    except IndexError:
+        raise ValueError(f"gate sites {sites} exceed n={n}") from None
     return sorted(groups.items())
 
 
 class Tableau:
-    """2n rows of exponents plus phases; see module docstring for layout."""
+    """2n rows of exponents plus phases; see module docstring for layout.
+
+    The constructor raises ValueError for an exponent outside [0, d) or a
+    phase outside [0, 2d), then stores copies in storage_dtype(d).
+    """
 
     __slots__ = ("d", "n", "xs", "zs", "phases")
 
     def __init__(self, d: int, n: int, xs, zs, phases):
         self.d = int(QuditDim(d))
         self.n = int(n)
-        self.xs = np.asarray(xs, dtype=np.int64)
-        self.zs = np.asarray(zs, dtype=np.int64)
-        self.phases = np.asarray(phases, dtype=np.int64)
-        if self.xs.shape != (2 * self.n, self.n) or self.zs.shape != self.xs.shape:
+        xs, zs, phases = map(np.asarray, (xs, zs, phases))
+        if xs.shape != (2 * self.n, self.n) or zs.shape != xs.shape:
             raise ValueError("exponent blocks must have shape (2n, n)")
-        if self.phases.shape != (2 * self.n,):
+        if phases.shape != (2 * self.n,):
             raise ValueError("phase column must have shape (2n,)")
+        # checked before narrowing: a cast would turn -1 into 255 silently
+        for a, bound, what in ((xs, self.d, "exponents"),
+                               (zs, self.d, "exponents"),
+                               (phases, 2 * self.d, "phases")):
+            if a.dtype.kind not in "iu" or (
+                    a.size and (a.min() < 0 or a.max() >= bound)):
+                raise ValueError(f"{what} must be integers in [0, {bound})")
+        dtype = storage_dtype(self.d)
+        self.xs, self.zs, self.phases = (a.astype(dtype)
+                                         for a in (xs, zs, phases))
 
     def copy(self) -> "Tableau":
-        return Tableau(self.d, self.n, self.xs.copy(), self.zs.copy(),
-                       self.phases.copy())
+        return Tableau(self.d, self.n, self.xs, self.zs, self.phases)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored exponents and phases."""
+        return self.xs.nbytes + self.zs.nbytes + self.phases.nbytes
 
     def row(self, r: int) -> PauliString:
         return PauliString(self.d, self.xs[r].copy(), self.zs[r].copy(),
@@ -158,30 +188,33 @@ class Tableau:
 
         The rows are packed once into site-major codes, rewritten one
         (layer, name) at a time (see the module docstring), and unpacked
-        into fresh arrays that replace the old ones only at the end. A word
-        that reaches past n (checked before any work) or holds a
-        non-Clifford op (which has no image table) raises ValueError with
-        the tableau untouched.
+        into fresh arrays of the storage type that replace the old ones
+        only at the end. A word that reaches past n (checked before any
+        work) or holds a non-Clifford op (which has no image table) raises
+        ValueError with the tableau untouched.
         """
         groups = _layers(word, self.n)
         if not groups:
             return self
         d = self.d
-        codes = (self.xs * d + self.zs).T.copy()  # (n, 2n)
+        # int64 codes: narrower index arrays make every lookup slower
+        codes = (self.xs.astype(np.int64) * d + self.zs).T.copy()  # (n, 2n)
         dphase = np.zeros(2 * self.n, dtype=np.int64)
         for (_, name), sites in groups:
             image, phase = _image_tables(name, d)
-            legs = np.array(sites).T  # row j: the j-th site of every gate
+            # row j: the j-th site of every gate
+            legs = np.array(sites).reshape(-1, len(image)).T
             packed = codes[legs[0]]
             for leg in legs[1:]:
                 packed = packed * (d * d) + codes[leg]
             for leg, leg_image in zip(legs, image):
                 codes[leg] = leg_image[packed]
             dphase += phase[packed].sum(axis=0)
+        dtype = self.xs.dtype
         xs, zs = np.divmod(codes.T, d)
-        self.xs = np.ascontiguousarray(xs)
-        self.zs = np.ascontiguousarray(zs)
-        self.phases = (self.phases + dphase) % (2 * d)
+        self.xs = np.ascontiguousarray(xs, dtype=dtype)
+        self.zs = np.ascontiguousarray(zs, dtype=dtype)
+        self.phases = ((self.phases + dphase) % (2 * d)).astype(dtype)
         return self
 
     # -- conjugation ---------------------------------------------------------
@@ -210,11 +243,14 @@ class Tableau:
         mod d. The row product for those powers is then multiplied out
         forward; it must reproduce p's exponents (else the tableau is
         corrupted and LinAlgError is raised), and its phase fixes q's.
+        Only the columns of p's support enter the commutation exponents.
         """
         self._check_shape(p)
         n, d = self.n, self.d
-        xpow = (self.zs[:n] @ p.x - self.xs[:n] @ p.z) % d
-        zpow = (self.xs[n:] @ p.z - self.zs[n:] @ p.x) % d
+        cols = np.flatnonzero(p.x | p.z)
+        c = (self.zs[:, cols].astype(np.int64) @ p.x[cols]
+             - self.xs[:, cols].astype(np.int64) @ p.z[cols])  # c(row, p)
+        xpow, zpow = c[:n] % d, -c[n:] % d
         rx, rz, rph = kernels.rowprod(self.xs, self.zs, self.phases,
                                       xpow, zpow, d)
         if not (np.array_equal(rx, p.x) and np.array_equal(rz, p.z)):
@@ -274,7 +310,8 @@ class Tableau:
 
     def commutation_matrix(self) -> np.ndarray:
         """Pairwise commutation exponents c(row_i, row_j) over Z_d."""
-        return (self.zs @ self.xs.T - self.xs @ self.zs.T) % self.d
+        xs, zs = self.xs.astype(np.int64), self.zs.astype(np.int64)
+        return (zs @ xs.T - xs @ zs.T) % self.d
 
     def symplectic_ok(self) -> bool:
         """Rows commute except each stabilizer with its own destabilizer,

@@ -280,7 +280,7 @@ def apply_word_per_gate(t, word):
                     for col in (out.xs[:, s].copy(), out.zs[:, s].copy()))
         out.xs[:, sites] = xo[old]
         out.zs[:, sites] = zo[old]
-        out.phases = (out.phases + po[old]) % (2 * d)
+        out.phases[:] = (out.phases + po[old]) % (2 * d)
     return out
 
 

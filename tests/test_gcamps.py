@@ -13,7 +13,12 @@ from quditsim.circuits import (
     t_doped_circuit,
 )
 from quditsim import gcamps
-from quditsim.disentanglers import generate_catalog
+from quditsim.disentanglers import (
+    DisentanglerCatalog,
+    DisentanglerEntry,
+    generate_catalog,
+    word_symplectic,
+)
 from quditsim.gates import invert_word
 from quditsim.gcamps import GcampsState, new_state, tableau_bytes
 from quditsim.mps import Mps, TruncationPolicy, mps_model_bytes
@@ -409,7 +414,7 @@ def test_hermitian_expectation_is_real_part(cat2):
 
 def test_memory_estimate_product_pair(cat3):
     st = new_state(2, 3, cat3)
-    assert tableau_bytes(2) == 8 * 4 * 5
+    assert tableau_bytes(2) == 4 * 5
     assert st.memory_estimate() - tableau_bytes(2) == 96
     assert st.memory_estimate(worst_case=True) - tableau_bytes(2) == 288
 
@@ -448,6 +453,37 @@ def test_memory_saturated_closed_form(cat3):
     st.mps = Mps(d, tensors, center=0, policy=st.mps.policy)
     assert st.memory_estimate() - tableau_bytes(n) == 19_131_840
     assert st.memory_estimate(worst_case=True) == st.memory_estimate()
+
+
+def sum_catalog(d):
+    """Identity plus one SUM: a catalog for a d whose full catalog is too
+    large to build in a test, enough for the engine to scan and absorb."""
+    entries = []
+    for word in ((), (GateOp("SUM", (0, 1)),)):
+        entries.append(DisentanglerEntry(word_symplectic(word, d), word, 1,
+                                         entangling=bool(word)))
+    return DisentanglerCatalog(d, 2, entries)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 8, 96])
+def test_memory_model_is_the_stored_bytes(n, d, cat2, cat3):
+    """After a width-shaped run (two non-Clifford layers after 8n-gate
+    Clifford blocks), tableau_bytes(n) is exactly what the tableau stores,
+    and memory_estimate is the MPS model plus those bytes."""
+    st = new_state(n, d, {2: cat2, 3: cat3}.get(d) or sum_catalog(d))
+    u = np.diag(np.exp(0.3j * np.arange(d)))  # diagonal, not Clifford
+    for layer in range(2):
+        st.apply_clifford_word(random_clifford_word(
+            n, d, length=8 * n, rng_seed=10 * n + d + layer))
+        st.apply_non_clifford(0, u)
+    t = st.tableau
+    assert t != identity_tableau(n, d)
+    for a in (t.xs, t.zs, t.phases):
+        assert a.dtype == np.uint8
+    assert tableau_bytes(n) == t.xs.nbytes + t.zs.nbytes + t.phases.nbytes
+    assert st.memory_estimate() == (mps_model_bytes(st.mps.bond_dims(), d)
+                                    + tableau_bytes(n))
 
 
 # -- bookkeeping ------------------------------------------------------------

@@ -27,6 +27,7 @@ from helpers import (
     local_frame,
     random_clifford_gates,
     random_pauli_exponents,
+    reference_generator_images,
     right_multiply_full,
     swap_word,
 )
@@ -189,7 +190,7 @@ def every_name_word(rng, n, length):
 def assert_bit_identical(got, want):
     for a, b in ((got.xs, want.xs), (got.zs, want.zs),
                  (got.phases, want.phases)):
-        assert a.dtype == b.dtype == np.int64
+        assert a.dtype == b.dtype == (np.uint8 if got.d <= 127 else np.uint16)
         assert np.array_equal(a, b)
 
 
@@ -509,6 +510,121 @@ def test_clifford_only_expectations_match_dense(d):
         got = q.phase_value() if not q.x.any() else 0.0
         want = psi.conj() @ (dense_pauli(d, x, z, ph) @ psi)
         assert abs(got - want) < 1e-12
+
+
+# -- storage width ---------------------------------------------------------------------
+
+# one byte holds every exponent and phase for d <= 127; at 11 and 13 the
+# commutation and row products overflow it many times over
+TIGHT_DS = [11, 13]
+WIDE_N = 24
+
+
+def assert_stored_as(t, dtype):
+    for a in (t.xs, t.zs, t.phases):
+        assert a.dtype == dtype
+
+
+def test_constructor_refuses_values_a_narrow_cast_would_wrap():
+    """-1 cast to uint8 reads 255, and 255 mod 3 = 0 where -1 mod 3 = 2: an
+    exponent outside [0, d) or a phase outside [0, 2d) raises instead."""
+    d, n = 3, 2
+    base = identity_tableau(n, d)
+    xs = base.xs.astype(np.int64)
+    xs[1, 0] = -1
+    with pytest.raises(ValueError, match="exponents"):
+        Tableau(d, n, xs, base.zs, base.phases)
+    zs = base.zs.astype(np.int64)
+    zs[0, 1] = d
+    with pytest.raises(ValueError, match="exponents"):
+        Tableau(d, n, base.xs, zs, base.phases)
+    phases = base.phases.astype(np.int64)
+    phases[2] = 2 * d
+    with pytest.raises(ValueError, match="phases"):
+        Tableau(d, n, base.xs, base.zs, phases)
+    phases[2] = 2 * d - 1
+    assert_stored_as(Tableau(d, n, base.xs, base.zs, phases), np.uint8)
+
+
+@pytest.mark.parametrize("d", TIGHT_DS)
+def test_apply_word_matches_per_gate_loop_where_a_byte_is_tight(d):
+    rng = np.random.default_rng(70 + d)
+    t, _ = random_tableau(rng, WIDE_N, d, 4 * WIDE_N)
+    word = random_clifford_gates(rng, WIDE_N, d, 300)
+    want = apply_word_per_gate(t, word)
+    t.apply_word(word)
+    assert_bit_identical(t, want)
+    assert_stored_as(t, np.uint8)
+    assert t.symplectic_ok()
+
+
+@pytest.mark.parametrize("d", TIGHT_DS)
+@pytest.mark.parametrize("sites", [(23, 4, 3), (6, 1, 13), (20, 0), (0, 20)],
+                         ids=["descending", "shuffled", "far", "far-ascending"])
+def test_right_multiply_matches_full_construction_where_a_byte_is_tight(
+        sites, d):
+    rng = np.random.default_rng(800 + 11 * d + sum(sites))
+    m = len(sites)
+    t, _ = random_tableau(rng, WIDE_N, d, 4 * WIDE_N)
+    local_word = random_clifford_word(m, d, length=12, rng_seed=d + m)
+    local_word += [gate("SWAP", 0, m - 1), gate("Hdg", m - 1),
+                   gate("SUMdg", m - 1, 0), gate("X", 0), gate("Z", m - 1)]
+    local = identity_tableau(m, d).apply_word(local_word)
+    mapped = [GateOp(g.name, tuple(sites[s] for s in g.sites))
+              for g in local_word]
+    want = right_multiply_full(t, mapped)
+    t.right_multiply(local, sites)
+    assert_bit_identical(t, want)
+    assert_stored_as(t, np.uint8)
+    assert t.symplectic_ok()
+
+
+@pytest.mark.parametrize("d", TIGHT_DS)
+def test_conjugate_inverse_roundtrip_where_a_byte_is_tight(d):
+    rng = np.random.default_rng(90 + d)
+    t = identity_tableau(WIDE_N, d).apply_word(
+        random_clifford_gates(rng, WIDE_N, d, 300))
+    assert_stored_as(t, np.uint8)
+    assert t.symplectic_ok()
+    for _ in range(6):
+        x, z, ph = random_pauli_exponents(rng, d, WIDE_N)
+        q = PauliString(d, x, z, ph)
+        assert t.conjugate_inverse(t.conjugate_forward(q)) == q
+        assert t.conjugate_forward(t.conjugate_inverse(q)) == q
+
+
+def hand_written_frame(name, d):
+    """Local tableau of one Clifford gate from its hand-written generator
+    images, built without the package's image tables."""
+    images = reference_generator_images(name, d)  # X_0, Z_0[, X_1, Z_1]
+    k = len(images) // 2
+    rows = images[1::2] + images[0::2]  # Z rows first, then X rows
+    return Tableau(d, k, [p.x for p in rows], [p.z for p in rows],
+                   [p.phase for p in rows])
+
+
+def test_two_byte_storage_past_d_127():
+    d, n = 131, WIDE_N
+    t = identity_tableau(n, d)
+    assert_stored_as(t, np.uint16)
+    before = t.copy()
+    t.right_multiply(identity_tableau(2, d), (5, 17))
+    assert t == before
+    # scramble the frame with gates whose tables are never built at d=131
+    rng = np.random.default_rng(131)
+    frames = [hand_written_frame(name, d) for name in ("H", "S", "SUM")]
+    for _ in range(200):
+        local = frames[int(rng.integers(0, 3))]
+        sites = rng.choice(n, size=local.n, replace=False).tolist()
+        t.right_multiply(local, sites)
+    assert_stored_as(t, np.uint16)
+    assert t.symplectic_ok()
+    assert int(t.xs.max()) > 127 and int(t.phases.max()) > 255
+    for _ in range(4):
+        x, z, ph = random_pauli_exponents(rng, d, n)
+        q = PauliString(d, x, z, ph)
+        assert t.conjugate_inverse(t.conjugate_forward(q)) == q
+        assert t.conjugate_forward(t.conjugate_inverse(q)) == q
 
 
 # -- serialization ---------------------------------------------------------------------
