@@ -4,12 +4,15 @@ Clifford gates touch only the tableau (zero tensor work). A non-Clifford
 single-site unitary u runs the four-stage pipeline: expand u in the Pauli
 basis, commute each term through C as u~ = C^dag u C (valid because
 u C = C (C^dag u C)), apply the resulting operator sum to the MPS, then try
-to push the created entanglement back into C by scanning the two-site
-catalog at every affected bond. An accepted catalog gate Q moves the MPS to
-Q|mps> while C absorbs the inverse, C <- C Q^dag, so the physical state
-never changes. Q|mps> is not formed a second time: the pair tensor the scan
-scored for Q is split in place by the MPS's own truncating SVD
-(Mps.split_pair), which leaves the same bits as Mps.apply_two_site would.
+to push the created entanglement back into C by sweeping the two-site
+catalog over the affected bonds, left to right whatever the gate's site: a
+cut inside the commuted strings' support stays entangled until one side of
+it has been collapsed, and collapsing proceeds from the window's edge
+inward. An accepted catalog gate Q moves the MPS to Q|mps> while C absorbs
+the inverse, C <- C Q^dag, so the physical state never changes. Q|mps> is
+not formed a second time: the pair tensor the scan scored for Q is split in
+place by the MPS's own truncating SVD (Mps.split_pair), which leaves the
+same bits as Mps.apply_two_site would.
 
 The bond objective is lexicographic: first the number of singular values
 above the policy cutoff (the truncated bond dimension), then the Renyi-2
@@ -208,39 +211,35 @@ class GcampsState:
         changed = [b for b in range(n - 1) if before[b] != after[b]]
         if not changed:
             return DisentangleReport()
-        return self.disentangle(
-            window=(min(changed), max(changed) + 2), anchor=site
-        )
+        return self.disentangle(window=(min(changed), max(changed) + 2))
 
     # ------------------------------------------------------------------
     # disentangling
 
-    def disentangle(self, window=None, anchor=None,
+    def disentangle(self, window=None,
                     pass_limit=_DEFAULT_PASS_LIMIT) -> DisentangleReport:
-        """Sweep the bonds of window (sites lo..hi-1, default the chain),
-        nearest the anchor first, until a pass accepts no gate or
-        pass_limit passes have run.
+        """Sweep the bonds of window (sites lo..hi-1, default the chain)
+        left to right until a pass accepts no gate or pass_limit passes
+        have run; early_termination is set when the last allowed pass
+        still accepted a gate.
 
-        Each pass offers every bond that is not settled to _optimize_bond.
-        A settled bond, one whose last scan accepted nothing with no gate
-        on bonds i-1, i or i+1 since, or one left a product across its cut,
-        is skipped with no center move, pair tensor or SVD, and keeps the
-        objective of its last visit. A pass in which every bond is settled
-        visits nothing and ends the run. early_termination is set when the
-        last allowed pass still accepted a gate.
+        The order ignores the site the non-Clifford gate hit: a cut inside
+        the commuted strings' support stays entangled until one side of it
+        has been collapsed, and collapsing proceeds from the window's edge
+        inward. Each pass offers every bond that is not settled to
+        _optimize_bond; a settled bond keeps the objective of its last
+        visit, and a pass that visits nothing ends the run.
         """
         n = self.n
         if window is None:
             window = (0, n)
         lo, hi = int(window[0]), int(window[1])
-        if not (0 <= lo and hi <= n):
+        if not 0 <= lo <= hi <= n:
             raise ValueError("window out of range")
         report = DisentangleReport()
-        bonds = list(range(max(lo, 0), hi - 1))
+        bonds = range(lo, hi - 1)
         if not bonds:
             return report
-        mid = anchor if anchor is not None else (lo + hi - 1) / 2
-        bonds.sort(key=lambda i: (abs(i + 0.5 - mid), i))
         # Bonds whose last scan in this run accepted nothing. A candidate at
         # bond i is scored by the spectrum across cut i after it acts on
         # sites i, i+1; a gate on sites j, j+1 lying wholly on one side of

@@ -272,7 +272,7 @@ class PauliSum:
         return out
 
 
-def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD) -> PauliSum:
+def decompose_unitary(u, d: int) -> PauliSum:
     """Expand a 1- or 2-site unitary in the Pauli basis, in closed form.
 
     Coefficients are c_xz = Tr(u @ (X**x Z**z)^dagger) / d**k: u contracted
@@ -293,7 +293,7 @@ def decompose_unitary(u, d: int, max_dim: int = DENSE_DIM_GUARD) -> PauliSum:
     if k is None:
         raise ValueError("operator must be d x d or d^2 x d^2")
     dim = d ** k
-    if dim > max_dim:
+    if dim > DENSE_DIM_GUARD:
         raise ValueError("size guard exceeded")
     u = checked_unitary(u, d, k)
 

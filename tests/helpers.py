@@ -150,6 +150,18 @@ def gate(name, *sites):
     return GateOp(name, sites)
 
 
+def relabel_sites(circ, shift):
+    """circ with every site s moved cyclically to (s + shift) % n, so a T
+    that t_doped_circuit puts on site 0 lands on site shift % n."""
+    from quditsim.circuits import Circuit
+    from quditsim.gates import GateOp
+
+    n = circ.n
+    ops = [GateOp(op.name, tuple((s + shift) % n for s in op.sites), op.params)
+           for op in circ.ops]
+    return Circuit(n, circ.d, ops, circ.metadata)
+
+
 def random_clifford_gates(rng, n, d, length):
     """Plain generator-word sampler for oracle tests (package-independent)."""
     pool = [("H", 1), ("S", 1), ("SUM", 2)] if n > 1 else [("H", 1), ("S", 1)]
@@ -386,16 +398,13 @@ def reference_gcamps_state(n, d, catalog, policy=None):
     class ReferenceGcampsState(GcampsState):
         __slots__ = ()
 
-        def disentangle(self, window=None, anchor=None,
-                        pass_limit=_DEFAULT_PASS_LIMIT):
+        def disentangle(self, window=None, pass_limit=_DEFAULT_PASS_LIMIT):
             lo, hi = (0, self.n) if window is None else window
             report = DisentangleReport()
             report.skippable = []
-            bonds = list(range(lo, hi - 1))
+            bonds = range(lo, hi - 1)
             if not bonds:
                 return report
-            mid = anchor if anchor is not None else (lo + hi - 1) / 2
-            bonds.sort(key=lambda i: (abs(i + 0.5 - mid), i))
             settled, products = set(), set()
             truncating = self.mps.policy.chi_max is not None
             accepted = 0

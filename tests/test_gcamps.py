@@ -32,6 +32,7 @@ from helpers import (
     random_clifford_gates,
     random_unitary,
     reference_gcamps_state,
+    relabel_sites,
 )
 
 HADAMARD2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -283,13 +284,14 @@ def test_disentangle_noop_on_product(cat3):
     assert report.gates_applied == []
     assert report.passes == 1
     assert not report.early_termination
-    assert sorted(report.bonds_visited) == [0, 1, 2]
+    assert report.bonds_visited == [0, 1, 2]
 
 
 def test_disentangle_window_validation(cat2):
     st = new_state(3, 2, cat2)
-    with pytest.raises(ValueError, match="window"):
-        st.disentangle((0, 9))
+    for bad in ((0, 9), (2, 1)):
+        with pytest.raises(ValueError, match="window"):
+            st.disentangle(bad)
     empty = st.disentangle((1, 2))
     assert empty.bonds_visited == [] and empty.passes == 0
 
@@ -539,6 +541,29 @@ def test_gate_log_partition(cat3):
     assert abs(np.vdot(oracle.amps, st.dense_vector())) > 1 - 1e-10
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("where", ["quarter", "middle", "last"])
+def test_sweep_leaves_product_bonds_wherever_t_lands(d, where, cat2, cat3):
+    # width-shaped circuits (n=48, two T layers after 8n-gate blocks) with
+    # every site relabelled so that T lands inside the chain or at its far
+    # edge; each T step must end with every bond a product, within the
+    # pass limit
+    n = 48
+    site = {"quarter": n // 4, "middle": n // 2, "last": n - 1}[where]
+    for seed in range(3):
+        circ = relabel_sites(
+            t_doped_circuit(n, d, layers=2, rng_seed=seed, block_len=8 * n),
+            site)
+        st = new_state(n, d, catalog_for(d, cat2, cat3))
+        for op in circ.ops:
+            report = st.apply_op(op)
+            if report is None:
+                continue
+            assert op.sites == (site,)
+            assert not report.early_termination
+            assert st.mps.bond_dims() == [1] * (n - 1)
+
+
 # -- batched scan against the brute-force reference ---------------------------
 
 
@@ -724,7 +749,7 @@ def test_product_bond_is_skipped_on_the_next_pass(cat2):
     # pass 1 visits all three bonds and leaves them products; pass 2 has
     # nothing to visit, so it accepts nothing and ends the run
     assert report.passes == 2 and len(report.gates_applied) == 1
-    assert report.bonds_visited == [1, 0, 2] and report.bonds_skipped == 3
+    assert report.bonds_visited == [0, 1, 2] and report.bonds_skipped == 3
     assert len(report.bonds_visited) + report.bonds_skipped == report.passes * 3
     assert st.mps.bond_dims() == [1, 1, 1]
     assert report.objective_after[1] == (1, pytest.approx(0.0, abs=1e-12))
