@@ -1,6 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 verification mismatch, 2 I/O or input errors.
+main() is the one place that maps an error to its exit code.
 """
 
 from __future__ import annotations
@@ -24,46 +25,28 @@ def _policy(args) -> TruncationPolicy:
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.circuit, "r", encoding="utf-8") as fh:
-            circ = parse(fh.read())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        catalog = None
-        if args.backend == "gcamps" and args.catalog:
-            catalog = load_catalog(args.catalog)
-            if catalog.d != circ.d:
-                raise ValueError(
-                    f"catalog d={catalog.d} does not match circuit d={circ.d}"
-                )
-        records, state = bench.run_on_backend(
-            args.backend, circ, policy=_policy(args), catalog=catalog,
-            verify=args.verify,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        if args.report:
-            bench.write_csv(args.report, records)
-        else:
-            print(bench.CSV_HEADER)
-            for rec in records:
-                print(rec.csv_row())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with open(args.circuit, "r", encoding="utf-8") as fh:
+        circ = parse(fh.read())
+    catalog = None
+    if args.backend == "gcamps" and args.catalog:
+        catalog = load_catalog(args.catalog)
+        if catalog.d != circ.d:
+            raise ValueError(
+                f"catalog d={catalog.d} does not match circuit d={circ.d}"
+            )
+    records, state = bench.run_on_backend(
+        args.backend, circ, policy=_policy(args), catalog=catalog,
+        verify=args.verify,
+    )
+    if args.report:
+        bench.write_csv(args.report, records)
+    else:
+        print(bench.CSV_HEADER)
+        for rec in records:
+            print(rec.csv_row())
 
     if args.verify:
-        try:
-            oracle = run_circuit(circ)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        oracle = run_circuit(circ)
         if args.backend == "gcamps":
             vec = state.dense_vector()
         elif args.backend == "mps":
@@ -80,30 +63,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench_tdoped(args) -> int:
-    backends = tuple(args.backends.split(","))
-    try:
-        records = bench.bench_tdoped(
-            args.d, args.sites, args.layers, args.shots, args.seed,
-            backends=backends, block_len=args.block_len,
-            policy=_policy(args),
-        )
-        bench.write_csv(args.out, records)
-        if args.json:
-            bench.write_json(args.json, records)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    records = bench.bench_tdoped(
+        args.d, args.sites, args.layers, args.shots, args.seed,
+        backends=tuple(args.backends.split(",")), block_len=args.block_len,
+        policy=_policy(args),
+    )
+    bench.write_csv(args.out, records)
+    if args.json:
+        bench.write_json(args.json, records)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def cmd_disentanglers(args) -> int:
-    try:
-        catalog = generate_catalog(args.d, allow_large=args.allow_large)
-        save_catalog(catalog, args.out)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    catalog = generate_catalog(args.d, allow_large=args.allow_large)
+    save_catalog(catalog, args.out)
     print(f"d={catalog.d} entangling_classes={catalog.n_entries} "
           f"group_order={catalog.group_order}")
     return 0
@@ -116,11 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="simulate one circuit file")
+    truncation = argparse.ArgumentParser(add_help=False)
+    truncation.add_argument("--chi-max", type=int, default=None, dest="chi_max")
+    truncation.add_argument("--cutoff", type=float,
+                            default=TruncationPolicy.cutoff)
+
+    run = sub.add_parser("run", parents=[truncation],
+                         help="simulate one circuit file")
     run.add_argument("--backend", choices=bench.BACKENDS, default="gcamps")
     run.add_argument("--circuit", required=True, help="circuit text file")
-    run.add_argument("--chi-max", type=int, default=None, dest="chi_max")
-    run.add_argument("--cutoff", type=float, default=1e-12)
     run.add_argument("--catalog", default=None,
                      help="disentangler catalog file (gcamps; generated if omitted)")
     run.add_argument("--verify", action="store_true",
@@ -128,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--report", default=None, help="CSV output path")
     run.set_defaults(func=cmd_run)
 
-    tb = sub.add_parser("bench-tdoped", help="T-doped benchmark sweep")
+    tb = sub.add_parser("bench-tdoped", parents=[truncation],
+                        help="T-doped benchmark sweep")
     tb.add_argument("--d", type=int, required=True)
     tb.add_argument("--sites", type=int, required=True)
     tb.add_argument("--layers", type=int, required=True)
@@ -140,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
     tb.add_argument("--json", default=None, help="JSON mirror output path")
     tb.add_argument("--block-len", type=int, default=None, dest="block_len",
                     help="Clifford gates per layer (default 2*sites)")
-    tb.add_argument("--chi-max", type=int, default=None, dest="chi_max")
-    tb.add_argument("--cutoff", type=float, default=1e-12)
     tb.set_defaults(func=cmd_bench_tdoped)
 
     dis = sub.add_parser("disentanglers", help="build and save a catalog")
@@ -155,7 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, RuntimeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

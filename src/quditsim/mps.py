@@ -336,7 +336,8 @@ class Mps:
             raise ValueError("left_site out of range")
         d = self.d
         u = checked_unitary(u, d, 2)
-        self.move_center(i)
+        # _split_pair is exact with the center on either site of the pair
+        self.move_center(min(max(self.center, i), i + 1))
         theta = np.tensordot(
             u.reshape(d, d, d, d), self.pair_tensor(i), axes=([2, 3], [1, 2])
         ).transpose(2, 0, 1, 3)

@@ -26,9 +26,9 @@ A gate's action is defined once, by its matrix in gates.gate_matrix. The
 table reads the images of the 2k generators X_j, Z_j off that matrix:
 each is conjugated densely and decomposed, and must come out as a single
 Pauli string times a power of tau. Every table entry, phase included, is
-then produced by explicit string multiplication of generator powers,
-never by a precomputed phase polynomial, so the even/odd-d case split
-cannot creep in as a bug source.
+then one row of a kernels.rowprod call over the generator images, stacked
+over all d^(2k) exponent vectors, never a precomputed phase polynomial, so
+the even/odd-d case split cannot creep in as a bug source.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _image_tables(name: str, d: int):
     Both are indexed by the k sites' packed codes x*d + z read as one
     base-d^2 number, first listed site first: codes[j, i] is the code of
     the image on site j and phase[i] its tau exponent. Built once per
-    (name, d) by multiplying out powers of the generator images, so the
-    phase column is exact by construction; the arrays are read-only.
+    (name, d) by one stacked row product of the generator images' powers,
+    so the phase column is exact by construction; the arrays are read-only.
     """
     key = (name, d)
     hit = _IMAGE_CACHE.get(key)
@@ -87,17 +87,15 @@ def _image_tables(name: str, d: int):
         raise ValueError(f"{name} is not a Clifford gate")
     images = _generator_images(name, d)
     k = len(images) // 2
-    powers = [[img.power(e) for e in range(d)] for img in images]
-    codes = np.empty((k, d ** (2 * k)), dtype=np.int64)
-    phase = np.empty(d ** (2 * k), dtype=np.int64)
-    # product() counts (x_0, z_0, ..., x_{k-1}, z_{k-1}) in base d, which
-    # is the packed index
-    for i, exps in enumerate(product(range(d), repeat=2 * k)):
-        q = powers[0][exps[0]]
-        for pw, e in zip(powers[1:], exps[1:]):
-            q = q * pw[e]
-        codes[:, i] = q.x * d + q.z
-        phase[i] = q.phase
+    # the images as the gate's k-site tableau, Z rows first; product()
+    # counts (x_0, z_0, ..., x_{k-1}, z_{k-1}) in base d, the packed index.
+    # rowprod's X-then-Z order is exact: images on distinct sites commute
+    rows = images[1::2] + images[0::2]
+    exps = np.array(list(product(range(d), repeat=2 * k)))
+    x, z, phase = kernels.rowprod(
+        [p.x for p in rows], [p.z for p in rows], [p.phase for p in rows],
+        exps[:, 0::2], exps[:, 1::2], d)
+    codes = np.ascontiguousarray((x * d + z).T)
     out = (codes, phase)
     for a in out:
         a.setflags(write=False)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from quditsim import bench
 from quditsim.bench import CSV_HEADER, parse_csv_row
 from quditsim.circuits import emit, t_doped_circuit
 from quditsim.cli import main
@@ -174,3 +175,18 @@ def test_bench_tdoped_bad_backend_exits_2(tmp_path, capsys):
     ])
     assert code == 2
     assert "backend" in capsys.readouterr().err
+
+
+def test_runtime_error_in_a_subcommand_exits_2(circuit_file, tmp_path,
+                                               monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise RuntimeError("bond grew past its ceiling")
+
+    monkeypatch.setattr(bench, "run_on_backend", fail)
+    for argv in (
+        ["run", "--backend", "mps", "--circuit", str(circuit_file)],
+        ["bench-tdoped", "--d", "2", "--sites", "3", "--layers", "1",
+         "--shots", "1", "--out", str(tmp_path / "x.csv")],
+    ):
+        assert main(argv) == 2
+        assert "error: bond grew past its ceiling" in capsys.readouterr().err

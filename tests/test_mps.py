@@ -361,6 +361,27 @@ def test_split_pair_accepts_center_on_right_site():
     assert m.center == 1 and m.canonical_ok()
 
 
+@pytest.mark.parametrize("center", [0, 1, 2, 3])
+def test_apply_two_site_moves_the_center_only_onto_its_pair(center,
+                                                            monkeypatch):
+    # the split is exact with the center on either site of the pair, so a
+    # center already on site i + 1 must not be pushed back to i first
+    m = entangled_chain()
+    m.move_center(center)
+    before = m.to_dense()
+    pushes = []
+    for name in ("_push_left", "_push_right"):
+        monkeypatch.setattr(Mps, name, lambda self, j, f=getattr(Mps, name):
+                            (pushes.append(j), f(self, j)))
+    u = random_unitary(np.random.default_rng(8), 9)
+    assert m.apply_two_site(1, u) == pytest.approx(0.0, abs=1e-14)
+    assert len(pushes) == max(1 - center, 0) + max(center - 2, 0)
+    assert m.center == 2 and m.canonical_ok()
+    np.testing.assert_allclose(m.to_dense(),
+                               embed_gate(u, (1, 2), 4, 3) @ before,
+                               atol=1e-10)
+
+
 def test_split_pair_reports_a_tiny_discarded_weight():
     # a difference of two sums near 1 would cancel the 1e-26 tail to 0
     m = Mps.product_state(2, 3)
