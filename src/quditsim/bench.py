@@ -4,7 +4,9 @@ A layer boundary is every non-Clifford op; the trailing ops of a circuit
 (or a circuit with no non-Clifford at all) close one final layer so every
 run yields at least one row. Each row snapshots the bond profile right
 after its boundary, the memory model recomputed from that profile, and the
-wall time spent since the previous boundary.
+wall time spent since the previous boundary. Every backend counts its bonds
+by TruncationPolicy.rank at the run's own policy (the statevector on its
+exact Schmidt values), so their profiles compare at one cutoff.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
-
-import numpy as np
 
 from .circuits import Circuit, gate_matrix, t_doped_circuit
 from .disentanglers import generate_catalog
@@ -37,8 +37,6 @@ __all__ = [
 CSV_HEADER = ("backend,d,n,shot,seed,layer,chi_max,chi_vector,"
               "mem_bytes,mem_worst_bytes,dt_seconds")
 BACKENDS = ("gcamps", "mps", "statevector")
-
-_RANK_TOL = 1e-12  # relative threshold for dense Schmidt ranks
 
 
 @dataclass(frozen=True)
@@ -100,12 +98,9 @@ def _op_layers(ops):
         yield ops[start:]
 
 
-def _dense_ranks(state: DenseState):
-    out = []
-    for cut in range(1, state.n):
-        s = state.schmidt_values(cut)
-        out.append(int(np.count_nonzero(s > _RANK_TOL * s[0])))
-    return out
+def _dense_ranks(state: DenseState, policy: TruncationPolicy):
+    return [int(policy.rank(state.schmidt_values(cut)))
+            for cut in range(1, state.n)]
 
 
 def _start(backend, circ, policy, catalog, verify):
@@ -134,7 +129,7 @@ def _start(backend, circ, policy, catalog, verify):
         profile = st.bond_dims
     else:
         st = DenseState(d, n)
-        profile = partial(_dense_ranks, st)
+        profile = partial(_dense_ranks, st, policy)
 
     def apply_layer(ops):
         for op in ops:

@@ -181,6 +181,8 @@ def t_doped_circuit(n: int, d: int, layers: int, rng_seed=0,
         raise ValueError("need at least one layer")
     if block_len is None:
         block_len = 5 * n * n
+    if block_len < 1:
+        raise ValueError(f"block_len must be >= 1, got {block_len}")
     rng = np.random.default_rng(rng_seed)
     ops = []
     for _ in range(int(layers)):

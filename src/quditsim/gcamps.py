@@ -14,8 +14,8 @@ not formed a second time: the pair tensor the scan scored for Q is split in
 place by the MPS's own truncating SVD (Mps.split_pair), which leaves the
 same bits as Mps.apply_two_site would.
 
-The bond objective is lexicographic: first the number of singular values
-above the policy cutoff (the truncated bond dimension), then the Renyi-2
+The bond objective is lexicographic: first the Schmidt rank at the policy
+cutoff (TruncationPolicy.rank, the truncated bond dimension), then the Renyi-2
 entropy -ln(sum sigma^4) as a continuous tie-break. Only strictly better
 candidates are accepted, so the objective never increases. The entangling
 candidates at a bond are scored in catalog order, a chunk at a time (one
@@ -41,7 +41,7 @@ from .disentanglers import DisentanglerCatalog
 from .mps import (
     Mps, PauliMpo, TruncationPolicy, mps_model_bytes, robust_svd, worst_case_chi,
 )
-from .pauli import DENSE_DIM_GUARD, PauliString, PauliSum, decompose_unitary
+from .pauli import PauliString, PauliSum, decompose_unitary
 from .statevector import DenseState
 from .tableau import identity_tableau
 
@@ -112,12 +112,12 @@ class DisentangleReport:
     candidates_scored: int = 0
 
 
-def _objectives(s, cutoff):
-    """(rank, Renyi-2 entropy) for each row of s, a stack of descending
-    singular values; an all-zero row scores (0, 0.0)."""
+def _objectives(s, policy):
+    """(policy.rank, Renyi-2 entropy) for each row of s, a stack of
+    descending singular values; an all-zero row scores (0, 0.0)."""
     s2 = s * s
     total = s2.sum(axis=1)
-    ranks = (s > cutoff * s[:, :1]).sum(axis=1)
+    ranks = policy.rank(s)
     live = total > 0.0
     p2 = np.divide((s2 * s2).sum(axis=1), total * total,
                    out=np.ones_like(total), where=live)
@@ -306,9 +306,9 @@ class GcampsState:
         mps.move_center(i)
         theta = mps.pair_tensor(i)
         l, _, _, r = theta.shape
-        cutoff = mps.policy.cutoff
+        policy = mps.policy
         s0 = robust_svd(theta.reshape(1, l * d, d * r), compute_uv=False)
-        current = _objectives(s0, cutoff)[0]
+        current = _objectives(s0, policy)[0]
         report.bonds_visited.append(i)
         report.objective_before.setdefault(i, current)
         report.objective_after[i] = current
@@ -323,7 +323,7 @@ class GcampsState:
             stop = start + size
             y = (stack[start:stop] @ paired).reshape(-1, d, d, l, r)
             y = y.transpose(0, 3, 1, 2, 4).reshape(-1, l * d, d * r)
-            scores = _objectives(robust_svd(y, compute_uv=False), cutoff)
+            scores = _objectives(robust_svd(y, compute_uv=False), policy)
             report.candidates_scored += len(scores)
             winner = -1
             for k, obj in enumerate(scores):
@@ -371,13 +371,11 @@ class GcampsState:
             chi = worst_case_chi(chi, self.d, self.n)
         return mps_model_bytes(chi, self.d) + self.tableau.nbytes
 
-    def dense_vector(self, max_dim: int = DENSE_DIM_GUARD) -> np.ndarray:
+    def dense_vector(self, max_dim: int | None = None) -> np.ndarray:
         """Contract the MPS and replay C onto it. Needs the gate log."""
         if self.gate_log is None:
             raise RuntimeError("dense replay requires verification mode")
-        ref = DenseState(
-            self.d, self.n, self.mps.to_dense(max_dim=max_dim), max_dim=max_dim
-        )
+        ref = DenseState(self.d, self.n, self.mps.to_dense(max_dim), max_dim)
         for word, sites in reversed(self.gate_log.absorbed):
             for g in word:
                 ref.apply_unitary(gate_matrix(g, self.d),

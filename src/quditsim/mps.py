@@ -6,6 +6,8 @@ of the center is left-orthonormal, every tensor right of it is
 right-orthonormal.  Two-site updates split the pair tensor with an SVD and
 truncate under a :class:`TruncationPolicy`; the discarded weight is returned
 to the caller.  The state is renormalized after every public operation.
+TruncationPolicy.rank (the Schmidt rank at the cutoff) and bond_ceiling
+(d^min(b, n-b)) are the rules every backend reports bonds by.
 """
 
 from __future__ import annotations
@@ -16,13 +18,14 @@ import numpy as np
 
 from .gates import swap_legs, swap_matrix
 from .pauli import (
-    DENSE_DIM_GUARD, PauliSum, QuditDim, checked_unitary, site_matrix_table,
+    PauliSum, QuditDim, check_dense_size, checked_unitary, site_matrix_table,
 )
 
 __all__ = [
     "TruncationPolicy",
     "Mps",
     "PauliMpo",
+    "bond_ceiling",
     "mps_model_bytes",
     "robust_svd",
     "worst_case_chi",
@@ -61,6 +64,12 @@ class TruncationPolicy:
         if not 0.0 <= self.cutoff < 1.0:
             raise ValueError("cutoff must lie in [0, 1)")
 
+    def rank(self, s):
+        """Schmidt rank of each row of s, descending singular values along
+        the last axis: the count above cutoff times the row's largest. An
+        all-zero row has rank 0."""
+        return (s > self.cutoff * s[..., :1]).sum(axis=-1)
+
 
 def robust_svd(mat, compute_uv=True):
     """SVD that survives gesdd non-convergence.
@@ -75,27 +84,19 @@ def robust_svd(mat, compute_uv=True):
     converges keeps its gesdd result and only a failing one falls back.
     """
     try:
-        if compute_uv:
-            return np.linalg.svd(mat, full_matrices=False)
-        return np.linalg.svd(mat, compute_uv=False)
+        return np.linalg.svd(mat, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         mat = np.asarray(mat)
         if mat.ndim > 2:
-            lead = mat.shape[:-2]
-            parts = [
-                robust_svd(m, compute_uv)
-                for m in mat.reshape((-1,) + mat.shape[-2:])
-            ]
-            if not compute_uv:
-                return np.stack(parts).reshape(lead + parts[0].shape)
-            return tuple(
-                np.stack(f).reshape(lead + f[0].shape) for f in zip(*parts)
-            )
+            parts = [robust_svd(m, compute_uv)
+                     for m in mat.reshape((-1,) + mat.shape[-2:])]
+            out = tuple(np.stack(f).reshape(mat.shape[:-2] + f[0].shape)
+                        for f in (zip(*parts) if compute_uv else [parts]))
+            return out if compute_uv else out[0]
         from scipy.linalg import svd as _scipy_svd
 
-        if compute_uv:
-            return _scipy_svd(mat, full_matrices=False, lapack_driver="gesvd")
-        return _scipy_svd(mat, compute_uv=False, lapack_driver="gesvd")
+        return _scipy_svd(mat, full_matrices=False, compute_uv=compute_uv,
+                          lapack_driver="gesvd")
 
 
 def _carry_left(t, carry):
@@ -178,10 +179,8 @@ class Mps:
             v = v @ self.tensors[i][:, x, :]
         return complex(v[0])
 
-    def to_dense(self, max_dim=DENSE_DIM_GUARD):
-        dim = self.d**self.n
-        if dim > max_dim:
-            raise ValueError(f"dense vector of size {dim} exceeds the guard {max_dim}")
+    def to_dense(self, max_dim=None):
+        check_dense_size(self.d, self.n, max_dim)
         acc = np.ones((1, 1), dtype=np.complex128)
         for t in self.tensors:
             acc = np.tensordot(acc, t, axes=([1], [0])).reshape(-1, t.shape[2])
@@ -251,14 +250,14 @@ class Mps:
         u, s, vh = robust_svd(mat)
         if s.size == 0:
             raise np.linalg.LinAlgError("empty singular spectrum")
-        k = max(int(np.count_nonzero(s > (self.policy.cutoff * s[0]))), 1)
+        k = max(int(self.policy.rank(s)), 1)
         chi_max = self.policy.chi_max
         if chi_max is not None and k > chi_max:
             # the last gap wider than a tie at or before the cut, if any
             gaps = np.flatnonzero(s[:chi_max] - s[1:chi_max + 1]
                                   > _TIE_TOL * s[0])
             k = int(gaps[-1]) + 1 if gaps.size else chi_max
-        cap = self.d ** min(bond, self.n - bond)
+        cap = bond_ceiling(self.d, self.n, bond)
         if k > cap:
             raise RuntimeError(f"bond {bond} grew to {k}, past the "
                                f"structural ceiling {cap}")
@@ -390,22 +389,15 @@ class Mps:
             raise TypeError("expected a PauliSum")
         if ps.d != self.d or ps.n_sites != self.n:
             raise ValueError("operator does not match the chain")
-        if len(ps) == 0:
-            raise ValueError("empty operator sum")
-        return self._apply_mpo(PauliMpo(ps))
+        return self._apply_mpo(PauliMpo(ps))  # an empty sum raises there
 
     def _apply_mpo(self, mpo):
-        for i in range(self.n):
-            w = mpo.tensors[i]
-            t = self.tensors[i]
-            x = np.tensordot(w, t, axes=([2], [1])).transpose(0, 3, 1, 2, 4)
+        n = self.n
+        for i, w in enumerate(mpo.tensors):
+            x = np.tensordot(w, self.tensors[i], axes=([2], [1]))
+            x = x.transpose(0, 3, 1, 2, 4)  # (bond, left, out, bond, right)
             a_, l_, s_, b_, r_ = x.shape
             self.tensors[i] = np.ascontiguousarray(x).reshape(a_ * l_, s_, b_ * r_)
-        self.center = 0
-        return self._compress_full()
-
-    def _compress_full(self):
-        n = self.n
         self.center = 0
         for i in range(n - 1):
             self._push_right(i)
@@ -465,28 +457,23 @@ class PauliMpo:
         d, n = self.d, self.n
         xs = np.array([p.x for _, p in ps.terms])
         zs = np.array([p.z for _, p in ps.terms])
-        mats = site_matrix_table(d)[xs, zs]  # (term, site, out, in)
-        coeffs = [c for c, _ in ps.terms]
-        if n == 1:
-            w = np.zeros((1, d, d, 1), dtype=np.complex128)
-            for c, m in zip(coeffs, mats[:, 0]):
-                w[0, :, :, 0] += c * m
-            self.tensors = [w]
+        mats = site_matrix_table(d)[xs, zs]  # (term, site, out, in), a copy
+        # the coefficients sit on site 0, each product taken as c * m
+        mats[:, 0] = np.array([c for c, _ in ps.terms])[:, None, None] * mats[:, 0]
+        if n == 1:  # one site closes both outer bonds: its terms add up
+            self.tensors = [sum(mats[:, None, 0, :, :, None],
+                                np.zeros((1, d, d, 1), complex))]
             return
         terms = np.arange(k)
-        first = np.zeros((1, d, d, k), dtype=np.complex128)
-        for m in range(k):
-            first[0, :, :, m] = coeffs[m] * mats[m, 0]
         middle = np.zeros((n - 2, k, d, d, k), dtype=np.complex128)
         middle[:, terms, :, :, terms] = mats[:, 1:n - 1]
-        last = np.zeros((k, d, d, 1), dtype=np.complex128)
-        last[terms, :, :, 0] = mats[:, n - 1]
-        self.tensors = [first, *middle, last]
+        first = np.moveaxis(mats[:, 0], 0, -1)[None]
+        last = mats[:, n - 1, :, :, None]
+        self.tensors = [np.ascontiguousarray(first), *middle,
+                        np.ascontiguousarray(last)]
 
-    def to_matrix(self, max_dim=DENSE_DIM_GUARD):
-        dim = self.d**self.n
-        if dim > max_dim:
-            raise ValueError(f"dense operator of size {dim} exceeds the guard {max_dim}")
+    def to_matrix(self):
+        check_dense_size(self.d, self.n)
         acc = self.tensors[0][0]  # (out, in, bond)
         for w in self.tensors[1:]:
             x = np.tensordot(acc, w, axes=([2], [0]))  # (O, I, s, t, b)
@@ -501,8 +488,13 @@ def mps_model_bytes(chi, d):
     return sum(16 * int(d) * dims[i] * dims[i + 1] for i in range(len(dims) - 1))
 
 
+def bond_ceiling(d, n, bond):
+    """Structural ceiling d^min(b, n-b) on bond b of an n-site chain."""
+    return d ** min(bond, n - bond)
+
+
 def worst_case_chi(chi, d, n):
     """Pre-optimisation peak model: every bond grows by a factor d, capped
-    by the structural ceiling d^min(b, n-b)."""
-    return [min(c * d, d ** min(b, n - b))
+    by bond_ceiling."""
+    return [min(c * d, bond_ceiling(d, n, b))
             for b, c in zip(range(1, n), chi)]

@@ -14,6 +14,9 @@ Conventions used throughout the package:
 
 Dense realizations put site 0 on the leftmost Kronecker factor, so the basis
 state |s_0 s_1 ... s_{n-1}> has index sum(s_i * d**(n-1-i)).
+
+The package's input rules live here: checked_unitary admits operators, and
+check_dense_size guards every dense d**n vector or matrix before allocation.
 """
 
 from __future__ import annotations
@@ -59,6 +62,16 @@ def omega(d: int) -> complex:
 def phase_factor(k: int, d: int) -> complex:
     """The scalar tau**k."""
     return np.exp(1j * np.pi * (k % (2 * d)) / d)
+
+
+def check_dense_size(d: int, n: int, max_dim: int | None = None) -> int:
+    """d**n, or ValueError past max_dim (default DENSE_DIM_GUARD): the one
+    dense-size guard, which callers run before they allocate."""
+    limit = DENSE_DIM_GUARD if max_dim is None else int(max_dim)
+    dim = int(d) ** int(n)
+    if dim > limit:
+        raise ValueError(f"dense size {d}**{n} = {dim} exceeds the guard {limit}")
+    return dim
 
 
 def checked_unitary(u, d: int, k: int = 1) -> np.ndarray:
@@ -194,11 +207,10 @@ class PauliString:
     def phase_value(self) -> complex:
         return phase_factor(self.phase, self.d)
 
-    def to_matrix(self, max_dim: int = DENSE_DIM_GUARD) -> np.ndarray:
-        """Dense d**n x d**n matrix; guarded against runaway sizes."""
+    def to_matrix(self) -> np.ndarray:
+        """Dense d**n x d**n matrix, behind check_dense_size."""
         d, n = self.d, self.n_sites
-        if d ** n > max_dim:
-            raise ValueError(f"dense size d**n = {d**n} exceeds guard {max_dim}")
+        check_dense_size(d, n)
         m = np.eye(1, dtype=complex)
         for i in range(n):
             m = np.kron(m, site_matrix(d, int(self.x[i]), int(self.z[i])))
@@ -264,11 +276,11 @@ class PauliSum:
     def __iter__(self):
         return iter(self.terms)
 
-    def to_matrix(self, max_dim: int = DENSE_DIM_GUARD) -> np.ndarray:
-        dim = self.d ** self.n_sites
+    def to_matrix(self) -> np.ndarray:
+        dim = check_dense_size(self.d, self.n_sites)
         out = np.zeros((dim, dim), dtype=complex)
         for c, p in self.terms:
-            out += c * p.to_matrix(max_dim)
+            out += c * p.to_matrix()
         return out
 
 
@@ -292,9 +304,7 @@ def decompose_unitary(u, d: int) -> PauliSum:
     k = {(d, d): 1, (d * d, d * d): 2}.get(np.shape(u))
     if k is None:
         raise ValueError("operator must be d x d or d^2 x d^2")
-    dim = d ** k
-    if dim > DENSE_DIM_GUARD:
-        raise ValueError("size guard exceeded")
+    dim = check_dense_size(d, k)
     u = checked_unitary(u, d, k)
 
     table = site_matrix_table(d)

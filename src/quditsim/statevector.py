@@ -3,7 +3,8 @@
 This is the brute-force oracle the rest of the package is tested against.
 Gates contract against single state axes, so the working set is one d**n
 vector; the d**n x d**n operator is never materialized. Still exponential,
-hence the size guard.
+hence the size guard, pauli.check_dense_size, which every constructor runs
+before it allocates; max_dim overrides its default limit.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .pauli import (
-    DENSE_DIM_GUARD, PauliString, QuditDim, checked_unitary, site_matrix,
+    PauliString, QuditDim, check_dense_size, checked_unitary, site_matrix,
 )
 
 
@@ -20,12 +21,10 @@ class DenseState:
 
     __slots__ = ("d", "n", "amps")
 
-    def __init__(self, d: int, n: int, amps=None, max_dim: int = DENSE_DIM_GUARD):
+    def __init__(self, d: int, n: int, amps=None, max_dim: int | None = None):
         self.d = int(QuditDim(d))
         self.n = int(n)
-        dim = self.d ** self.n
-        if dim > max_dim:
-            raise ValueError(f"dense size d**n = {dim} exceeds guard {max_dim}")
+        dim = check_dense_size(self.d, self.n, max_dim)
         if amps is None:
             self.amps = np.zeros(dim, dtype=complex)
             self.amps[0] = 1.0
@@ -33,8 +32,7 @@ class DenseState:
             self.amps = np.asarray(amps, dtype=complex).reshape(dim).copy()
 
     @classmethod
-    def basis_state(cls, d: int, n: int, digits,
-                    max_dim: int = DENSE_DIM_GUARD) -> "DenseState":
+    def basis_state(cls, d: int, n: int, digits, max_dim=None) -> "DenseState":
         digits = [int(v) for v in digits]
         d = int(QuditDim(d))
         if len(digits) != n or any(v < 0 or v >= d for v in digits):
@@ -111,7 +109,7 @@ def fidelity(a: DenseState, b: DenseState) -> float:
     return float(abs(np.vdot(a.amps, b.amps)))
 
 
-def run_circuit(circuit, max_dim: int = DENSE_DIM_GUARD) -> DenseState:
+def run_circuit(circuit, max_dim: int | None = None) -> DenseState:
     """Evolve |0...0> through a Circuit (see the circuits module)."""
     from .circuits import gate_matrix
 

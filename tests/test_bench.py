@@ -21,7 +21,7 @@ from quditsim.circuits import (
     Circuit, GateOp, random_clifford_word, t_doped_circuit,
 )
 from quditsim.gcamps import GcampsState, new_state
-from quditsim.mps import mps_model_bytes
+from quditsim.mps import TruncationPolicy, mps_model_bytes
 from quditsim.statevector import run_circuit
 
 GOLDEN_ROWS = Path(__file__).with_name("bench_golden_d3_n5.csv")
@@ -189,6 +189,20 @@ def test_mps_and_statevector_report_equal_ranks():
     sv_rows, _ = run_on_backend("statevector", circ)
     for a, b in zip(mps_rows, sv_rows):
         assert a.chi_vector == b.chi_vector
+
+
+@pytest.mark.parametrize("cutoff, want", [(1e-12, (2,)), (0.5, (1,))])
+def test_mps_and_statevector_count_ranks_at_the_run_cutoff(cutoff, want):
+    # H T H on site 0 then SUM leaves Schmidt values cos(pi/8) and
+    # sin(pi/8), ratio tan(pi/8) = 0.414: kept at the default cutoff,
+    # dropped at 0.5 by every backend that the run's policy governs
+    ops = [GateOp("H", (0,)), GateOp("T", (0,)), GateOp("H", (0,)),
+           GateOp("SUM", (0, 1))]
+    circ = Circuit(2, 2, ops)
+    policy = TruncationPolicy(cutoff=cutoff)
+    for backend in ("mps", "statevector"):
+        rows, _ = run_on_backend(backend, circ, policy=policy)
+        assert [r.chi_vector for r in rows] == [(1,), want]
 
 
 def test_gcamps_verify_state_matches_oracle():

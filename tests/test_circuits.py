@@ -277,6 +277,12 @@ def test_t_doped_rejects_zero_layers():
         t_doped_circuit(3, 3, layers=0)
 
 
+@pytest.mark.parametrize("block_len", [0, -1])
+def test_t_doped_rejects_block_len_below_one(block_len):
+    with pytest.raises(ValueError, match=f"block_len must be >= 1, got {block_len}"):
+        t_doped_circuit(3, 3, layers=1, block_len=block_len)
+
+
 def test_t_doped_deterministic_bytes():
     a = emit(t_doped_circuit(12, 3, layers=24, rng_seed=42, block_len=10))
     b = emit(t_doped_circuit(12, 3, layers=24, rng_seed=42, block_len=10))

@@ -128,6 +128,14 @@ def test_run_bad_catalog_token_names_its_line(circuit_file, catalog_file,
     assert "error: line 3: bad word token 'Q0'" in capsys.readouterr().err
 
 
+def test_bench_tdoped_negative_block_len_exits_2(tmp_path, capsys):
+    code = main(["bench-tdoped", "--d", "2", "--sites", "3", "--layers", "1",
+                 "--shots", "1", "--block-len", "-1",
+                 "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "error: block_len must be >= 1, got -1" in capsys.readouterr().err
+
+
 def test_run_statevector_guard_exits_2(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text(emit(t_doped_circuit(12, 3, layers=1, rng_seed=0,

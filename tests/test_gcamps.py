@@ -825,7 +825,7 @@ def test_objectives_match_the_scalar_reference_bit_for_bit():
     s[1, 1:] = 0.0  # a product: rank 1
     s[2] = 0.0  # an all-zero row
     s[3, 4:] = 1e-14 * s[3, 0]  # below the cutoff
-    got = gcamps._objectives(s, 1e-12)
+    got = gcamps._objectives(s, TruncationPolicy(cutoff=1e-12))
     for row, (rank, entropy) in zip(s, got):
         want = objective_scalar(row, 1e-12)
         assert rank == want[0]

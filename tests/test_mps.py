@@ -8,6 +8,7 @@ from quditsim.mps import (
     Mps,
     PauliMpo,
     TruncationPolicy,
+    bond_ceiling,
     mps_model_bytes,
     robust_svd,
 )
@@ -96,6 +97,18 @@ def test_policy_validation():
         TruncationPolicy(cutoff=-0.1)
     p = TruncationPolicy(chi_max=7, cutoff=0.0)
     assert p.chi_max == 7 and p.cutoff == 0.0
+
+
+def test_policy_rank_counts_each_row_at_the_cutoff():
+    s = np.array([[1.0, 0.5, 1e-3, 0.0], [2.0, 2.0, 2e-3, 1e-13], [0.0] * 4])
+    assert TruncationPolicy(cutoff=1e-2).rank(s).tolist() == [2, 2, 0]
+    assert TruncationPolicy().rank(s).tolist() == [3, 3, 0]
+    assert TruncationPolicy(cutoff=0.0).rank(s[1]) == 4
+
+
+def test_bond_ceiling_is_the_smaller_side():
+    assert [bond_ceiling(3, 5, b) for b in range(1, 5)] == [3, 9, 9, 3]
+    assert bond_ceiling(2, 2, 1) == 2
 
 
 @pytest.mark.parametrize("chi_max", [2.5, 2.0, "2", True, np.float64(2.0)])

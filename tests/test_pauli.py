@@ -1,8 +1,11 @@
 """Pauli algebra against an independently built dense oracle."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from quditsim.mps import Mps, PauliMpo
 from quditsim.pauli import (
     PauliString,
     PauliSum,
@@ -10,6 +13,7 @@ from quditsim.pauli import (
     decompose_unitary,
     phase_factor,
 )
+from quditsim.statevector import DenseState
 from helpers import dense_pauli, random_pauli_exponents, random_unitary
 from property_suites import run_pauli_dense_suite
 
@@ -133,6 +137,52 @@ def test_to_matrix_size_guard():
     p = PauliString.identity(2, 15)
     with pytest.raises(ValueError):
         p.to_matrix()
+
+
+# the one dense-size guard's wording, whichever site runs it
+GUARD_MESSAGE = r"^dense size \d+\*\*\d+ = \d+ exceeds the guard 16384$"
+
+
+@pytest.mark.parametrize("terms", [1, 0])
+def test_pauli_sum_to_matrix_guards_before_it_allocates(terms):
+    # 2**30 amplitudes a side: a zeros matrix formed before the guard would
+    # be 16 EiB, which numpy refuses with its own message, not the guard's
+    p = PauliString.single(2, 30, 3, x=1, z=1)
+    ps = PauliSum(2, 30, [(1.0, p)][:terms])
+    assert len(ps) == terms
+    with pytest.raises(ValueError, match="guard"):
+        ps.to_matrix()
+
+
+def _guarded_call(site):
+    """(subject, call) for one of the six sites that build d**n dense
+    arrays; subject is the object the call must leave as it was."""
+    d, n = 2, 30
+    p = PauliString(d, [1] + [0] * (n - 1), [0] * (n - 1) + [2], phase=1)
+    ps = PauliSum(d, n, [(0.6, p), (0.8j, PauliString.identity(d, n))])
+    mpo, chain = PauliMpo(ps), Mps.product_state(n, d)
+    # a 131^2-a-side operator without its 4.7 GB: one zero, broadcast
+    wide = np.broadcast_to(np.complex128(0), (131 ** 2, 131 ** 2))
+    return {
+        "PauliString.to_matrix": (p, p.to_matrix),
+        "PauliSum.to_matrix": (ps, ps.to_matrix),
+        "PauliMpo.to_matrix": (mpo, mpo.to_matrix),
+        "Mps.to_dense": (chain, chain.to_dense),
+        "DenseState": (None, lambda: DenseState(d, n)),
+        "decompose_unitary": (None, lambda: decompose_unitary(wide, 131)),
+    }[site]
+
+
+@pytest.mark.parametrize("site", [
+    "PauliString.to_matrix", "PauliSum.to_matrix", "PauliMpo.to_matrix",
+    "Mps.to_dense", "DenseState", "decompose_unitary",
+])
+def test_every_dense_site_raises_the_one_guard(site):
+    subject, call = _guarded_call(site)
+    before = pickle.dumps(subject)
+    with pytest.raises(ValueError, match=GUARD_MESSAGE):
+        call()
+    assert pickle.dumps(subject) == before
 
 
 def test_to_text_forms():
