@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import QuditDim, clock_matrix, omega, shift_matrix, tau
+from .pauli import QuditDim, phase_factor, site_matrix
 
 ONE_SITE_NAMES = ("H", "Hdg", "S", "Sdg", "X", "Z", "T", "Tdg", "RZ", "U1")
 TWO_SITE_NAMES = ("SUM", "SUMdg", "SWAP")
@@ -67,16 +67,14 @@ class GateOp:
 def _matrix(name: str, params: tuple, d: int) -> np.ndarray:
     if name == "H":
         jj = np.arange(d)
-        return omega(d) ** np.outer(jj, jj) / np.sqrt(d)
-    if name == "S":
+        return phase_factor(2 * np.outer(jj, jj), d) / np.sqrt(d)
+    if name == "S":  # omega**(j(j-1)/2) for odd d, tau**(j*j) for even d
         jj = np.arange(d)
-        if d % 2:
-            return np.diag(omega(d) ** (jj * (jj - 1) // 2))
-        return np.diag(tau(d) ** (jj * jj))
+        return np.diag(phase_factor(jj * (jj - 1) if d % 2 else jj * jj, d))
     if name == "X":
-        return shift_matrix(d)
+        return site_matrix(d, 1, 0)
     if name == "Z":
-        return clock_matrix(d)
+        return site_matrix(d, 0, 1)
     if name == "SUM":
         m = np.zeros((d * d, d * d), dtype=complex)
         for i in range(d):

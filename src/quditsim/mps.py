@@ -18,7 +18,7 @@ import numpy as np
 
 from .gates import swap_legs, swap_matrix
 from .pauli import (
-    PauliSum, QuditDim, check_dense_size, checked_unitary, site_matrix_table,
+    PauliSum, QuditDim, check_dense_size, checked_unitary, site_matrix,
 )
 
 __all__ = [
@@ -104,6 +104,18 @@ def _carry_left(t, carry):
     one np.dot that np.tensordot would make, without its axis bookkeeping."""
     l, d_, m = t.shape
     return np.dot(t.reshape(l * d_, m), carry).reshape(l, d_, -1)
+
+
+def _qr_right(tensors, i):
+    """Left-orthonormalize tensors[i] in place in the list, carrying its R
+    factor into tensors[i + 1]."""
+    t = tensors[i]
+    l, d_, r = t.shape
+    q, rr = np.linalg.qr(t.reshape(l * d_, r))
+    tensors[i] = q.reshape(l, d_, q.shape[1])
+    nxt = tensors[i + 1]
+    _, d2, r2 = nxt.shape
+    tensors[i + 1] = np.dot(rr, nxt.reshape(r, d2 * r2)).reshape(-1, d2, r2)
 
 
 class Mps:
@@ -218,14 +230,7 @@ class Mps:
     # canonical-form plumbing
 
     def _push_right(self, i):
-        t = self.tensors[i]
-        l, d_, r = t.shape
-        q, rr = np.linalg.qr(t.reshape(l * d_, r))
-        self.tensors[i] = q.reshape(l, d_, q.shape[1])
-        nxt = self.tensors[i + 1]
-        _, d2, r2 = nxt.shape
-        self.tensors[i + 1] = np.dot(rr, nxt.reshape(r, d2 * r2)).reshape(
-            -1, d2, r2)
+        _qr_right(self.tensors, i)
         self.center = i + 1
 
     def _push_left(self, i):
@@ -392,19 +397,24 @@ class Mps:
         return self._apply_mpo(PauliMpo(ps))  # an empty sum raises there
 
     def _apply_mpo(self, mpo):
+        """Contract mpo into the chain and compress it. The product is built
+        on a new list and committed only once its norm passes, so a
+        rejected sum leaves the chain as it was."""
         n = self.n
-        for i, w in enumerate(mpo.tensors):
-            x = np.tensordot(w, self.tensors[i], axes=([2], [1]))
+        work = []
+        for w, t in zip(mpo.tensors, self.tensors):
+            x = np.tensordot(w, t, axes=([2], [1]))
             x = x.transpose(0, 3, 1, 2, 4)  # (bond, left, out, bond, right)
             a_, l_, s_, b_, r_ = x.shape
-            self.tensors[i] = np.ascontiguousarray(x).reshape(a_ * l_, s_, b_ * r_)
-        self.center = 0
+            work.append(np.ascontiguousarray(x).reshape(a_ * l_, s_, b_ * r_))
         for i in range(n - 1):
-            self._push_right(i)
-        nrm = float(np.linalg.norm(self.tensors[n - 1]))
+            _qr_right(work, i)
+        nrm = float(np.linalg.norm(work[n - 1]))
         if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
             raise ValueError(f"operator sum is not unitary: norm drifted to {nrm:.6g}")
-        self.tensors[n - 1] = self.tensors[n - 1] / nrm
+        work[n - 1] = work[n - 1] / nrm
+        self.tensors[:] = work
+        self.center = n - 1
         err = 0.0
         for i in range(n - 1, 0, -1):
             err += self._truncate_left(i)
@@ -457,7 +467,7 @@ class PauliMpo:
         d, n = self.d, self.n
         xs = np.array([p.x for _, p in ps.terms])
         zs = np.array([p.z for _, p in ps.terms])
-        mats = site_matrix_table(d)[xs, zs]  # (term, site, out, in), a copy
+        mats = site_matrix(d, xs, zs)  # (term, site, out, in)
         # the coefficients sit on site 0, each product taken as c * m
         mats[:, 0] = np.array([c for c, _ in ps.terms])[:, None, None] * mats[:, 0]
         if n == 1:  # one site closes both outer bonds: its terms add up

@@ -4,7 +4,10 @@ Conventions used throughout the package:
 
   - omega = exp(2*pi*1j/d) and tau = exp(1j*pi/d), so tau**2 == omega and
     tau**(2*d) == 1. Scalar phases are stored as integer tau exponents
-    modulo 2d, one convention for every parity of d.
+    modulo 2d, one convention for every parity of d, and every dense phase
+    is evaluated by phase_factor from its exponent reduced mod 2d, never as
+    a power of a floating root of unity, whose error grows with the
+    exponent.
   - A string denotes tau**phase * prod_i X_i**x[i] * Z_i**z[i] with X before
     Z on every site and sites in ascending order.
   - X|j> = |j+1 mod d>,  Z|j> = omega**j |j>,  X Z = omega**(-1) Z X.
@@ -20,8 +23,6 @@ check_dense_size guards every dense d**n vector or matrix before allocation.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -51,16 +52,8 @@ class QuditDim(int):
         return super().__new__(cls, d)
 
 
-def tau(d: int) -> complex:
-    return np.exp(1j * np.pi / d)
-
-
-def omega(d: int) -> complex:
-    return np.exp(2j * np.pi / d)
-
-
-def phase_factor(k: int, d: int) -> complex:
-    """The scalar tau**k."""
+def phase_factor(k, d: int):
+    """tau**k for an integer k, or elementwise for an integer array k."""
     return np.exp(1j * np.pi * (k % (2 * d)) / d)
 
 
@@ -97,34 +90,17 @@ def checked_unitary(u, d: int, k: int = 1) -> np.ndarray:
     return u
 
 
-def shift_matrix(d: int) -> np.ndarray:
-    """Dense X: X|j> = |j+1 mod d>."""
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[(j + 1) % d, j] = 1.0
-    return m
-
-
-def clock_matrix(d: int) -> np.ndarray:
-    """Dense Z: Z|j> = omega**j |j>."""
-    return np.diag(omega(d) ** np.arange(d))
-
-
-def site_matrix(d: int, x: int, z: int) -> np.ndarray:
-    """Dense X**x @ Z**z for one site."""
-    return np.linalg.matrix_power(shift_matrix(d), x % d) @ \
-        np.linalg.matrix_power(clock_matrix(d), z % d)
-
-
-@lru_cache(maxsize=8)
-def site_matrix_table(d: int) -> np.ndarray:
-    """Read-only (d, d, d, d) array whose [x, z] entry is site_matrix(d, x, z)
-    for exponents in 0..d-1; built once per d."""
-    d = int(QuditDim(d))
-    table = np.array([[site_matrix(d, x, z) for z in range(d)]
-                      for x in range(d)])
-    table.setflags(write=False)
-    return table
+def site_matrix(d: int, x, z) -> np.ndarray:
+    """Dense X**x @ Z**z for one site, for integer exponents or for arrays
+    of them of one shape s: an s + (d, d) array. Column r holds its one
+    nonzero, omega**(z*r), in row (r + x) mod d."""
+    x, z = np.asarray(x), np.asarray(z)
+    r = np.arange(d)
+    out = np.zeros(x.shape + (d, d), dtype=np.complex128)
+    blocks = out.reshape(-1, d * d)  # one flattened matrix per exponent pair
+    blocks[np.arange(x.size)[:, None], (r + x.reshape(-1, 1)) % d * d + r] = \
+        phase_factor(2 * z.reshape(-1, 1) * r, d)
+    return out
 
 
 class PauliString:
@@ -212,8 +188,8 @@ class PauliString:
         d, n = self.d, self.n_sites
         check_dense_size(d, n)
         m = np.eye(1, dtype=complex)
-        for i in range(n):
-            m = np.kron(m, site_matrix(d, int(self.x[i]), int(self.z[i])))
+        for site in site_matrix(d, self.x, self.z):
+            m = np.kron(m, site)
         return self.phase_value() * m
 
     def to_text(self) -> str:
@@ -287,10 +263,13 @@ class PauliSum:
 def decompose_unitary(u, d: int) -> PauliSum:
     """Expand a 1- or 2-site unitary in the Pauli basis, in closed form.
 
-    Coefficients are c_xz = Tr(u @ (X**x Z**z)^dagger) / d**k: u contracted
-    with one factor of site_matrix_table(d) per leg, no basis matrix built.
-    Terms run x-exponents, then z-exponents, row-major. The kept terms are
-    contracted with the same table to verify u to 1e-12 before returning.
+    Coefficients are c_xz = Tr(u @ (X**x Z**z)^dagger) / d**k. X**x Z**z
+    has its nonzeros on the x-th cyclic diagonal, [(r+x) mod d, r] =
+    omega**(z*r), so on each leg c is the discrete Fourier transform of
+    u's cyclic diagonals, taken with one exact DFT matrix. Terms run
+    x-exponents, then z-exponents, row-major. Every entry of u lies on one
+    cyclic diagonal per leg, so transforming the kept terms back verifies
+    u to 1e-12 before returning.
 
     Args:
         u: dense d**k x d**k unitary, k in {1, 2}, admitted by
@@ -307,19 +286,20 @@ def decompose_unitary(u, d: int) -> PauliSum:
     dim = check_dense_size(d, k)
     u = checked_unitary(u, d, k)
 
-    table = site_matrix_table(d)
+    r = np.arange(d)
+    shift = (r[:, None] + r) % d  # shift[x, r] = (r + x) mod d
+    f = phase_factor(2 * np.outer(r, r), d)  # f[r, z] = omega**(z*r)
+    f_bar = f.conj()
     if k == 1:
-        c = np.einsum("pr,abpr->ab", u, table.conj()) / dim
-    else:  # leg by leg, so no (d**4, d**2, d**2) basis stack is formed
-        half = np.einsum("pqrs,abpr->abqs", u.reshape(d, d, d, d), table.conj())
-        c = np.einsum("abqs,cdqs->acbd", half, table.conj()) / dim
+        diag = u[shift, r]  # diag[x, r]
+        c = diag @ f_bar / dim
+    else:  # diag[x0, x1, r0, r1], c[x0, x1, z0, z1]
+        diag = u.reshape(d, d, d, d)[shift[:, None, :, None],
+                                     shift[None, :, None, :], r[:, None], r]
+        c = f_bar @ diag @ f_bar / dim
     c = np.where(np.abs(c) >= COEFF_DROP_TOL, c, 0)
-    if k == 1:
-        recon = np.einsum("ab,abpr->pr", c, table)
-    else:
-        half = np.einsum("acbd,cdqs->abqs", c, table)
-        recon = np.einsum("abqs,abpr->pqrs", half, table).reshape(dim, dim)
-    if not np.max(np.abs(recon - u)) <= 1e-12:
+    recon = c @ f if k == 1 else f @ c @ f
+    if not np.max(np.abs(recon - diag)) <= 1e-12:
         raise ArithmeticError("Pauli-basis reconstruction failed tolerance")
     return PauliSum(d, k, [(c[i], PauliString(d, i[:k], i[k:]))
                            for i in zip(*np.nonzero(c))])

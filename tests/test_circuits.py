@@ -17,7 +17,7 @@ from quditsim.circuits import (
 )
 from quditsim.disentanglers import two_site_word_unitary
 from quditsim.gates import swap_matrix
-from quditsim.pauli import decompose_unitary, omega
+from quditsim.pauli import decompose_unitary, phase_factor
 from quditsim.statevector import run_circuit
 from quditsim.tableau import identity_tableau
 
@@ -36,7 +36,7 @@ def test_hadamard_d2_matrix():
 
 def test_phase_gate_d3_matrix():
     m = gate_matrix(GateOp("S", (0,)), 3)
-    assert np.allclose(m, np.diag([1, 1, omega(3)]), atol=1e-15)
+    assert np.allclose(m, np.diag([1, 1, phase_factor(2, 3)]), atol=1e-15)
 
 
 def test_sum_d3_action():

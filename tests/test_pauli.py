@@ -12,6 +12,7 @@ from quditsim.pauli import (
     QuditDim,
     decompose_unitary,
     phase_factor,
+    site_matrix,
 )
 from quditsim.statevector import DenseState
 from helpers import dense_pauli, random_pauli_exponents, random_unitary
@@ -191,6 +192,25 @@ def test_to_text_forms():
     assert PauliString.identity(2, 2).to_text() == "t^0 I"
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11])
+def test_site_matrix_matches_dense_pauli(d):
+    """The closed form against matrix powers of the dense shift and clock,
+    for scalar exponents and for a (term, site) stack of them."""
+    for x in range(d):
+        for z in range(d):
+            np.testing.assert_allclose(site_matrix(d, x, z),
+                                       dense_pauli(d, [x], [z]), atol=1e-14)
+    rng = np.random.default_rng(d)
+    xs, zs = rng.integers(0, d, (4, 3)), rng.integers(0, d, (4, 3))
+    mats = site_matrix(d, xs, zs)
+    assert mats.shape == (4, 3, d, d)
+    for t, s in np.ndindex(4, 3):
+        assert mats[t, s].tobytes() == \
+            site_matrix(d, int(xs[t, s]), int(zs[t, s])).tobytes()
+        np.testing.assert_allclose(
+            mats[t, s], dense_pauli(d, [xs[t, s]], [zs[t, s]]), atol=1e-14)
+
+
 def test_phase_factor_is_tau_power():
     assert phase_factor(2, 3) == pytest.approx(np.exp(2j * np.pi / 3))
     assert phase_factor(3, 3) == pytest.approx(-1.0)
@@ -252,7 +272,7 @@ def _assert_matches_oracle(ps, u, d, k):
 
 def test_decompose_random_roundtrip():
     rng = np.random.default_rng(5)
-    for d in (2, 3, 5):
+    for d in (2, 3, 5, 7):
         u = random_unitary(rng, d)
         ps = decompose_unitary(u, d)
         np.testing.assert_allclose(ps.to_matrix(), u, atol=1e-12)
@@ -261,7 +281,7 @@ def test_decompose_random_roundtrip():
 
 def test_decompose_two_site_roundtrip():
     rng = np.random.default_rng(6)
-    for d in (2, 3):
+    for d in (2, 3, 5, 7):
         u = random_unitary(rng, d * d)
         ps = decompose_unitary(u, d)
         assert ps.n_sites == 2

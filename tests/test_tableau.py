@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from quditsim.circuits import random_clifford_word
-from quditsim.gates import TWO_SITE_NAMES, GateOp, inverse_gate
+from quditsim.gates import TWO_SITE_NAMES, GateOp, inverse_gate, invert_word
 from quditsim.pauli import PauliString
 from quditsim.tableau import (
     Tableau, _generator_images, _image_tables, identity_tableau,
@@ -136,6 +136,25 @@ def test_image_tables_match_hand_written_images(name, d):
     assert np.array_equal(xs, xo)
     assert np.array_equal(zs, zo)
     assert np.array_equal(phase.reshape(po.shape), po)
+
+
+@pytest.mark.parametrize("d", [61, 101, 131])
+def test_one_site_words_at_large_d(d):
+    """One-site tables build at every stored d: a power of a floating root
+    of unity drifts into spurious image terms by d=61."""
+    names = ("H", "Hdg", "S", "Sdg", "X", "Z")
+    for name in names:
+        assert _generator_images(name, d) == list(
+            reference_generator_images(name, d)), name
+    t = identity_tableau(2, d)
+    t.apply_gate(gate("H", 0))
+    assert t.row(0) == PauliString(d, [d - 1, 0], [0, 0])
+    assert t.row(2) == PauliString(d, [0, 0], [1, 0])
+    t.apply_word([gate("H", 0)] * 3)
+    assert t == identity_tableau(2, d)
+    word = [gate(name, site) for site in (0, 1) for name in names]
+    t.apply_word(word + invert_word(word, d))
+    assert t == identity_tableau(2, d)
 
 
 def test_generator_images_refuse_a_matrix_that_is_not_clifford():
