@@ -18,12 +18,14 @@ The bond objective is lexicographic: first the Schmidt rank at the policy
 cutoff (TruncationPolicy.rank, the truncated bond dimension), then the Renyi-2
 entropy -ln(sum sigma^4) as a continuous tie-break. Only strictly better
 candidates are accepted, so the objective never increases. The entangling
-candidates at a bond are scored in catalog order, a chunk at a time (one
-stacked SVD and one vectorized objective per chunk), and the winner is the
+candidates at a bond are scored in catalog order, a batch at a time (one
+stacked SVD and one vectorized objective per batch), and the winner is the
 first entry of the best score, so ties resolve to the earliest entry. The
 scan stops at the first candidate that makes the bond a product, since no
-later one can beat it; the first chunk is kept small because one usually
-turns up early. A bond is settled when its last scan in a disentangle run
+later one can beat it. One usually turns up early, so the batches grow
+from one: the first holds the bond as it stands and the first candidate,
+and each later one doubles, so a scan that stops at candidate p has scored
+at most 2p + 1. A bond is settled when its last scan in a disentangle run
 accepted nothing and its neighbourhood has seen no gate since, or when it
 is a product across its cut, which no candidate can beat. A settled bond is
 skipped outright, with no center move and no SVD: its objective cannot have
@@ -56,11 +58,8 @@ __all__ = [
 _TIE_EPS = 1e-12
 _DEFAULT_PASS_LIMIT = 4
 # bytes of candidate matrices formed at once; bounds the scan's memory at
-# large bonds (79 matrices of 81 x 81 per chunk)
+# large bonds (79 matrices of 81 x 81 per batch)
 _SCAN_CHUNK_BYTES = 8 << 20
-# candidates in a scan's first chunk: at near-product bonds one that makes
-# the bond a product is usually among the first catalog entries
-_FIRST_CHUNK = 16
 
 
 def tableau_bytes(n: int) -> int:
@@ -285,18 +284,20 @@ class GcampsState:
         strictly beats the bond as it stands; returns 1 if one was applied.
 
         Only entangling entries are scored (a local factor cannot change
-        the spectrum). They are stacked in catalog order and scored a chunk
-        at a time: one SVD call and one vectorized objective per chunk, the
-        first chunk at most _FIRST_CHUNK candidates and each later one at
-        most _SCAN_CHUNK_BYTES of candidate matrices. The scores are walked
-        in catalog order, so ties resolve to the earliest entry, and the
-        scan stops once the best is _unbeatable, and a bond that already is
-        one is not scanned. Every row of a chunk counts toward the report's
+        the spectrum). They are scored in catalog order a batch at a time,
+        one stacked SVD call and one vectorized objective per batch. The
+        first batch holds the bond as it stands (row 0) and the first
+        candidate; each later batch holds twice the candidates of the one
+        before, at most _SCAN_CHUNK_BYTES of candidate matrices. The scores
+        are walked in catalog order, so ties resolve to the earliest entry
+        and the winner does not depend on where the batches end, and the
+        walk stops at the first _unbeatable score, the bond's own included.
+        Every candidate row of a batch counts toward the report's
         candidates_scored. disentangle calls this only on bonds that are
         not settled.
 
         The winner is absorbed from the pair tensor it was scored on: that
-        row of the chunk's product is split at bond i by Mps.split_pair,
+        row of the batch's product is split at bond i by Mps.split_pair,
         with no second contraction and no second look at the catalog
         unitary, which DisentanglerCatalog.entangling_stack checked when
         it was built.
@@ -307,34 +308,37 @@ class GcampsState:
         theta = mps.pair_tensor(i)
         l, _, _, r = theta.shape
         policy = mps.policy
-        s0 = robust_svd(theta.reshape(1, l * d, d * r), compute_uv=False)
-        current = _objectives(s0, policy)[0]
-        report.bonds_visited.append(i)
-        report.objective_before.setdefault(i, current)
-        report.objective_after[i] = current
-        if _unbeatable(current):
-            return 0
         paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
         indices, stack = self.catalog.entangling_stack()
         budget = max(1, _SCAN_CHUNK_BYTES // paired.nbytes)
-        best, best_idx, best_theta = current, -1, None
-        start, size = 0, min(_FIRST_CHUNK, budget)
-        while start < len(indices) and not _unbeatable(best):
-            stop = start + size
+        best_idx, best_theta = -1, None
+        start, size = 0, 1
+        while True:
+            stop = min(start + size, len(indices))
             y = (stack[start:stop] @ paired).reshape(-1, d, d, l, r)
             y = y.transpose(0, 3, 1, 2, 4).reshape(-1, l * d, d * r)
+            lead = int(start == 0)
+            if lead:
+                y = np.concatenate((theta.reshape(1, l * d, d * r), y))
             scores = _objectives(robust_svd(y, compute_uv=False), policy)
-            report.candidates_scored += len(scores)
+            report.candidates_scored += stop - start
+            if lead:
+                best = scores[0]
+                report.bonds_visited.append(i)
+                report.objective_before.setdefault(i, best)
+                report.objective_after[i] = best
             winner = -1
-            for k, obj in enumerate(scores):
-                if _better(obj, best):
-                    best, winner = obj, k
-                    if _unbeatable(best):
-                        break
-            if winner >= 0:  # copied, so the chunk is freed before the next
-                best_idx = int(indices[start + winner])
+            for k in range(lead, len(scores)):
+                if _unbeatable(best):
+                    break
+                if _better(scores[k], best):
+                    best, winner = scores[k], k
+            if winner >= 0:  # copied, so the batch is freed before the next
+                best_idx = int(indices[start + winner - lead])
                 best_theta = y[winner].reshape(l, d, d, r).copy()
-            start, size = stop, budget
+            if _unbeatable(best) or stop == len(indices):
+                break
+            start, size = stop, min(2 * size, budget)
         if best_idx < 0:
             return 0
         mps.split_pair(i, best_theta)

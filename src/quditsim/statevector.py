@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .mps import robust_svd
 from .pauli import (
     PauliString, QuditDim, check_dense_size, checked_unitary, site_matrix,
 )
@@ -99,7 +100,7 @@ class DenseState:
         if cut < 1 or cut >= self.n:
             raise ValueError(f"cut must lie strictly inside the chain, got {cut}")
         block = self.amps.reshape(self.d ** cut, self.d ** (self.n - cut))
-        return np.linalg.svd(block, compute_uv=False)
+        return robust_svd(block, compute_uv=False)
 
 
 def fidelity(a: DenseState, b: DenseState) -> float:

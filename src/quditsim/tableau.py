@@ -87,11 +87,11 @@ def _image_tables(name: str, d: int):
         raise ValueError(f"{name} is not a Clifford gate")
     images = _generator_images(name, d)
     k = len(images) // 2
-    # the images as the gate's k-site tableau, Z rows first; product()
+    # the images as the gate's k-site tableau, Z rows first; np.indices
     # counts (x_0, z_0, ..., x_{k-1}, z_{k-1}) in base d, the packed index.
     # rowprod's X-then-Z order is exact: images on distinct sites commute
     rows = images[1::2] + images[0::2]
-    exps = np.array(list(product(range(d), repeat=2 * k)))
+    exps = np.indices((d,) * (2 * k)).reshape(2 * k, -1).T
     x, z, phase = kernels.rowprod(
         [p.x for p in rows], [p.z for p in rows], [p.phase for p in rows],
         exps[:, 0::2], exps[:, 1::2], d)

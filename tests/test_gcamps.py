@@ -687,7 +687,8 @@ def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
 def scan_log(monkeypatch):
     """Engine bond visits as (product, candidate rows scored): whether the
     bond was left a product, and the candidate matrices counted through a
-    patched gcamps.robust_svd."""
+    patched gcamps.robust_svd, less the first batch's row 0, the bond as it
+    stands."""
     rows, visits = [], []
     svd, optimize = gcamps.robust_svd, GcampsState._optimize_bond
 
@@ -699,7 +700,7 @@ def scan_log(monkeypatch):
         first = len(rows)
         out = optimize(self, i, report)
         product = gcamps._unbeatable(report.objective_after[i])
-        visits.append((product, sum(rows[first + 1:])))
+        visits.append((product, sum(rows[first:]) - 1))
         return out
 
     monkeypatch.setattr(gcamps, "robust_svd", counting_svd)
@@ -709,13 +710,35 @@ def scan_log(monkeypatch):
 
 def test_width_shaped_scan_exits_early_and_matches_reference(cat3, scan_log):
     # d=3, n=24, two T layers after 8n-gate blocks: the bonds stay near 1,
-    # so a product-making candidate usually turns up in the first chunk
+    # so a product-making candidate usually turns up in the first batches
     circ = t_doped_circuit(24, 3, layers=2, rng_seed=7, block_len=8 * 24)
     assert_scan_matches_reference(circ, cat3)
     full = len(cat3.entangling_stack()[0])
     scored = [n for _, n in scan_log if n]
     assert scored and max(scored) <= full
     assert min(scored) < full
+
+
+def test_scan_stopped_at_position_p_scored_at_most_2p_plus_1(cat3, monkeypatch):
+    # the batches hold 1, 2, 4, ... candidates, so a scan that stops on an
+    # unbeatable winner at entangling position p has scored at most 2p + 1
+    circ = t_doped_circuit(24, 3, layers=2, rng_seed=7, block_len=8 * 24)
+    indices = cat3.entangling_stack()[0]
+    stops = []
+    optimize = GcampsState._optimize_bond
+
+    def logged(self, i, report):
+        scored = report.candidates_scored
+        out = optimize(self, i, report)
+        if out and gcamps._unbeatable(report.objective_after[i]):
+            p = int(np.searchsorted(indices, report.gates_applied[-1][0]))
+            stops.append((p, report.candidates_scored - scored))
+        return out
+
+    monkeypatch.setattr(GcampsState, "_optimize_bond", logged)
+    assert_scan_matches_reference(circ, cat3)
+    assert stops and any(p > 0 for p, _ in stops)
+    assert all(n <= 2 * p + 1 for p, n in stops), stops
 
 
 def test_crossover_shaped_scan_skips_settled_bonds(cat3):

@@ -746,6 +746,21 @@ def test_robust_svd_gesvd_fallback_matches(shape, monkeypatch):
     )
 
 
+def test_dense_schmidt_values_fall_back_to_gesvd(monkeypatch):
+    # the dense oracle's spectra go through robust_svd too, so a gesdd
+    # failure there recovers as it does in the MPS backends
+    amps = random_complex(np.random.default_rng(11), 3 ** 4)
+    state = DenseState(3, 4, amps / np.linalg.norm(amps))
+    want = [np.linalg.svd(state.amps.reshape(3 ** c, -1), compute_uv=False)
+            for c in (1, 2, 3)]
+    monkeypatch.setattr(
+        np.linalg, "svd", failing_svd(np.linalg.svd, lambda a: True)
+    )
+    for cut, w in zip((1, 2, 3), want):
+        np.testing.assert_allclose(state.schmidt_values(cut), w,
+                                   rtol=0, atol=1e-12)
+
+
 def test_robust_svd_stack_retries_each_matrix(monkeypatch):
     # only the stacked call fails: each matrix is then decomposed on its
     # own by the fast driver, bit for bit as a single call would
