@@ -188,7 +188,16 @@ class GcampsState:
     # ------------------------------------------------------------------
     # non-Clifford pipeline
 
-    def apply_non_clifford(self, site, u) -> DisentangleReport:
+    def commuted_sum(self, site, u) -> PauliSum:
+        """C^dagger u C for a one-site unitary u on `site`, as a Pauli sum
+        over the chain, the operator the MPS must take for u.
+
+        u is expanded as sum c X^x Z^z on its site. Conjugation is a group
+        homomorphism, so each term's image is the exact product
+        (C^dagger X C)^x (C^dagger Z C)^z: X and Z are each conjugated
+        through the tableau at most once, and only if some term uses
+        them, and the identity term needs neither.
+        """
         n, d = self.n, self.d
         site = int(site)
         if not 0 <= site < n:
@@ -196,14 +205,28 @@ class GcampsState:
         if np.shape(u) != (d, d):
             raise ValueError("operator must be d x d")
         # decompose_unitary admits u through checked_unitary
-        local = decompose_unitary(u, d)
+        local = decompose_unitary(u, d).terms
+        conjugate = self.tableau.conjugate_inverse
+        gx = gz = None
+        if any(p.x[0] for _, p in local):
+            gx = conjugate(PauliString.single(d, n, site, 1, 0))
+        if any(p.z[0] for _, p in local):
+            gz = conjugate(PauliString.single(d, n, site, 0, 1))
         terms = []
-        for c, p1 in local.terms:
-            embedded = PauliString.single(
-                d, n, site, int(p1.x[0]), int(p1.z[0])
-            )
-            terms.append((c, self.tableau.conjugate_inverse(embedded)))
-        commuted = PauliSum(d, n, terms)
+        for c, p in local:
+            q = PauliString.identity(d, n)
+            if p.x[0]:
+                q = gx.power(p.x[0])
+            if p.z[0]:
+                q = q * gz.power(p.z[0])
+            terms.append((c, q))
+        return PauliSum(d, n, terms)
+
+    def apply_non_clifford(self, site, u) -> DisentangleReport:
+        """Apply a one-site unitary u on `site`: its commuted sum goes
+        into the MPS, then the bonds it changed are disentangled."""
+        n = self.n
+        commuted = self.commuted_sum(site, u)
         before = self.mps.bond_dims()
         self.mps.apply_pauli_sum(commuted)
         after = self.mps.bond_dims()

@@ -3,6 +3,9 @@
 One vectorized numpy path in exact int64 arithmetic on the rows a product
 uses, whatever integer type the tableau stores; tests/helpers.py keeps
 the plain loop it replaced as the reference it must match bit for bit.
+rowprod picks the rows a product uses out of a whole tableau;
+ordered_product multiplies out rows it is given, and is what
+Tableau.right_multiply calls on the rows of its sites.
 """
 
 from __future__ import annotations
@@ -13,6 +16,44 @@ import numpy as np
 def backend() -> str:
     """Name of the kernel path; numpy is the only one."""
     return "numpy"
+
+
+def ordered_product(x, z, phases, k, d: int):
+    """Products prod_a row_a**k[j, a] of the given rows, in row order.
+
+    Row a is tau**phases[a] X**x[a] Z**z[a], with exponent blocks x, z of
+    shape (u, n) in any integer type and phases of shape (u,); k is an
+    (m, u) stack of powers >= 0, one product per row of k. Returns x, z of
+    shape (m, n) mod d and the phases as an int64 array of shape (m,) mod
+    2d.
+
+    Moving the k-th copy of a row past the accumulated product costs
+    tau**(2 acc_z . x), so the phase is sum_a k_a ph_a + 2 sum_a k_a cross_a
+    + sum_a k_a(k_a - 1) z_a . x_a, where cross_a = sum_{b<a} k_b z_b . x_a
+    collects the Z blocks of the rows to the left of row a. cross is
+    contracted in the cheaper order for the shape: through prefix sums of
+    k z over the rows, O(m u n), for fewer products than rows (a single
+    conjugation), else through the u x u matrix z_b . x_a, O(u^2 n), which
+    also skips the prefix sums (a frame update: m = u).
+    """
+    # widen: the tableau may be stored narrower
+    x = np.asarray(x, dtype=np.int64)
+    z = np.asarray(z, dtype=np.int64)
+    ph_rows = np.asarray(phases, dtype=np.int64)
+    k = np.asarray(k, dtype=np.int64)
+    if len(k) >= len(x):
+        g = z @ x.T  # g[b, a] = z_b . x_a
+        r = np.arange(len(g))
+        cross = k @ np.where(r[:, None] < r, g, 0)
+        own = g.diagonal()
+    else:
+        kz = k[:, :, None] * z
+        before = np.cumsum(kz, axis=1) - kz  # Z exponents of rows to the left
+        cross = np.einsum("mij,ij->mi", before, x)
+        own = np.einsum("ij,ij->i", z, x)
+    ph = (k @ ph_rows + 2 * (k * cross).sum(axis=1)
+          + (k * (k - 1)) @ own) % (2 * d)
+    return (k @ x) % d, (k @ z) % d, ph
 
 
 def rowprod(xs, zs, phases, xpow, zpow, d: int):
@@ -27,10 +68,7 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     xpow and zpow may also be stacks of shape (m, n): the m products are
     then taken in one pass over the rows any of them uses, and x, z come
     back with shape (m, n) and phase as an int64 array of shape (m,).
-
-    Moving the k-th copy of a row past the accumulated product costs
-    tau**(2 acc_z . x), so the phase is sum k ph + 2 sum k (prefix kz) . x
-    over the rows in order, plus k(k-1) z . x for a row's own repeats.
+    Only the rows used are gathered for ordered_product.
     """
     xs, zs, phases = np.asarray(xs), np.asarray(zs), np.asarray(phases)
     n = xs.shape[1]
@@ -39,19 +77,9 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     single = powers.ndim == 1
     powers = np.maximum(powers.reshape(-1, 2 * n), 0)
     used = np.flatnonzero(powers.any(axis=0))
-    k = powers[:, used]  # (m, u)
     rows = (used + n) % (2 * n)  # xpow[i] -> row n+i, zpow[i] -> row i
-    # gather the rows used, then widen: the tableau may be stored narrower
-    x = np.asarray(xs[rows], dtype=np.int64)
-    z = np.asarray(zs[rows], dtype=np.int64)
-    ph_rows = np.asarray(phases[rows], dtype=np.int64)
-    kz = k[:, :, None] * z
-    before = np.cumsum(kz, axis=1) - kz  # Z exponents of the rows to the left
-    cross = np.einsum("mij,ij->mi", before, x)
-    own = np.einsum("ij,ij->i", z, x)
-    ph = (k @ ph_rows + 2 * (k * cross).sum(axis=1)
-          + (k * (k - 1)) @ own) % (2 * d)
-    px, pz = (k @ x) % d, (k @ z) % d
+    px, pz, ph = ordered_product(xs[rows], zs[rows], phases[rows],
+                                 powers[:, used], d)
     if single:
         return px[0], pz[0], int(ph[0])
     return px, pz, ph

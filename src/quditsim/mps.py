@@ -198,34 +198,6 @@ class Mps:
             acc = np.tensordot(acc, t, axes=([1], [0])).reshape(-1, t.shape[2])
         return acc.reshape(-1)
 
-    def schmidt_spectrum(self, bond):
-        """Singular values across the cut with `bond` sites on the left."""
-        if not 1 <= bond <= self.n - 1:
-            raise ValueError("bond must lie strictly inside the chain")
-        self.move_center(bond - 1)
-        t = self.tensors[bond - 1]
-        l, d_, r = t.shape
-        return robust_svd(t.reshape(l * d_, r), compute_uv=False)
-
-    def entanglement_entropy(self, bond):
-        s = self.schmidt_spectrum(bond)
-        p = s * s
-        p = p[p > 1e-300]
-        return float(-(p * np.log(p)).sum())
-
-    def canonical_ok(self, tol=1e-10):
-        for i in range(self.center):
-            t = self.tensors[i]
-            g = np.einsum("lsr,lsq->rq", t.conj(), t)
-            if np.abs(g - np.eye(t.shape[2])).max() > tol:
-                return False
-        for i in range(self.center + 1, self.n):
-            t = self.tensors[i]
-            g = np.einsum("lsr,qsr->lq", t, t.conj())
-            if np.abs(g - np.eye(t.shape[0])).max() > tol:
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # canonical-form plumbing
 

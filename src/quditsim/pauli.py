@@ -159,24 +159,20 @@ class PauliString:
         return PauliString(d, (self.x + other.x) % d, (self.z + other.z) % d, ph)
 
     def power(self, k: int) -> "PauliString":
-        """self**k for k >= 0 by repeated multiplication."""
+        """self**k for k >= 0 in closed form: exponents k*x, k*z and phase
+        k*phase + k(k-1) z.x, since the j-th copy moves its X block past
+        the Z block j*z of the copies before it (see __mul__)."""
+        k = int(k)
         if k < 0:
             raise ValueError("negative powers not supported; use dagger()")
-        out = PauliString.identity(self.d, self.n_sites)
-        for _ in range(k):
-            out = out * self
-        return out
+        return PauliString(self.d, k * self.x, k * self.z,
+                           k * self.phase + k * (k - 1) * int(self.z @ self.x))
 
     def dagger(self) -> "PauliString":
         """Hermitian adjoint: reorders Z**-z X**-x back to canonical form."""
         d = self.d
         ph = (-self.phase + 2 * int(self.z @ self.x)) % (2 * d)
         return PauliString(d, -self.x % d, -self.z % d, ph)
-
-    def commutation_exponent(self, other: "PauliString") -> int:
-        """c with self*other = omega**c * other*self."""
-        self._check_compatible(other)
-        return int((self.z @ other.x - self.x @ other.z) % self.d)
 
     # -- realization and serialization --------------------------------------
 

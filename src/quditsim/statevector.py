@@ -32,20 +32,6 @@ class DenseState:
         else:
             self.amps = np.asarray(amps, dtype=complex).reshape(dim).copy()
 
-    @classmethod
-    def basis_state(cls, d: int, n: int, digits, max_dim=None) -> "DenseState":
-        digits = [int(v) for v in digits]
-        d = int(QuditDim(d))
-        if len(digits) != n or any(v < 0 or v >= d for v in digits):
-            raise ValueError("digits must be n values in range(d)")
-        s = cls(d, n, max_dim=max_dim)
-        s.amps[0] = 0.0
-        idx = 0
-        for v in digits:
-            idx = idx * d + v
-        s.amps[idx] = 1.0
-        return s
-
     def copy(self) -> "DenseState":
         return DenseState(self.d, self.n, self.amps, max_dim=self.amps.size)
 

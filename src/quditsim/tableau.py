@@ -55,10 +55,16 @@ def _generator_images(name: str, d: int):
     """
     k = 2 if name in TWO_SITE_NAMES else 1
     u = gate_matrix(GateOp(name, range(k)), d)
+    u_dag = u.conj().T
     images = []
     for j, (x, z) in product(range(k), ((1, 0), (0, 1))):
+        # a Pauli has one nonzero per column, so gen @ u^dagger moves row
+        # c of u^dagger to the row of column c's nonzero and phases it
         gen = PauliString.single(d, k, j, x, z).to_matrix()
-        terms = decompose_unitary(u @ gen @ u.conj().T, d).terms
+        rows, cols = np.nonzero(gen)
+        moved = np.empty_like(u_dag)
+        moved[rows] = gen[rows, cols][:, None] * u_dag[cols]
+        terms = decompose_unitary(u @ moved, d).terms
         if len(terms) != 1:
             raise ArithmeticError(f"{name} maps a Pauli to {len(terms)} terms")
         (c, p), = terms
@@ -263,9 +269,11 @@ class Tableau:
         W acts only on those m sites, so only rows s and n+s of them
         change: each new row is C (W B W^dagger) C^dagger for a basis
         element B on those sites, and W B W^dagger is the matching row of
-        `local` with its columns placed on `sites`. The 2m new rows are
-        multiplied out of the old ones by a single stacked rowprod; the
-        other 2n - 2m rows are not touched, so a two-site W costs O(n). The
+        `local` with its columns placed on `sites`. The 2m old rows of the
+        sites, X rows before Z rows, are raised to `local`'s exponents by
+        one kernels.ordered_product call, the product rowprod takes once it
+        has picked its rows; the other 2n - 2m rows are not read or
+        touched, so a two-site W costs O(n). The
         sites may come in any order and at any distance. A local tableau of
         another d, a site count other than local.n, a repeated site or one
         outside [0, n) raises ValueError with the tableau untouched.
@@ -281,13 +289,13 @@ class Tableau:
             raise ValueError(f"sites {sites} repeat a site")
         if not all(0 <= s < n for s in sites):
             raise ValueError(f"sites {sites} fall outside [0, {n})")
-        xpow = np.zeros((2 * len(sites), n), dtype=np.int64)
-        zpow = np.zeros_like(xpow)
-        xpow[:, sites] = local.xs
-        zpow[:, sites] = local.zs
-        x, z, ph = kernels.rowprod(self.xs, self.zs, self.phases,
-                                   xpow, zpow, d)
+        # W B W^dagger is canonical, X before Z on every site, and the X
+        # images (rows n+s) commute among themselves, as do the Z images
         targets = sites + [n + s for s in sites]
+        rows = targets[len(sites):] + sites
+        x, z, ph = kernels.ordered_product(
+            self.xs[rows], self.zs[rows], self.phases[rows],
+            np.concatenate((local.xs, local.zs), axis=1), d)
         self.xs[targets] = x
         self.zs[targets] = z
         self.phases[targets] = (ph + local.phases) % (2 * d)

@@ -4,9 +4,12 @@ Everything here is built from first principles (np.roll / np.diag / kron)
 without calling the package's own realization code, so package bugs cannot
 cancel out in comparisons. The exceptions are the brute-force references
 at the end: the plain loops that the package's vectorized paths replaced,
-the five-gate SWAP word that the tableau's native SWAP replaced, and the
+the five-gate SWAP word that the tableau's native SWAP replaced, the
 hand-written gate images that the tableau's tables, derived from
-gate_matrix, must reproduce.
+gate_matrix, must reproduce, and the per-term commutation that the
+engine's commuted sum replaced. Last come the state readers only tests
+use: Schmidt spectra, entropies and canonical-form checks of an Mps,
+basis states, and the commutation exponent of two Pauli strings.
 """
 
 from functools import lru_cache
@@ -478,3 +481,77 @@ def reference_gcamps_state(n, d, catalog, policy=None):
     return ReferenceGcampsState(
         identity_tableau(n, d), Mps.product_state(n, d, policy=policy), catalog
     )
+
+
+def commuted_sum_per_term(tableau, site, u):
+    """Reference for GcampsState.commuted_sum: the per-term loop it
+    replaced, one conjugate_inverse call for every Pauli term of u, the
+    identity included."""
+    from quditsim.pauli import PauliString, PauliSum, decompose_unitary
+
+    d, n = tableau.d, tableau.n
+    terms = [(c, tableau.conjugate_inverse(
+        PauliString.single(d, n, site, int(p.x[0]), int(p.z[0]))))
+        for c, p in decompose_unitary(u, d).terms]
+    return PauliSum(d, n, terms)
+
+
+def schmidt_spectrum(m, bond):
+    """Singular values of an Mps across the cut with `bond` sites on the
+    left; moves the center to bond - 1."""
+    from quditsim.mps import robust_svd
+
+    if not 1 <= bond <= m.n - 1:
+        raise ValueError("bond must lie strictly inside the chain")
+    m.move_center(bond - 1)
+    t = m.tensors[bond - 1]
+    l, d_, r = t.shape
+    return robust_svd(t.reshape(l * d_, r), compute_uv=False)
+
+
+def entanglement_entropy(m, bond):
+    """Von Neumann entropy of an Mps across the cut with `bond` sites on
+    the left."""
+    p = schmidt_spectrum(m, bond) ** 2
+    p = p[p > 1e-300]
+    return float(-(p * np.log(p)).sum())
+
+
+def canonical_ok(m, tol=1e-10):
+    """True when every tensor left of the center is a left isometry and
+    every one right of it a right isometry, to tol."""
+    for i in range(m.center):
+        t = m.tensors[i]
+        g = np.einsum("lsr,lsq->rq", t.conj(), t)
+        if np.abs(g - np.eye(t.shape[2])).max() > tol:
+            return False
+    for i in range(m.center + 1, m.n):
+        t = m.tensors[i]
+        g = np.einsum("lsr,qsr->lq", t, t.conj())
+        if np.abs(g - np.eye(t.shape[0])).max() > tol:
+            return False
+    return True
+
+
+def basis_state(d, n, digits, max_dim=None):
+    """DenseState |digits>, site 0 first; ValueError unless there are n
+    digits in range(d)."""
+    from quditsim.statevector import DenseState
+
+    digits = [int(v) for v in digits]
+    if len(digits) != n or any(v < 0 or v >= d for v in digits):
+        raise ValueError("digits must be n values in range(d)")
+    s = DenseState(d, n, max_dim=max_dim)
+    s.amps[0] = 0.0
+    idx = 0
+    for v in digits:
+        idx = idx * d + v
+    s.amps[idx] = 1.0
+    return s
+
+
+def commutation_exponent(a, b):
+    """c with a*b = omega**c * b*a, for Pauli strings of one shape."""
+    if a.d != b.d or a.n_sites != b.n_sites:
+        raise ValueError("operands differ in qudit dimension or site count")
+    return int((a.z @ b.x - a.x @ b.z) % a.d)

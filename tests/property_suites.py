@@ -9,7 +9,7 @@ import numpy as np
 from quditsim.circuits import random_clifford_word
 from quditsim.pauli import PauliString
 from quditsim.tableau import identity_tableau
-from helpers import dense_pauli, random_pauli_exponents
+from helpers import commutation_exponent, dense_pauli, random_pauli_exponents
 
 
 def run_pauli_dense_suite(cases, seed=7070):
@@ -35,7 +35,7 @@ def run_pauli_dense_suite(cases, seed=7070):
         dev = np.max(np.abs(dense_pauli(d, prod.x, prod.z, prod.phase) - da @ db))
         worst = max(worst, dev)
 
-        c = a.commutation_exponent(b)
+        c = commutation_exponent(a, b)
         w = np.exp(2j * np.pi / d)
         dev = np.max(np.abs(da @ db - w ** c * (db @ da)))
         worst = max(worst, dev)

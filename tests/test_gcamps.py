@@ -24,9 +24,10 @@ from quditsim.gcamps import GcampsState, new_state, tableau_bytes
 from quditsim.mps import Mps, TruncationPolicy, mps_model_bytes
 from quditsim.pauli import PauliString
 from quditsim.statevector import DenseState, run_circuit
-from quditsim.tableau import identity_tableau
+from quditsim.tableau import Tableau, identity_tableau
 
 from helpers import (
+    commuted_sum_per_term,
     dense_pauli,
     objective_scalar,
     random_clifford_gates,
@@ -465,6 +466,70 @@ def sum_catalog(d):
         entries.append(DisentanglerEntry(word_symplectic(word, d), word, 1,
                                          entangling=bool(word)))
     return DisentanglerCatalog(d, 2, entries)
+
+
+def scrambled_state(rng, n, d, cat2, cat3):
+    """A fresh state whose frame holds a random Clifford word."""
+    cat = sum_catalog(d) if d == 5 else catalog_for(d, cat2, cat3)
+    st = new_state(n, d, cat)
+    return st.apply_clifford_word(random_clifford_gates(rng, n, d, 6 * n))
+
+
+def sum_bits(ps):
+    """A PauliSum's terms as exact tuples: coefficient, exponents, phase."""
+    return [(c, p.x.tobytes(), p.z.tobytes(), p.phase) for c, p in ps.terms]
+
+
+def named_non_cliffords(d):
+    """Matrices of the named non-Clifford gates that d admits."""
+    ops = [GateOp("U1", (0,), tuple(0.3 * j * j + 0.1 for j in range(d)))]
+    if d in (2, 3):
+        ops += [GateOp("T", (0,)), GateOp("Tdg", (0,))]
+    if d == 2:
+        ops.append(GateOp("RZ", (0,), (0.7,)))
+    return [gate_matrix(op, d) for op in ops]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_commuted_sum_matches_per_term_conjugation(d, cat2, cat3):
+    """The sum built from one conjugation per generator equals the
+    per-term conjugate_inverse reference bit for bit, coefficients and
+    strings alike, for random non-diagonal unitaries and the named
+    non-Clifford gates, on every site of scrambled frames."""
+    rng = np.random.default_rng(60 + d)
+    n = 7
+    for _ in range(3):
+        st = scrambled_state(rng, n, d, cat2, cat3)
+        us = [random_unitary(rng, d) for _ in range(2)] + named_non_cliffords(d)
+        for site in range(n):
+            for u in us:
+                got = st.commuted_sum(site, u)
+                want = commuted_sum_per_term(st.tableau, site, u)
+                assert sum_bits(got) == sum_bits(want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_t_step_conjugates_each_generator_at_most_once(d, cat2, cat3,
+                                                       monkeypatch):
+    """A step conjugates X and Z at most once each, only the generators its
+    terms use: two calls for a non-diagonal u, one for a diagonal one and
+    none for the identity, whose only term needs neither."""
+    calls = []
+    original = Tableau.conjugate_inverse
+
+    def counted(self, p):
+        calls.append(p)
+        return original(self, p)
+
+    monkeypatch.setattr(Tableau, "conjugate_inverse", counted)
+    rng = np.random.default_rng(70 + d)
+    st = scrambled_state(rng, 6, d, cat2, cat3)
+    for u, want in ([(random_unitary(rng, d), 2), (np.eye(d), 0)]
+                    + [(v, 1) for v in named_non_cliffords(d)]):
+        calls.clear()
+        st.apply_non_clifford(3, u)
+        assert len(calls) == want
+        assert len({p.key() for p in calls}) == want
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

@@ -77,5 +77,31 @@ def test_rowprod_matches_pauli_multiplication():
             assert kp == acc.phase
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 131])
+def test_ordered_product_matches_pauli_multiplication_in_both_orders(d):
+    """The rows given, in their order, each multiplied in k times: bit for
+    bit on either side of the switch between the prefix-sum contraction
+    (fewer products than rows) and the row-pair one (at least as many)."""
+    rng = np.random.default_rng(15 + d)
+    for u in range(1, 9):
+        for m in sorted({1, max(1, u - 1), u, u + 3}):
+            n = int(rng.integers(1, 7))
+            x = rng.integers(0, d, size=(u, n)).astype(np.uint16)
+            z = rng.integers(0, d, size=(u, n)).astype(np.uint16)
+            ph = rng.integers(0, 2 * d, size=u).astype(np.uint16)
+            k = rng.integers(0, 2 * d, size=(m, u))
+            kx, kz, kp = kernels.ordered_product(x, z, ph, k, d)
+            assert kx.shape == kz.shape == (m, n) and kp.shape == (m,)
+            for j in range(m):
+                acc = PauliString.identity(d, n)
+                for a in range(u):
+                    row = PauliString(d, x[a], z[a], ph[a])
+                    for _ in range(int(k[j, a])):
+                        acc = acc * row
+                assert np.array_equal(kx[j], acc.x)
+                assert np.array_equal(kz[j], acc.z)
+                assert kp[j] == acc.phase
+
+
 def test_backend_reports_mode():
     assert kernels.backend() == "numpy"

@@ -17,7 +17,10 @@ from quditsim.pauli import (
 )
 from quditsim.statevector import DenseState, run_circuit
 
-from helpers import dense_pauli, embed_gate, pauli_mpo_per_site, random_unitary
+from helpers import (
+    canonical_ok, dense_pauli, embed_gate, entanglement_entropy, pauli_mpo_per_site,
+    random_unitary, schmidt_spectrum,
+)
 
 
 def mps_from_ops(n, d, ops, policy=None):
@@ -128,15 +131,15 @@ def test_policy_accepts_numpy_integer_chi_max(chi_max):
 def test_entropy_of_product_state_is_zero():
     m = Mps.product_state(5, 3)
     for bond in range(1, 5):
-        assert m.entanglement_entropy(bond) == pytest.approx(0.0, abs=1e-14)
+        assert entanglement_entropy(m, bond) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_schmidt_and_entropy_bond_range():
     m = Mps.product_state(3, 2)
     with pytest.raises(ValueError):
-        m.schmidt_spectrum(0)
+        schmidt_spectrum(m, 0)
     with pytest.raises(ValueError):
-        m.schmidt_spectrum(3)
+        schmidt_spectrum(m, 3)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +154,7 @@ def test_move_center_preserves_state_and_canonical_form():
     for target in [0, 3, 1, 2, 0]:
         m.move_center(target)
         assert m.center == target
-        assert m.canonical_ok()
+        assert canonical_ok(m)
         np.testing.assert_allclose(m.to_dense(), ref, atol=1e-12)
     with pytest.raises(ValueError):
         m.move_center(4)
@@ -175,16 +178,16 @@ def test_bell_pair_entropy_and_spectrum():
     m.apply_two_site(0, gate_matrix(GateOp("SUM", (0, 1)), 2))
     assert m.bond_dims() == [2]
     np.testing.assert_allclose(
-        m.schmidt_spectrum(1), [2**-0.5, 2**-0.5], atol=1e-12
+        schmidt_spectrum(m, 1), [2**-0.5, 2**-0.5], atol=1e-12
     )
-    assert m.entanglement_entropy(1) == pytest.approx(np.log(2), abs=1e-12)
+    assert entanglement_entropy(m, 1) == pytest.approx(np.log(2), abs=1e-12)
 
 
 def test_qutrit_pair_entropy_reaches_log3():
     m = Mps.product_state(2, 3)
     m.apply_single_site(0, gate_matrix(GateOp("H", (0,)), 3))
     m.apply_two_site(0, gate_matrix(GateOp("SUM", (0, 1)), 3))
-    assert m.entanglement_entropy(1) == pytest.approx(np.log(3), abs=1e-12)
+    assert entanglement_entropy(m, 1) == pytest.approx(np.log(3), abs=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -371,7 +374,7 @@ def test_split_pair_accepts_center_on_right_site():
     theta = m.pair_tensor(0)
     m.move_center(1)
     assert m.split_pair(0, theta) == pytest.approx(0.0, abs=1e-14)
-    assert m.center == 1 and m.canonical_ok()
+    assert m.center == 1 and canonical_ok(m)
 
 
 @pytest.mark.parametrize("center", [0, 1, 2, 3])
@@ -389,7 +392,7 @@ def test_apply_two_site_moves_the_center_only_onto_its_pair(center,
     u = random_unitary(np.random.default_rng(8), 9)
     assert m.apply_two_site(1, u) == pytest.approx(0.0, abs=1e-14)
     assert len(pushes) == max(1 - center, 0) + max(center - 2, 0)
-    assert m.center == 2 and m.canonical_ok()
+    assert m.center == 2 and canonical_ok(m)
     np.testing.assert_allclose(m.to_dense(),
                                embed_gate(u, (1, 2), 4, 3) @ before,
                                atol=1e-10)
@@ -422,7 +425,7 @@ def test_chi_max_cut_keeps_tied_values_together(spectrum, chi_max, kept):
     assert m.bond_dims() == [kept]
     assert err == pytest.approx(float(s[kept:] @ s[kept:]), abs=1e-14)
     np.testing.assert_allclose(
-        m.schmidt_spectrum(1), s[:kept] / np.linalg.norm(s[:kept]),
+        schmidt_spectrum(m, 1), s[:kept] / np.linalg.norm(s[:kept]),
         atol=1e-14)
 
 
@@ -506,7 +509,7 @@ def test_schmidt_spectrum_matches_dense():
     ref = DenseState(d, n, max_dim=v.size)
     ref.amps = v.reshape(ref.amps.shape)
     for bond in range(1, n):
-        got = m.schmidt_spectrum(bond)
+        got = schmidt_spectrum(m, bond)
         want = ref.schmidt_values(bond)
         k = min(got.size, want.size)
         np.testing.assert_allclose(got[:k], want[:k], atol=1e-10)
@@ -629,7 +632,7 @@ def test_apply_multi_term_pauli_sum_unitary(d):
     overlap = abs(np.vdot(want, m.to_dense()))
     assert overlap > 1 - 1e-10
     assert err < 1e-12
-    assert m.canonical_ok()
+    assert canonical_ok(m)
     assert m.center == 0
 
 

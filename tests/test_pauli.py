@@ -15,7 +15,9 @@ from quditsim.pauli import (
     site_matrix,
 )
 from quditsim.statevector import DenseState
-from helpers import dense_pauli, random_pauli_exponents, random_unitary
+from helpers import (
+    commutation_exponent, dense_pauli, random_pauli_exponents, random_unitary,
+)
 from property_suites import run_pauli_dense_suite
 
 
@@ -97,11 +99,26 @@ def test_order_d_collapses_exponents():
         assert not pd.x.any() and not pd.z.any()
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_power_matches_repeated_multiplication(d):
+    """The closed form equals k-fold __mul__ for k in [0, 2d], phases
+    included, and a negative power raises."""
+    rng = np.random.default_rng(40 + d)
+    for _ in range(8):
+        p = PauliString(d, *random_pauli_exponents(rng, d, 4))
+        acc = PauliString.identity(d, 4)
+        for k in range(2 * d + 1):
+            assert p.power(k) == acc
+            acc = acc * p
+    with pytest.raises(ValueError):
+        p.power(-1)
+
+
 def test_commutation_defining_relation():
     z = PauliString.single(3, 1, 0, z=1)
     x = PauliString.single(3, 1, 0, x=1)
-    assert z.commutation_exponent(x) == 1
-    assert x.commutation_exponent(x) == 0
+    assert commutation_exponent(z, x) == 1
+    assert commutation_exponent(x, x) == 0
 
 
 def test_dagger_is_conjugate_transpose():

@@ -7,7 +7,9 @@ from quditsim.circuits import Circuit, GateOp, gate_matrix
 from quditsim.pauli import PauliString
 from quditsim.statevector import DenseState, fidelity, run_circuit
 
-from helpers import dense_pauli, random_pauli_exponents, random_unitary
+from helpers import (
+    basis_state, dense_pauli, random_pauli_exponents, random_unitary,
+)
 
 
 def test_bell_amplitudes():
@@ -31,11 +33,11 @@ def test_qutrit_bell_schmidt_values():
 
 
 def test_basis_state_and_amplitude():
-    s = DenseState.basis_state(2, 2, (1, 0))
+    s = basis_state(2, 2, (1, 0))
     assert s.amplitude((1, 0)) == 1
     assert s.amplitude((0, 1)) == 0
     with pytest.raises(ValueError):
-        DenseState.basis_state(2, 2, (2, 0))
+        basis_state(2, 2, (2, 0))
     with pytest.raises(ValueError):
         s.amplitude((0, 5))
     for digits in ([0], [0, 0, 0, 0]):  # too few or too many digits

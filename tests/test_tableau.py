@@ -21,6 +21,7 @@ from helpers import (
     CLIFFORD_NAMES,
     _exponent_image_tables,
     apply_word_per_gate,
+    commutation_exponent,
     dense_pauli,
     dense_word_unitary,
     gate,
@@ -29,6 +30,7 @@ from helpers import (
     random_pauli_exponents,
     reference_generator_images,
     right_multiply_full,
+    rowprod_loop,
     swap_word,
 )
 
@@ -508,7 +510,7 @@ def test_symplectic_preserved_by_random_words(d):
     for _ in range(40):
         t, _ = random_tableau(rng, 4, d, 25)
         assert t.symplectic_ok()
-        assert t.row(0).commutation_exponent(t.row(4)) == 1
+        assert commutation_exponent(t.row(0), t.row(4)) == 1
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -644,6 +646,58 @@ def test_two_byte_storage_past_d_127():
         q = PauliString(d, x, z, ph)
         assert t.conjugate_inverse(t.conjugate_forward(q)) == q
         assert t.conjugate_forward(t.conjugate_inverse(q)) == q
+
+
+def clifford_frame(rng, n, d):
+    """A genuine n-site Clifford frame: a random word's tableau for d <= 7;
+    past that, where the two-site tables are not built, 4n hand-written H,
+    S and SUM frames placed on random sites."""
+    if d <= 7:
+        return random_tableau(rng, n, d, 4 * n)[0]
+    t = identity_tableau(n, d)
+    frames = [hand_written_frame(name, d) for name in ("H", "S", "SUM")]
+    for _ in range(4 * n):
+        local = frames[int(rng.integers(0, 3))]
+        t.right_multiply(local, rng.choice(n, size=local.n, replace=False))
+    return t
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 131])
+def test_right_multiply_matches_row_loop_and_full_construction(d, m):
+    """On Clifford frames, each of the 2m new rows equals the plain row
+    loop over the old frame at the local row's exponents placed on the
+    sites, plus the local row's phase, bit for bit, with the sites
+    scrambled and apart and the local rows arbitrary integers; for d <= 7
+    a local word's tableau also equals the full construction."""
+    rng = np.random.default_rng(1000 + 10 * d + m)
+    n = 11
+    for _ in range(6):
+        t = clifford_frame(rng, n, d)
+        assert t.symplectic_ok()
+        sites = rng.choice(n, size=m, replace=False).tolist()
+        local = Tableau(d, m, rng.integers(0, d, (2 * m, m)),
+                        rng.integers(0, d, (2 * m, m)),
+                        rng.integers(0, 2 * d, 2 * m))
+        want = t.copy()
+        for r, target in enumerate(sites + [n + s for s in sites]):
+            xpow, zpow = np.zeros(n, np.int64), np.zeros(n, np.int64)
+            xpow[sites], zpow[sites] = local.xs[r], local.zs[r]
+            x, z, ph = rowprod_loop(t.xs, t.zs, t.phases, xpow, zpow, d)
+            want.xs[target], want.zs[target] = x, z
+            want.phases[target] = (ph + int(local.phases[r])) % (2 * d)
+        got = t.copy().right_multiply(local, sites)
+        assert_bit_identical(got, want)
+        if d > 7:
+            continue
+        local_word = random_clifford_word(m, d, length=10, rng_seed=int(
+            rng.integers(1 << 30)))
+        mapped = [GateOp(g.name, tuple(sites[s] for s in g.sites))
+                  for g in local_word]
+        got = t.copy().right_multiply(
+            identity_tableau(m, d).apply_word(local_word), sites)
+        assert_bit_identical(got, right_multiply_full(t, mapped))
+        assert got.symplectic_ok()
 
 
 # -- serialization ---------------------------------------------------------------------
