@@ -41,7 +41,7 @@ import numpy as np
 from .circuits import GateOp, gate_matrix
 from .disentanglers import DisentanglerCatalog
 from .mps import (
-    Mps, PauliMpo, TruncationPolicy, mps_model_bytes, robust_svd, worst_case_chi,
+    Mps, TruncationPolicy, mps_model_bytes, robust_svd, worst_case_chi,
 )
 from .pauli import PauliString, PauliSum, decompose_unitary
 from .statevector import DenseState
@@ -380,8 +380,10 @@ class GcampsState:
         if sigma.d != self.d or sigma.n_sites != self.n:
             raise ValueError("operator does not match the state")
         q = self.tableau.conjugate_inverse(sigma)
-        mpo = PauliMpo(PauliSum(self.d, self.n, [(1.0, q)]))
-        return self.mps.expectation_mpo(mpo)
+        # one Pauli string moves every site by a unitary, so its copy of
+        # the chain keeps the canonical form and the center
+        moved = self.mps._pauli_sum_tensors(PauliSum(self.d, self.n, [(1.0, q)]))
+        return self.mps.overlap(Mps(self.d, moved, center=self.mps.center))
 
     def hermitian_expectation(self, sigma: PauliString) -> float:
         # <(sigma + sigma^dag)/2> is the real part of <sigma>

@@ -3,9 +3,10 @@
 One vectorized numpy path in exact int64 arithmetic on the rows a product
 uses, whatever integer type the tableau stores; tests/helpers.py keeps
 the plain loop it replaced as the reference it must match bit for bit.
-rowprod picks the rows a product uses out of a whole tableau;
-ordered_product multiplies out rows it is given, and is what
-Tableau.right_multiply calls on the rows of its sites.
+rowprod picks the rows one product uses out of a whole tableau, for
+Tableau's conjugations; ordered_product multiplies out the rows it is
+given, raised to a stack of powers, and is what Tableau.right_multiply
+calls on the rows of its sites and the gate tables on generator images.
 """
 
 from __future__ import annotations
@@ -63,23 +64,15 @@ def rowprod(xs, zs, phases, xpow, zpow, d: int):
     prod_i row[i]**zpow[i] (ascending i). Rows are given by their exponent
     blocks xs, zs of shape (2n, n) and tau exponents phases of shape (2n,);
     a power <= 0 contributes nothing. Returns (x, z, phase) of the product;
-    x, z are mod d and phase is mod 2d.
-
-    xpow and zpow may also be stacks of shape (m, n): the m products are
-    then taken in one pass over the rows any of them uses, and x, z come
-    back with shape (m, n) and phase as an int64 array of shape (m,).
-    Only the rows used are gathered for ordered_product.
+    x, z are int64 mod d and phase is an int mod 2d. Only the rows used
+    are gathered for ordered_product.
     """
     xs, zs, phases = np.asarray(xs), np.asarray(zs), np.asarray(phases)
     n = xs.shape[1]
-    powers = np.concatenate([np.asarray(xpow, dtype=np.int64),
-                             np.asarray(zpow, dtype=np.int64)], axis=-1)
-    single = powers.ndim == 1
-    powers = np.maximum(powers.reshape(-1, 2 * n), 0)
-    used = np.flatnonzero(powers.any(axis=0))
+    powers = np.maximum(np.concatenate([np.asarray(xpow, dtype=np.int64),
+                                        np.asarray(zpow, dtype=np.int64)]), 0)
+    used = np.flatnonzero(powers)
     rows = (used + n) % (2 * n)  # xpow[i] -> row n+i, zpow[i] -> row i
     px, pz, ph = ordered_product(xs[rows], zs[rows], phases[rows],
-                                 powers[:, used], d)
-    if single:
-        return px[0], pz[0], int(ph[0])
-    return px, pz, ph
+                                 powers[None, used], d)
+    return px[0], pz[0], int(ph[0])

@@ -18,13 +18,12 @@ import numpy as np
 
 from .gates import swap_legs, swap_matrix
 from .pauli import (
-    PauliSum, QuditDim, check_dense_size, checked_unitary, site_matrix,
+    PauliSum, QuditDim, check_dense_size, checked_unitary, phase_factor,
 )
 
 __all__ = [
     "TruncationPolicy",
     "Mps",
-    "PauliMpo",
     "bond_ceiling",
     "mps_model_bytes",
     "robust_svd",
@@ -175,10 +174,22 @@ class Mps:
         return [self.tensors[i].shape[2] for i in range(self.n - 1)]
 
     def norm(self):
+        return float(np.sqrt(abs(self.overlap(self).real)))
+
+    def overlap(self, other):
+        """<self|other>, the conjugate on self as np.vdot takes it, by one
+        transfer matrix swept left to right; the bonds of the two chains
+        may differ. A chain of another d or length raises ValueError."""
+        if not isinstance(other, Mps):
+            raise TypeError("expected an Mps")
+        if other.d != self.d or other.n != self.n:
+            raise ValueError("chains differ in qudit dimension or length")
         e = np.ones((1, 1), dtype=np.complex128)
-        for t in self.tensors:
-            e = np.einsum("xy,xsp,ysq->pq", e, t.conj(), t)
-        return float(np.sqrt(abs(e[0, 0].real)))
+        for a, b in zip(self.tensors, other.tensors):
+            la, d_, ra = a.shape
+            e = np.dot(e, b.reshape(b.shape[0], -1)).reshape(la * d_, -1)
+            e = np.dot(a.reshape(la * d_, ra).conj().T, e)
+        return complex(e[0, 0])
 
     def amplitude(self, digits):
         digits = [int(x) for x in digits]
@@ -358,27 +369,15 @@ class Mps:
     def apply_pauli_sum(self, ps):
         """Apply a Pauli operator sum, which must be unitary as a whole.
 
-        Every sum, a single term included, takes one path: it is contracted
-        as an MPO of bond dimension equal to its term count and then
-        compressed, and a norm drift beyond 1e-8 reports a non-unitary sum.
+        Every sum, a single term included, takes one path: the chain of
+        the sum applied to the state (_pauli_sum_tensors) is brought to
+        canonical form and compressed, and a norm drift beyond 1e-8
+        reports a non-unitary sum. The new chain is built on a new list
+        and committed only once its norm passes, so a rejected sum leaves
+        the chain as it was.
         """
-        if not isinstance(ps, PauliSum):
-            raise TypeError("expected a PauliSum")
-        if ps.d != self.d or ps.n_sites != self.n:
-            raise ValueError("operator does not match the chain")
-        return self._apply_mpo(PauliMpo(ps))  # an empty sum raises there
-
-    def _apply_mpo(self, mpo):
-        """Contract mpo into the chain and compress it. The product is built
-        on a new list and committed only once its norm passes, so a
-        rejected sum leaves the chain as it was."""
         n = self.n
-        work = []
-        for w, t in zip(mpo.tensors, self.tensors):
-            x = np.tensordot(w, t, axes=([2], [1]))
-            x = x.transpose(0, 3, 1, 2, 4)  # (bond, left, out, bond, right)
-            a_, l_, s_, b_, r_ = x.shape
-            work.append(np.ascontiguousarray(x).reshape(a_ * l_, s_, b_ * r_))
+        work = self._pauli_sum_tensors(ps)
         for i in range(n - 1):
             _qr_right(work, i)
         nrm = float(np.linalg.norm(work[n - 1]))
@@ -401,67 +400,47 @@ class Mps:
         self.center = i - 1
         return err
 
-    def expectation_mpo(self, mpo):
-        if mpo.d != self.d or mpo.n != self.n:
-            raise ValueError("operator does not match the chain")
-        e = np.ones((1, 1, 1), dtype=np.complex128)
-        for i in range(self.n):
-            e = np.einsum(
-                "xay,xtp,atsb,ysq->pbq",
-                e,
-                self.tensors[i].conj(),
-                mpo.tensors[i],
-                self.tensors[i],
-                optimize=True,
-            )
-        return complex(e[0, 0, 0])
+    def _pauli_sum_tensors(self, ps):
+        """Site tensors of sum_a c_a P_a |self>, uncompressed: the direct
+        sum of one Pauli-moved copy of the chain per term.
 
-
-class PauliMpo:
-    """MPO form of a Pauli operator sum.
-
-    Bond dimension equals the term count; the bond index selects the term at
-    every site (diagonal structure) and the scalar coefficients sit in the
-    site-0 tensor.  Tensor legs are (bond, out, in, bond).
-    """
-
-    __slots__ = ("d", "n", "bond", "tensors")
-
-    def __init__(self, ps):
+        X**x Z**z sends |s> to omega**(z s) |s + x>, so site i of copy a
+        reads input level (r - x_ai) mod d into output level r with phase
+        omega**(z_ai (r - x_ai)). Copy a sits on block a of every inner
+        bond, the coefficients sit on site 0, and the outer bonds close by
+        summing over the copies, so on a single site the copies add up.
+        A sum of another shape raises ValueError, an empty one too.
+        """
         if not isinstance(ps, PauliSum):
             raise TypeError("expected a PauliSum")
-        k = len(ps)
+        if ps.d != self.d or ps.n_sites != self.n:
+            raise ValueError("operator does not match the chain")
+        k, d, n = len(ps), self.d, self.n
         if k == 0:
             raise ValueError("empty operator sum")
-        self.d = ps.d
-        self.n = ps.n_sites
-        self.bond = k
-        d, n = self.d, self.n
         xs = np.array([p.x for _, p in ps.terms])
         zs = np.array([p.z for _, p in ps.terms])
-        mats = site_matrix(d, xs, zs)  # (term, site, out, in)
-        # the coefficients sit on site 0, each product taken as c * m
-        mats[:, 0] = np.array([c for c, _ in ps.terms])[:, None, None] * mats[:, 0]
-        if n == 1:  # one site closes both outer bonds: its terms add up
-            self.tensors = [sum(mats[:, None, 0, :, :, None],
-                                np.zeros((1, d, d, 1), complex))]
-            return
+        src = (np.arange(d) - xs[:, :, None]) % d  # (term, site, out level)
+        phase = phase_factor(2 * zs[:, :, None] * src, d)
+        phase[:, 0] *= np.array([c for c, _ in ps.terms])[:, None]
         terms = np.arange(k)
-        middle = np.zeros((n - 2, k, d, d, k), dtype=np.complex128)
-        middle[:, terms, :, :, terms] = mats[:, 1:n - 1]
-        first = np.moveaxis(mats[:, 0], 0, -1)[None]
-        last = mats[:, n - 1, :, :, None]
-        self.tensors = [np.ascontiguousarray(first), *middle,
-                        np.ascontiguousarray(last)]
-
-    def to_matrix(self):
-        check_dense_size(self.d, self.n)
-        acc = self.tensors[0][0]  # (out, in, bond)
-        for w in self.tensors[1:]:
-            x = np.tensordot(acc, w, axes=([2], [0]))  # (O, I, s, t, b)
-            o, i_, s, t, b = x.shape
-            acc = x.transpose(0, 2, 1, 3, 4).reshape(o * s, i_ * t, b)
-        return acc[:, :, 0]
+        out = []
+        for i, t in enumerate(self.tensors):
+            l, _, r = t.shape
+            # moved[a] is copy a of site i: (term, left, out level, right)
+            moved = phase[:, i, None, :, None] * t[:, src[:, i]].transpose(
+                1, 0, 2, 3)
+            if n == 1:
+                out.append(moved.sum(axis=0))
+            elif i == 0:
+                out.append(moved.transpose(1, 2, 0, 3).reshape(1, d, k * r))
+            elif i == n - 1:
+                out.append(moved.reshape(k * l, d, 1))
+            else:
+                w = np.zeros((k, l, d, k, r), dtype=np.complex128)
+                w[terms, :, :, terms] = moved
+                out.append(w.reshape(k * l, d, k * r))
+        return out
 
 
 def mps_model_bytes(chi, d):

@@ -26,9 +26,9 @@ A gate's action is defined once, by its matrix in gates.gate_matrix. The
 table reads the images of the 2k generators X_j, Z_j off that matrix:
 each is conjugated densely and decomposed, and must come out as a single
 Pauli string times a power of tau. Every table entry, phase included, is
-then one row of a kernels.rowprod call over the generator images, stacked
-over all d^(2k) exponent vectors, never a precomputed phase polynomial, so
-the even/odd-d case split cannot creep in as a bug source.
+then one row of a kernels.ordered_product call over the generator images,
+stacked over all d^(2k) exponent vectors, never a precomputed phase
+polynomial, so the even/odd-d case split cannot creep in as a bug source.
 """
 
 from __future__ import annotations
@@ -82,8 +82,9 @@ def _image_tables(name: str, d: int):
     Both are indexed by the k sites' packed codes x*d + z read as one
     base-d^2 number, first listed site first: codes[j, i] is the code of
     the image on site j and phase[i] its tau exponent. Built once per
-    (name, d) by one stacked row product of the generator images' powers,
-    so the phase column is exact by construction; the arrays are read-only.
+    (name, d) by one kernels.ordered_product call over the generator
+    images' powers, so the phase column is exact by construction; the
+    arrays are read-only.
     """
     key = (name, d)
     hit = _IMAGE_CACHE.get(key)
@@ -92,15 +93,12 @@ def _image_tables(name: str, d: int):
     if name in NON_CLIFFORD_NAMES:
         raise ValueError(f"{name} is not a Clifford gate")
     images = _generator_images(name, d)
-    k = len(images) // 2
-    # the images as the gate's k-site tableau, Z rows first; np.indices
-    # counts (x_0, z_0, ..., x_{k-1}, z_{k-1}) in base d, the packed index.
-    # rowprod's X-then-Z order is exact: images on distinct sites commute
-    rows = images[1::2] + images[0::2]
-    exps = np.indices((d,) * (2 * k)).reshape(2 * k, -1).T
-    x, z, phase = kernels.rowprod(
-        [p.x for p in rows], [p.z for p in rows], [p.phase for p in rows],
-        exps[:, 0::2], exps[:, 1::2], d)
+    # np.indices counts the powers of (X_0, Z_0, ..., X_{k-1}, Z_{k-1}) in
+    # base d, the packed index, and the images come in that same order
+    exps = np.indices((d,) * len(images)).reshape(len(images), -1).T
+    x, z, phase = kernels.ordered_product(
+        [p.x for p in images], [p.z for p in images],
+        [p.phase for p in images], exps, d)
     codes = np.ascontiguousarray((x * d + z).T)
     out = (codes, phase)
     for a in out:

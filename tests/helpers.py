@@ -300,8 +300,9 @@ def apply_word_per_gate(t, word):
 
 
 def pauli_mpo_per_site(ps):
-    """Reference for PauliMpo's tensors: the constructor it replaced, one
-    site_matrix call per (term, site) and one diagonal slot at a time."""
+    """MPO of a Pauli sum, legs (bond, out, in, bond), one site_matrix call
+    per (term, site) and one diagonal slot at a time: bond index m selects
+    term m on every site, and the coefficients sit on site 0."""
     from quditsim.pauli import site_matrix
 
     k, d, n = len(ps), ps.d, ps.n_sites
@@ -327,6 +328,18 @@ def pauli_mpo_per_site(ps):
         last[m, :, :, 0] = mats[m][n - 1]
     tensors.append(last)
     return tensors
+
+
+def pauli_mpo_contraction(m, ps):
+    """Reference for Mps._pauli_sum_tensors: pauli_mpo_per_site contracted
+    into the chain m site by site with np.tensordot, the bond of the
+    product ordered (MPO bond, chain bond)."""
+    out = []
+    for w, t in zip(pauli_mpo_per_site(ps), m.tensors):
+        x = np.tensordot(w, t, axes=([2], [1])).transpose(0, 3, 1, 2, 4)
+        a, l, s, b, r = x.shape  # (bond, left, out, bond, right)
+        out.append(x.reshape(a * l, s, b * r))
+    return out
 
 
 def right_multiply_full(t, word):

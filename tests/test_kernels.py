@@ -33,26 +33,6 @@ def test_rowprod_matches_loop_reference(d):
         assert type(kp) is int and kp == rp
 
 
-@pytest.mark.parametrize("m", [1, 4, 7])
-@pytest.mark.parametrize("d", [2, 3, 5])
-def test_stacked_rowprod_matches_loop_reference(d, m):
-    """A stack of m power vectors gives each row's loop result bit for bit."""
-    rng = np.random.default_rng(100 * m + d)
-    for _ in range(20):
-        n = int(rng.integers(1, 12))
-        xs, zs, phases = _random_rows(rng, n, d)
-        xpow = rng.integers(-1, 2 * d, size=(m, n))
-        zpow = rng.integers(-1, 2 * d, size=(m, n))
-        kx, kz, kp = kernels.rowprod(xs, zs, phases, xpow, zpow, d)
-        assert kx.shape == kz.shape == (m, n) and kp.shape == (m,)
-        assert kx.dtype == kz.dtype == kp.dtype == np.int64
-        for j in range(m):
-            rx, rz, rp = rowprod_loop(xs, zs, phases, xpow[j], zpow[j], d)
-            assert np.array_equal(kx[j], rx)
-            assert np.array_equal(kz[j], rz)
-            assert kp[j] == rp
-
-
 def test_rowprod_matches_pauli_multiplication():
     """The kernel must equal naive PauliString accumulation."""
     rng = np.random.default_rng(14)

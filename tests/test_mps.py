@@ -6,7 +6,6 @@ import pytest
 from quditsim.circuits import Circuit, GateOp, gate_matrix, random_clifford_word
 from quditsim.mps import (
     Mps,
-    PauliMpo,
     TruncationPolicy,
     bond_ceiling,
     mps_model_bytes,
@@ -18,8 +17,8 @@ from quditsim.pauli import (
 from quditsim.statevector import DenseState, run_circuit
 
 from helpers import (
-    canonical_ok, dense_pauli, embed_gate, entanglement_entropy, pauli_mpo_per_site,
-    random_unitary, schmidt_spectrum,
+    canonical_ok, dense_pauli, embed_gate, entanglement_entropy,
+    pauli_mpo_contraction, random_unitary, schmidt_spectrum,
 )
 
 
@@ -532,65 +531,100 @@ def test_amplitude_matches_dense():
 # Pauli-sum application and MPO
 
 
+def _random_sum(rng, d, n, k):
+    return PauliSum(d, n, [
+        (complex(rng.normal(), rng.normal()),
+         PauliString(d, rng.integers(d, size=n), rng.integers(d, size=n),
+                     int(rng.integers(2 * d))))
+        for _ in range(k)])
+
+
 def test_mpo_dense_reconstruction_small_chain():
+    """The uncompressed chain of a (non-unitary) sum is the dense sum
+    applied to the state."""
     rng = np.random.default_rng(60)
     d, n = 2, 3
-    terms = []
-    for _ in range(4):
-        x = rng.integers(d, size=n)
-        z = rng.integers(d, size=n)
-        c = rng.normal() + 1j * rng.normal()
-        terms.append((c, PauliString(d, x, z, int(rng.integers(2 * d)))))
-    ps = PauliSum(d, n, terms)
-    mpo = PauliMpo(ps)
-    assert mpo.bond == len(ps)
-    want = sum(
-        c * dense_pauli(d, p.x, p.z, p.phase) for c, p in ps.terms
-    )
-    np.testing.assert_allclose(mpo.to_matrix(), want, atol=1e-12)
+    ops = random_op_list(rng, n, d, 6)
+    m = mps_from_ops(n, d, ops)
+    ps = _random_sum(rng, d, n, 4)
+    want = sum(c * dense_pauli(d, p.x, p.z, p.phase) for c, p in ps.terms)
+    got = Mps(d, m._pauli_sum_tensors(ps)).to_dense()
+    np.testing.assert_allclose(got, want @ dense_from_ops(n, d, ops),
+                               atol=1e-12)
 
 
 def test_mpo_single_site_chain():
+    """On one site both outer bonds close, so the copies add up."""
     ps = PauliSum(3, 1, [(0.5, PauliString.single(3, 1, 0, 0, 1)),
                          (0.5j, PauliString.single(3, 1, 0, 1, 2))])
-    mpo = PauliMpo(ps)
-    want = 0.5 * site_matrix(3, 0, 1) + 0.5j * site_matrix(3, 1, 2)
-    np.testing.assert_allclose(mpo.to_matrix(), want, atol=1e-13)
+    v = np.array([0.6, 0.8j, 0.0])
+    m = Mps(3, [v.reshape(1, 3, 1)])
+    got = m._pauli_sum_tensors(ps)
+    want = (0.5 * site_matrix(3, 0, 1) + 0.5j * site_matrix(3, 1, 2)) @ v
+    assert len(got) == 1 and got[0].shape == (1, 3, 1)
+    np.testing.assert_allclose(got[0].reshape(-1), want, atol=1e-13)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 7])
 @pytest.mark.parametrize("k", [1, 2, 5])
-def test_mpo_tensors_bit_identical_to_per_site_reference(n, d, k):
+def test_summed_chain_matches_per_site_mpo_contraction(n, d, k):
+    """Each copy of the chain sits on its own bond block, so every inner
+    bond is k times the chain's, and the entries match the per-site MPO
+    contraction to rounding."""
     rng = np.random.default_rng(100 * d + 10 * n + k)
-    terms = [(complex(rng.normal(), rng.normal()),
-              PauliString(d, rng.integers(d, size=n), rng.integers(d, size=n),
-                          int(rng.integers(2 * d))))
-             for _ in range(k)]
-    got = PauliMpo(PauliSum(d, n, terms)).tensors
-    want = pauli_mpo_per_site(PauliSum(d, n, terms))
+    m = mps_from_ops(n, d, random_op_list(rng, n, d, 3 * n))
+    ps = _random_sum(rng, d, n, k)
+    got = m._pauli_sum_tensors(ps)
+    want = pauli_mpo_contraction(m, ps)
     assert len(got) == len(want) == n
+    assert Mps(d, got).bond_dims() == [len(ps) * c for c in m.bond_dims()]
     for a, b in zip(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
 
-def test_expectation_mpo_matches_dense():
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_overlap_matches_dense_vdot(d, n):
+    """<a|b> against np.vdot for chains with unequal bond profiles, both
+    orders, and the norm against the dense vector's."""
+    rng = np.random.default_rng(10 * d + n)
+    a = mps_from_ops(n, d, random_op_list(rng, n, d, 4 * n))
+    b = mps_from_ops(n, d, random_op_list(rng, n, d, n))
+    b.move_center(n - 1)
+    va, vb = a.to_dense(), b.to_dense()
+    assert a.overlap(b) == pytest.approx(np.vdot(va, vb), abs=1e-12)
+    assert b.overlap(a) == pytest.approx(np.vdot(vb, va), abs=1e-12)
+    # an unnormalized chain, so the norm is not 1 by construction
+    c = Mps(d, a._pauli_sum_tensors(_random_sum(rng, d, n, 3)))
+    vc = c.to_dense()
+    assert c.overlap(a) == pytest.approx(np.vdot(vc, va), abs=1e-12)
+    assert c.norm() == pytest.approx(np.linalg.norm(vc), abs=1e-12)
+
+
+def test_overlap_rejects_another_shape():
+    m = Mps.product_state(3, 3)
+    for other in (Mps.product_state(4, 3), Mps.product_state(3, 2)):
+        with pytest.raises(ValueError):
+            m.overlap(other)
+    with pytest.raises(TypeError):
+        m.overlap(m.to_dense())
+
+
+def test_expectation_matches_dense():
+    """<psi|sum|psi> as the overlap of the chain with its summed copy,
+    the form GcampsState.expectation takes for one conjugated string."""
     rng = np.random.default_rng(61)
     d, n = 3, 3
     ops = random_op_list(rng, n, d, 8)
     m = mps_from_ops(n, d, ops)
     v = dense_from_ops(n, d, ops)
-    terms = []
-    for _ in range(3):
-        x = rng.integers(d, size=n)
-        z = rng.integers(d, size=n)
-        terms.append((complex(rng.normal(), rng.normal()),
-                      PauliString(d, x, z)))
-    ps = PauliSum(d, n, terms)
-    mpo = PauliMpo(ps)
-    want = v.conj() @ (mpo.to_matrix() @ v)
-    assert m.expectation_mpo(mpo) == pytest.approx(want, abs=1e-10)
+    for k in (1, 3):
+        ps = _random_sum(rng, d, n, k)
+        want = v.conj() @ (ps.to_matrix() @ v)
+        got = m.overlap(Mps(d, m._pauli_sum_tensors(ps)))
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -677,16 +711,8 @@ def test_mpo_grows_bonds_by_at_most_term_count():
         z = np.zeros(n, dtype=np.int64)
         x[0:2], z[0:2] = p.x, p.z
         terms.append((c, PauliString(d, x, z)))
-    # contract the raw MPO without the compression sweep
-    raw = m.copy()
-    mpo = PauliMpo(PauliSum(d, n, terms))
-    for i in range(n):
-        w = mpo.tensors[i]
-        t = raw.tensors[i]
-        x_ = np.tensordot(w, t, axes=([2], [1])).transpose(0, 3, 1, 2, 4)
-        a_, l_, s_, b_, r_ = x_.shape
-        raw.tensors[i] = x_.reshape(a_ * l_, s_, b_ * r_)
-    after = raw.bond_dims()
+    # the summed chain without the compression sweep
+    after = Mps(d, m._pauli_sum_tensors(PauliSum(d, n, terms))).bond_dims()
     assert all(a <= k * b for a, b in zip(after, before))
 
 

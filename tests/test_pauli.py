@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from quditsim.mps import Mps, PauliMpo
+from quditsim.mps import Mps
 from quditsim.pauli import (
     PauliString,
     PauliSum,
@@ -173,18 +173,17 @@ def test_pauli_sum_to_matrix_guards_before_it_allocates(terms):
 
 
 def _guarded_call(site):
-    """(subject, call) for one of the six sites that build d**n dense
+    """(subject, call) for one of the five sites that build d**n dense
     arrays; subject is the object the call must leave as it was."""
     d, n = 2, 30
     p = PauliString(d, [1] + [0] * (n - 1), [0] * (n - 1) + [2], phase=1)
     ps = PauliSum(d, n, [(0.6, p), (0.8j, PauliString.identity(d, n))])
-    mpo, chain = PauliMpo(ps), Mps.product_state(n, d)
+    chain = Mps.product_state(n, d)
     # a 131^2-a-side operator without its 4.7 GB: one zero, broadcast
     wide = np.broadcast_to(np.complex128(0), (131 ** 2, 131 ** 2))
     return {
         "PauliString.to_matrix": (p, p.to_matrix),
         "PauliSum.to_matrix": (ps, ps.to_matrix),
-        "PauliMpo.to_matrix": (mpo, mpo.to_matrix),
         "Mps.to_dense": (chain, chain.to_dense),
         "DenseState": (None, lambda: DenseState(d, n)),
         "decompose_unitary": (None, lambda: decompose_unitary(wide, 131)),
@@ -192,8 +191,8 @@ def _guarded_call(site):
 
 
 @pytest.mark.parametrize("site", [
-    "PauliString.to_matrix", "PauliSum.to_matrix", "PauliMpo.to_matrix",
-    "Mps.to_dense", "DenseState", "decompose_unitary",
+    "PauliString.to_matrix", "PauliSum.to_matrix", "Mps.to_dense",
+    "DenseState", "decompose_unitary",
 ])
 def test_every_dense_site_raises_the_one_guard(site):
     subject, call = _guarded_call(site)
