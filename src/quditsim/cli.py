@@ -25,10 +25,12 @@ def _policy(args) -> TruncationPolicy:
 
 
 def cmd_run(args) -> int:
+    if args.catalog is not None and args.backend != "gcamps":
+        raise ValueError("--catalog applies to the gcamps backend only")
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circ = parse(fh.read())
     catalog = None
-    if args.backend == "gcamps" and args.catalog:
+    if args.catalog:
         catalog = load_catalog(args.catalog)
         if catalog.d != circ.d:
             raise ValueError(
@@ -100,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=bench.BACKENDS, default="gcamps")
     run.add_argument("--circuit", required=True, help="circuit text file")
     run.add_argument("--catalog", default=None,
-                     help="disentangler catalog file (gcamps; generated if omitted)")
+                     help="disentangler catalog file (gcamps only; generated "
+                     "if omitted)")
     run.add_argument("--verify", action="store_true",
                      help="cross-check against the dense oracle (small n only)")
     run.add_argument("--report", default=None, help="CSV output path")

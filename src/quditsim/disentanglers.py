@@ -302,7 +302,7 @@ class DisentanglerCatalog:
             for e in self.entries:
                 word = tuple(invert_word(e.word, self.d))
                 frame = identity_tableau(2, self.d).apply_word(word)
-                for a in (frame.xs, frame.zs, frame.phases):
+                for a in (frame.codes, frame.phases):
                     a.setflags(write=False)
                 out.append((word, frame))
             self._absorptions = tuple(out)

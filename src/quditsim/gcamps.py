@@ -63,11 +63,13 @@ _SCAN_CHUNK_BYTES = 8 << 20
 
 
 def tableau_bytes(n: int) -> int:
-    """Bytes of an n-site tableau: 2n(2n+1) stored exponents and phases at
-    one byte each. Exact for d <= 127; beyond, each entry takes two bytes
-    (tableau.storage_dtype), and GcampsState.memory_estimate, which reads
-    the tableau's own size, counts them."""
-    return 2 * n * (2 * n + 1)
+    """Bytes of an n-site tableau: 2n^2 codes x*d + z and 2n phases at one
+    byte each, 2n(n+1) in all. Exact for d <= 13; beyond, each code takes
+    two bytes up to d = 251 and four past it (tableau.code_dtype), and past
+    d = 127 each phase takes two (tableau.storage_dtype).
+    GcampsState.memory_estimate, which reads the tableau's own size,
+    counts them."""
+    return 2 * n * (n + 1)
 
 
 @dataclass

@@ -3,10 +3,9 @@
 One vectorized numpy path in exact int64 arithmetic on the rows a product
 uses, whatever integer type the tableau stores; tests/helpers.py keeps
 the plain loop it replaced as the reference it must match bit for bit.
-rowprod picks the rows one product uses out of a whole tableau, for
-Tableau's conjugations; ordered_product multiplies out the rows it is
-given, raised to a stack of powers, and is what Tableau.right_multiply
-calls on the rows of its sites and the gate tables on generator images.
+ordered_product multiplies out the rows it is given, raised to a stack of
+powers; Tableau picks the rows of its conjugations and frame updates and
+hands them to it, and its gate tables hand it generator images.
 """
 
 from __future__ import annotations
@@ -36,6 +35,11 @@ def ordered_product(x, z, phases, k, d: int):
     k z over the rows, O(m u n), for fewer products than rows (a single
     conjugation), else through the u x u matrix z_b . x_a, O(u^2 n), which
     also skips the prefix sums (a frame update: m = u).
+
+    X**d = Z**d = 1, and the result reads x and z only modulo d: adding a
+    multiple of d to an exponent moves the returned exponents by multiples
+    of d, each cross term by a multiple of 2d (its factor 2) and each own
+    term too (k(k - 1) is even). So any such shift changes no output bit.
     """
     # widen: the tableau may be stored narrower
     x = np.asarray(x, dtype=np.int64)
@@ -56,23 +60,3 @@ def ordered_product(x, z, phases, k, d: int):
           + (k * (k - 1)) @ own) % (2 * d)
     return (k @ x) % d, (k @ z) % d, ph
 
-
-def rowprod(xs, zs, phases, xpow, zpow, d: int):
-    """Ordered product of tableau rows with full phase tracking.
-
-    Computes prod_i row[n+i]**xpow[i] (ascending i), then
-    prod_i row[i]**zpow[i] (ascending i). Rows are given by their exponent
-    blocks xs, zs of shape (2n, n) and tau exponents phases of shape (2n,);
-    a power <= 0 contributes nothing. Returns (x, z, phase) of the product;
-    x, z are int64 mod d and phase is an int mod 2d. Only the rows used
-    are gathered for ordered_product.
-    """
-    xs, zs, phases = np.asarray(xs), np.asarray(zs), np.asarray(phases)
-    n = xs.shape[1]
-    powers = np.maximum(np.concatenate([np.asarray(xpow, dtype=np.int64),
-                                        np.asarray(zpow, dtype=np.int64)]), 0)
-    used = np.flatnonzero(powers)
-    rows = (used + n) % (2 * n)  # xpow[i] -> row n+i, zpow[i] -> row i
-    px, pz, ph = ordered_product(xs[rows], zs[rows], phases[rows],
-                                 powers[None, used], d)
-    return px[0], pz[0], int(ph[0])

@@ -3,11 +3,15 @@
 Row i (0 <= i < n) stores C Z_i C^dagger, row n+i stores C X_i C^dagger,
 each as a full PauliString with its own tau-exponent phase.
 
-Exponents lie in [0, d) and phases in [0, 2d), so the arrays are stored in
-the narrowest unsigned type that holds 2d - 1 (storage_dtype): one byte per
-entry up to d = 127. Every product is taken in int64 working copies of
-just the entries it reads, since a product of two uint8 arrays wraps mod
-256 without a word.
+Each (row, site) is stored as one code x*d + z in [0, d^2), an array of
+shape (2n, n) in the narrowest unsigned type that holds d^2 - 1
+(code_dtype): one byte per entry up to d = 13, two up to d = 251 and
+four beyond. Phases lie in [0, 2d) and take the narrowest type that
+holds 2d - 1 (storage_dtype), one byte up to d = 127. The exponents xs
+and zs are decoded from the codes on demand into read-only arrays; the
+updates and conjugations read the codes of just the rows and columns they
+need. Every product is taken in int64 working copies of those entries,
+since a product of two uint8 arrays wraps mod 256 without a word.
 
 Words are sequences of Clifford GateOps, the circuit's own ops: H, Hdg, S,
 Sdg, X, Z, SUM, SUMdg and SWAP. A non-Clifford op in a word raises
@@ -15,9 +19,9 @@ ValueError before anything changes.
 
 A Clifford word is applied in as-soon-as-possible layers: each gate goes
 one layer past the last gate on any of its sites, so the gates of a layer
-act on disjoint sites and commute. The tableau is packed site-major, one
-code x*d + z per (site, row), and each (layer, name) rewrites the codes of
-all its sites over all 2n rows with one lookup in a table of that gate's
+act on disjoint sites and commute. The codes are copied site-major into
+one int64 working array, and each (layer, name) rewrites the codes of all
+its sites over all 2n rows with one lookup in a table of that gate's
 images, indexed by the codes of its k sites. Gates on disjoint sites
 change disjoint codes and their phase increments add mod 2d, so the
 result is bit-identical to applying the gates one at a time.
@@ -29,6 +33,10 @@ Pauli string times a power of tau. Every table entry, phase included, is
 then one row of a kernels.ordered_product call over the generator images,
 stacked over all d^(2k) exponent vectors, never a precomputed phase
 polynomial, so the even/odd-d case split cannot creep in as a bug source.
+
+A tableau whose codes or phases are read-only (the catalog's cached
+frames) refuses every in-place update with ValueError before anything
+changes.
 """
 
 from __future__ import annotations
@@ -108,9 +116,15 @@ def _image_tables(name: str, d: int):
 
 
 def storage_dtype(d: int) -> np.dtype:
-    """Narrowest unsigned type holding every stored value, exponents below
-    d and phases below 2d: uint8 for d <= 127, uint16 beyond."""
+    """Narrowest unsigned type holding every phase, below 2d, and every
+    decoded exponent: uint8 for d <= 127, uint16 beyond."""
     return np.min_scalar_type(2 * int(d) - 1)
+
+
+def code_dtype(d: int) -> np.dtype:
+    """Narrowest unsigned type holding every code x*d + z, below d^2:
+    uint8 for d <= 13, uint16 up to d = 251, uint32 beyond."""
+    return np.min_scalar_type(int(d) * int(d) - 1)
 
 
 def _layers(word, n: int):
@@ -133,13 +147,15 @@ def _layers(word, n: int):
 
 
 class Tableau:
-    """2n rows of exponents plus phases; see module docstring for layout.
+    """2n rows of codes plus phases; see module docstring for layout.
 
-    The constructor raises ValueError for an exponent outside [0, d) or a
-    phase outside [0, 2d), then stores copies in storage_dtype(d).
+    The constructor takes the exponent blocks xs, zs and the phases,
+    raises ValueError for an exponent outside [0, d) or a phase outside
+    [0, 2d), then stores the codes in code_dtype(d) and the phases in
+    storage_dtype(d).
     """
 
-    __slots__ = ("d", "n", "xs", "zs", "phases")
+    __slots__ = ("d", "n", "codes", "phases")
 
     def __init__(self, d: int, n: int, xs, zs, phases):
         self.d = int(QuditDim(d))
@@ -149,35 +165,94 @@ class Tableau:
             raise ValueError("exponent blocks must have shape (2n, n)")
         if phases.shape != (2 * self.n,):
             raise ValueError("phase column must have shape (2n,)")
-        # checked before narrowing: a cast would turn -1 into 255 silently
+        # checked before packing: a cast would turn -1 into 255 silently
         for a, bound, what in ((xs, self.d, "exponents"),
                                (zs, self.d, "exponents"),
                                (phases, 2 * self.d, "phases")):
             if a.dtype.kind not in "iu" or (
                     a.size and (a.min() < 0 or a.max() >= bound)):
                 raise ValueError(f"{what} must be integers in [0, {bound})")
-        dtype = storage_dtype(self.d)
-        self.xs, self.zs, self.phases = (a.astype(dtype)
-                                         for a in (xs, zs, phases))
+        self.codes = (xs.astype(np.int64) * self.d
+                      + zs.astype(np.int64)).astype(code_dtype(self.d))
+        self.phases = phases.astype(storage_dtype(self.d))
+
+    @classmethod
+    def _from_codes(cls, d: int, n: int, codes, phases) -> "Tableau":
+        """A tableau that takes over already packed codes and phases,
+        unchecked."""
+        t = cls.__new__(cls)
+        t.d, t.n, t.codes, t.phases = d, n, codes, phases
+        return t
 
     def copy(self) -> "Tableau":
-        return Tableau(self.d, self.n, self.xs, self.zs, self.phases)
+        return Tableau._from_codes(self.d, self.n, self.codes.copy(),
+                                   self.phases.copy())
+
+    def _split(self, codes):
+        """x and z of codes x*d + z, in the codes' own type. Floor division
+        of the narrow codes by the scalar d is the fastest exact decode
+        numpy offers: a d^2-entry lookup table first widens every index
+        to intp, and np.divmod does not divide by a constant."""
+        x = codes // self.d
+        return x, codes - x * self.d
+
+    def _decoded(self, which: int) -> np.ndarray:
+        a = self._split(self.codes)[which].astype(self.phases.dtype,
+                                                  copy=False)
+        a.setflags(write=False)
+        return a
+
+    @property
+    def xs(self) -> np.ndarray:
+        """X exponents, shape (2n, n), decoded into a read-only array."""
+        return self._decoded(0)
+
+    @property
+    def zs(self) -> np.ndarray:
+        """Z exponents, shape (2n, n), decoded into a read-only array."""
+        return self._decoded(1)
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the stored exponents and phases."""
-        return self.xs.nbytes + self.zs.nbytes + self.phases.nbytes
+        """Bytes of the stored codes and phases."""
+        return self.codes.nbytes + self.phases.nbytes
 
     def row(self, r: int) -> PauliString:
-        return PauliString(self.d, self.xs[r].copy(), self.zs[r].copy(),
+        return PauliString(self.d, *self._split(self.codes[r]),
                            int(self.phases[r]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Tableau) and self.d == other.d
                 and self.n == other.n
-                and np.array_equal(self.xs, other.xs)
-                and np.array_equal(self.zs, other.zs)
+                and np.array_equal(self.codes, other.codes)
                 and np.array_equal(self.phases, other.phases))
+
+    def _check_writable(self) -> None:
+        if not (self.codes.flags.writeable and self.phases.flags.writeable):
+            raise ValueError("tableau is read-only")
+
+    def _product(self, rows, powers):
+        """kernels.ordered_product of the given rows, in that order, raised
+        to each row of the (m, len(rows)) stack `powers`. Only those rows'
+        codes are gathered; the product reads exponents only mod d, so the
+        codes x*d + z, congruent to z mod d, serve as the Z blocks."""
+        codes = self.codes[rows]
+        return kernels.ordered_product(codes // self.d, codes,
+                                       self.phases[rows], powers, self.d)
+
+    def _rowprod(self, xpow, zpow):
+        """Ordered row product with full phase tracking:
+        prod_i row[n+i]**xpow[i] (ascending i), then prod_i row[i]**zpow[i]
+        (ascending i); a power <= 0 contributes nothing. Returns (x, z,
+        phase): x, z int64 mod d and phase an int mod 2d."""
+        n = self.n
+        powers = np.maximum(np.concatenate([np.asarray(xpow, dtype=np.int64),
+                                            np.asarray(zpow, dtype=np.int64)]),
+                            0)
+        used = np.flatnonzero(powers)
+        # xpow[i] -> row n+i, zpow[i] -> row i
+        x, z, ph = self._product((used + n) % (2 * n), powers[None, used])
+        return x[0], z[0], int(ph[0])
 
     # -- gate updates --------------------------------------------------------
 
@@ -188,19 +263,20 @@ class Tableau:
     def apply_word(self, word) -> "Tableau":
         """Apply a word's gates in order: the stored Clifford becomes W C.
 
-        The rows are packed once into site-major codes, rewritten one
-        (layer, name) at a time (see the module docstring), and unpacked
-        into fresh arrays of the storage type that replace the old ones
-        only at the end. A word that reaches past n (checked before any
-        work) or holds a non-Clifford op (which has no image table) raises
+        The codes are copied once into a site-major int64 working array,
+        rewritten one (layer, name) at a time (see the module docstring),
+        and cast back into the stored codes only at the end. A read-only
+        tableau, a word that reaches past n (checked before any work) or
+        one that holds a non-Clifford op (which has no image table) raises
         ValueError with the tableau untouched.
         """
+        self._check_writable()
         groups = _layers(word, self.n)
         if not groups:
             return self
         d = self.d
         # int64 codes: narrower index arrays make every lookup slower
-        codes = (self.xs.astype(np.int64) * d + self.zs).T.copy()  # (n, 2n)
+        codes = self.codes.T.astype(np.int64, order="C")  # (n, 2n)
         dphase = np.zeros(2 * self.n, dtype=np.int64)
         for (_, name), sites in groups:
             image, phase = _image_tables(name, d)
@@ -212,11 +288,8 @@ class Tableau:
             for leg, leg_image in zip(legs, image):
                 codes[leg] = leg_image[packed]
             dphase += phase[packed].sum(axis=0)
-        dtype = self.xs.dtype
-        xs, zs = np.divmod(codes.T, d)
-        self.xs = np.ascontiguousarray(xs, dtype=dtype)
-        self.zs = np.ascontiguousarray(zs, dtype=dtype)
-        self.phases = ((self.phases + dphase) % (2 * d)).astype(dtype)
+        self.codes[...] = codes.T
+        self.phases[...] = (self.phases + dphase) % (2 * d)
         return self
 
     # -- conjugation ---------------------------------------------------------
@@ -232,8 +305,7 @@ class Tableau:
         exponents; p's own phase rides along as a scalar.
         """
         self._check_shape(p)
-        x, z, ph = kernels.rowprod(self.xs, self.zs, self.phases,
-                                   p.x, p.z, self.d)
+        x, z, ph = self._rowprod(p.x, p.z)
         return PauliString(self.d, x, z, (ph + p.phase) % (2 * self.d))
 
     def conjugate_inverse(self, p: PauliString) -> PauliString:
@@ -245,16 +317,16 @@ class Tableau:
         mod d. The row product for those powers is then multiplied out
         forward; it must reproduce p's exponents (else the tableau is
         corrupted and LinAlgError is raised), and its phase fixes q's.
-        Only the columns of p's support enter the commutation exponents.
+        Only the codes of p's support columns enter the commutation
+        exponents, and only the rows the product uses enter the product.
         """
         self._check_shape(p)
         n, d = self.n, self.d
         cols = np.flatnonzero(p.x | p.z)
-        c = (self.zs[:, cols].astype(np.int64) @ p.x[cols]
-             - self.xs[:, cols].astype(np.int64) @ p.z[cols])  # c(row, p)
+        codes = self.codes[:, cols]  # congruent to z mod d
+        c = codes @ p.x[cols] - (codes // d) @ p.z[cols]  # c(row, p) mod d
         xpow, zpow = c[:n] % d, -c[n:] % d
-        rx, rz, rph = kernels.rowprod(self.xs, self.zs, self.phases,
-                                      xpow, zpow, d)
+        rx, rz, rph = self._rowprod(xpow, zpow)
         if not (np.array_equal(rx, p.x) and np.array_equal(rz, p.z)):
             raise np.linalg.LinAlgError("tableau rows do not span the Pauli group")
         return PauliString(d, xpow, zpow, (p.phase - rph) % (2 * d))
@@ -268,13 +340,13 @@ class Tableau:
         change: each new row is C (W B W^dagger) C^dagger for a basis
         element B on those sites, and W B W^dagger is the matching row of
         `local` with its columns placed on `sites`. The 2m old rows of the
-        sites, X rows before Z rows, are raised to `local`'s exponents by
-        one kernels.ordered_product call, the product rowprod takes once it
-        has picked its rows; the other 2n - 2m rows are not read or
-        touched, so a two-site W costs O(n). The
-        sites may come in any order and at any distance. A local tableau of
-        another d, a site count other than local.n, a repeated site or one
-        outside [0, n) raises ValueError with the tableau untouched.
+        sites, X rows before Z rows, are gathered once and raised to
+        `local`'s decoded exponents by the product the conjugations use,
+        then encoded back once; the other 2n - 2m rows are not read or
+        touched, so a two-site W costs O(n). The sites may come in any
+        order and at any distance. A local tableau of another d, a site
+        count other than local.n, a repeated site, one outside [0, n) or a
+        read-only frame raises ValueError with the tableau untouched.
         """
         n, d = self.n, self.d
         sites = list(sites)
@@ -287,15 +359,15 @@ class Tableau:
             raise ValueError(f"sites {sites} repeat a site")
         if not all(0 <= s < n for s in sites):
             raise ValueError(f"sites {sites} fall outside [0, {n})")
+        self._check_writable()
         # W B W^dagger is canonical, X before Z on every site, and the X
         # images (rows n+s) commute among themselves, as do the Z images
         targets = sites + [n + s for s in sites]
         rows = targets[len(sites):] + sites
-        x, z, ph = kernels.ordered_product(
-            self.xs[rows], self.zs[rows], self.phases[rows],
-            np.concatenate((local.xs, local.zs), axis=1), d)
-        self.xs[targets] = x
-        self.zs[targets] = z
+        c = local.codes  # a few codes: % costs less here than _split's two ops
+        x, z, ph = self._product(
+            rows, np.concatenate((c // d, c % d), axis=1, dtype=np.int64))
+        self.codes[targets] = x * d + z
         self.phases[targets] = (ph + local.phases) % (2 * d)
         return self
 
@@ -305,16 +377,17 @@ class Tableau:
         """2n x 2n matrix over Z_d whose columns are the row exponent
         vectors (x over z), destabilizers first then stabilizers."""
         n = self.n
+        xs, zs = self._split(self.codes)
         m = np.empty((2 * n, 2 * n), dtype=np.int64)
-        m[:n, :n] = self.xs[n:].T
-        m[n:, :n] = self.zs[n:].T
-        m[:n, n:] = self.xs[:n].T
-        m[n:, n:] = self.zs[:n].T
+        m[:n, :n] = xs[n:].T
+        m[n:, :n] = zs[n:].T
+        m[:n, n:] = xs[:n].T
+        m[n:, n:] = zs[:n].T
         return m
 
     def commutation_matrix(self) -> np.ndarray:
         """Pairwise commutation exponents c(row_i, row_j) over Z_d."""
-        xs, zs = self.xs.astype(np.int64), self.zs.astype(np.int64)
+        xs, zs = (a.astype(np.int64) for a in self._split(self.codes))
         return (zs @ xs.T - xs @ zs.T) % self.d
 
     def symplectic_ok(self) -> bool:
@@ -330,10 +403,10 @@ class Tableau:
         """Debug dump: one `x-vector | z-vector | phase` line per row,
         stabilizers first, exact integers."""
         lines = []
-        for r in range(2 * self.n):
-            xs = " ".join(str(int(v)) for v in self.xs[r])
-            zs = " ".join(str(int(v)) for v in self.zs[r])
-            lines.append(f"{xs} | {zs} | {int(self.phases[r])}")
+        for x, z, ph in zip(*self._split(self.codes), self.phases):
+            xs = " ".join(str(int(v)) for v in x)
+            zs = " ".join(str(int(v)) for v in z)
+            lines.append(f"{xs} | {zs} | {int(ph)}")
         return "\n".join(lines)
 
 
@@ -342,8 +415,8 @@ def identity_tableau(n: int, d: int) -> Tableau:
     d = int(QuditDim(d))
     if n < 1:
         raise ValueError("need at least one site")
-    xs = np.zeros((2 * n, n), dtype=np.int64)
-    zs = np.zeros((2 * n, n), dtype=np.int64)
-    zs[:n] = np.eye(n, dtype=np.int64)
-    xs[n:] = np.eye(n, dtype=np.int64)
-    return Tableau(d, n, xs, zs, np.zeros(2 * n, dtype=np.int64))
+    codes = np.zeros((2 * n, n), dtype=code_dtype(d))
+    codes[:n] = np.eye(n, dtype=codes.dtype)  # code 1: z = 1
+    codes[n:] = d * np.eye(n, dtype=codes.dtype)  # code d: x = 1
+    return Tableau._from_codes(d, n, codes,
+                               np.zeros(2 * n, dtype=storage_dtype(d)))

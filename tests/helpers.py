@@ -192,7 +192,7 @@ def sample_word_from_pool(rng, n, length):
 
 
 def rowprod_loop(xs, zs, phases, xpow, zpow, d):
-    """Reference for kernels.rowprod: multiply the rows out one copy at a time.
+    """Reference for Tableau._rowprod: multiply the rows out one copy at a time.
 
     Destabilizer rows n+i raised to xpow[i] (ascending i), then stabilizer
     rows i raised to zpow[i]; a power <= 0 contributes nothing. Each copy
@@ -284,19 +284,22 @@ def apply_word_per_gate(t, word):
 
     Each gate rewrites the exponent columns of its sites over all 2n rows
     through its image tables and adds its phase increments mod 2d, one gate
-    at a time. Returns a new tableau.
+    at a time. Returns a new tableau, built through the constructor.
     """
+    from quditsim.tableau import Tableau
+
     d = t.d
-    out = t.copy()
+    xs, zs = t.xs.astype(np.int64), t.zs.astype(np.int64)
+    phases = t.phases.astype(np.int64)
     for g in word:
         xo, zo, po = _exponent_image_tables(g.name, d)
         sites = list(g.sites)
         old = tuple(col for s in sites
-                    for col in (out.xs[:, s].copy(), out.zs[:, s].copy()))
-        out.xs[:, sites] = xo[old]
-        out.zs[:, sites] = zo[old]
-        out.phases[:] = (out.phases + po[old]) % (2 * d)
-    return out
+                    for col in (xs[:, s].copy(), zs[:, s].copy()))
+        xs[:, sites] = xo[old]
+        zs[:, sites] = zo[old]
+        phases = (phases + po[old]) % (2 * d)
+    return Tableau(d, t.n, xs, zs, phases)
 
 
 def pauli_mpo_per_site(ps):
@@ -345,15 +348,14 @@ def pauli_mpo_contraction(m, ps):
 def right_multiply_full(t, word):
     """Reference for Tableau.right_multiply: the full construction it
     replaced, pushing every row of an n-site tableau for the word through
-    conjugate_forward. Returns a new tableau."""
-    from quditsim.tableau import identity_tableau
+    conjugate_forward. Returns a new tableau, built through the
+    constructor."""
+    from quditsim.tableau import Tableau, identity_tableau
 
     w = identity_tableau(t.n, t.d).apply_word(word)
-    out = t.copy()
-    for r in range(2 * t.n):
-        q = t.conjugate_forward(w.row(r))
-        out.xs[r], out.zs[r], out.phases[r] = q.x, q.z, q.phase
-    return out
+    rows = [t.conjugate_forward(w.row(r)) for r in range(2 * t.n)]
+    return Tableau(t.d, t.n, [q.x for q in rows], [q.z for q in rows],
+                   [q.phase for q in rows])
 
 
 def local_frame(word, d):

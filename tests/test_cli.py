@@ -103,6 +103,20 @@ def test_run_catalog_dimension_mismatch_exits_2(catalog_file, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("backend", ["mps", "statevector"])
+def test_run_catalog_for_another_backend_exits_2(circuit_file, catalog_file,
+                                                 backend, capsys):
+    """A catalog given to a backend that never reads it is an input error,
+    whether or not the file exists, and nothing runs."""
+    for path in ("/nonexistent/cat.txt", str(catalog_file)):
+        code = main(["run", "--backend", backend, "--circuit",
+                     str(circuit_file), "--catalog", path])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "--catalog applies to the gcamps backend only" in err
+        assert out == ""
+
+
 def test_run_header_only_catalog_exits_2(circuit_file, tmp_path, capsys):
     cat = tmp_path / "cat.txt"
     cat.write_text("# qsim-catalog v1\n")

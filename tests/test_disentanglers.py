@@ -642,10 +642,30 @@ def test_inverse_words_are_cached_entry_inverses(d):
         assert isinstance(word, tuple)
         assert list(word) == invert_word(entry.word, d)
         assert frame == identity_tableau(2, d).apply_word(word)
-        for a in (frame.xs, frame.zs, frame.phases):
+        for a in (frame.codes, frame.phases, frame.xs, frame.zs):
             assert not a.flags.writeable
     with pytest.raises(AttributeError):
         absorptions[-1][0][0].sites = (1,)  # frozen gates
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_cached_frames_refuse_every_in_place_update(d):
+    """A cached frame is composed into every state that absorbs its entry,
+    so apply_word and right_multiply on it raise before anything changes,
+    and its storage stays read-only."""
+    cat = generate_catalog(d)
+    frame = cat.absorptions()[1][1]
+    before = frame.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        frame.apply_word([GateOp("H", (0,))])
+    with pytest.raises(ValueError, match="read-only"):
+        frame.apply_word([])
+    with pytest.raises(ValueError, match="read-only"):
+        frame.right_multiply(identity_tableau(1, d), (1,))
+    assert frame == before
+    assert cat.absorptions()[1][1] is frame
+    for a in (frame.codes, frame.phases):
+        assert not a.flags.writeable
 
 
 def test_entry_repr_mentions_class():

@@ -1,10 +1,13 @@
-"""The vectorized row product against the loop reference and PauliString."""
+"""The vectorized row product against the loop reference and PauliString:
+kernels.ordered_product on the rows it is given, and the tableau's row
+product, which picks a tableau's rows by their powers and hands them to it."""
 
 import numpy as np
 import pytest
 
 from quditsim import kernels
 from quditsim.pauli import PauliString
+from quditsim.tableau import Tableau
 
 from helpers import rowprod_loop
 
@@ -25,7 +28,7 @@ def test_rowprod_matches_loop_reference(d):
         xs, zs, phases = _random_rows(rng, n, d)
         xpow = rng.integers(-1, 2 * d, size=n)
         zpow = rng.integers(-1, 2 * d, size=n)
-        kx, kz, kp = kernels.rowprod(xs, zs, phases, xpow, zpow, d)
+        kx, kz, kp = Tableau(d, n, xs, zs, phases)._rowprod(xpow, zpow)
         rx, rz, rp = rowprod_loop(xs, zs, phases, xpow, zpow, d)
         assert kx.dtype == np.int64 and kz.dtype == np.int64
         assert np.array_equal(kx, rx)
@@ -34,7 +37,7 @@ def test_rowprod_matches_loop_reference(d):
 
 
 def test_rowprod_matches_pauli_multiplication():
-    """The kernel must equal naive PauliString accumulation."""
+    """The row product must equal naive PauliString accumulation."""
     rng = np.random.default_rng(14)
     for d in (2, 3, 5):
         for _ in range(20):
@@ -51,7 +54,7 @@ def test_rowprod_matches_pauli_multiplication():
                 row = PauliString(d, xs[i], zs[i], phases[i])
                 for _k in range(int(zpow[i])):
                     acc = acc * row
-            kx, kz, kp = kernels.rowprod(xs, zs, phases, xpow, zpow, d)
+            kx, kz, kp = Tableau(d, n, xs, zs, phases)._rowprod(xpow, zpow)
             assert np.array_equal(kx, acc.x)
             assert np.array_equal(kz, acc.z)
             assert kp == acc.phase
@@ -81,6 +84,25 @@ def test_ordered_product_matches_pauli_multiplication_in_both_orders(d):
                 assert np.array_equal(kx[j], acc.x)
                 assert np.array_equal(kz[j], acc.z)
                 assert kp[j] == acc.phase
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_ordered_product_reads_exponents_mod_d(d):
+    """Adding multiples of d to the X and Z blocks leaves every output bit
+    alone, in both contractions: the tableau passes its codes x*d + z
+    as the Z blocks."""
+    rng = np.random.default_rng(40 + d)
+    for u, m in ((6, 1), (6, 6), (4, 9)):
+        x = rng.integers(0, d, size=(u, 5))
+        z = rng.integers(0, d, size=(u, 5))
+        ph = rng.integers(0, 2 * d, size=u)
+        k = rng.integers(0, 2 * d, size=(m, u))
+        want = kernels.ordered_product(x, z, ph, k, d)
+        for xs, zs in ((x, x * d + z),
+                       (x + d * rng.integers(0, 4, x.shape), z)):
+            got = kernels.ordered_product(xs, zs, ph, k, d)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 def test_backend_reports_mode():

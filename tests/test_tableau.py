@@ -7,10 +7,13 @@ right-composition) reuses words whose dense unitaries are built by the
 package-independent helpers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quditsim.circuits import random_clifford_word
+from quditsim.gcamps import tableau_bytes
 from quditsim.gates import TWO_SITE_NAMES, GateOp, inverse_gate, invert_word
 from quditsim.pauli import PauliString
 from quditsim.tableau import (
@@ -370,8 +373,10 @@ def test_conjugate_inverse_forward_roundtrip_wide(n, d):
 
 
 def test_conjugate_inverse_corrupted_tableau_raises():
-    t = identity_tableau(2, 3)
-    t.zs[1] = t.zs[0]  # duplicate stabilizer row: exponent matrix singular
+    base = identity_tableau(2, 3)
+    zs = base.zs.copy()
+    zs[1] = zs[0]  # duplicate stabilizer row: exponent matrix singular
+    t = Tableau(3, 2, base.xs, zs, base.phases)
     with pytest.raises(np.linalg.LinAlgError):
         t.conjugate_inverse(PauliString(3, [0, 0], [0, 1]))
 
@@ -547,24 +552,91 @@ def assert_stored_as(t, dtype):
 
 
 def test_constructor_refuses_values_a_narrow_cast_would_wrap():
-    """-1 cast to uint8 reads 255, and 255 mod 3 = 0 where -1 mod 3 = 2: an
-    exponent outside [0, d) or a phase outside [0, 2d) raises instead."""
+    """-1 cast to uint8 reads 255, and 255 mod 3 = 0 where -1 mod 3 = 2; a
+    z of d packs into the code of x + 1. An exponent outside [0, d) or a
+    phase outside [0, 2d) raises instead of wrapping."""
     d, n = 3, 2
     base = identity_tableau(n, d)
-    xs = base.xs.astype(np.int64)
-    xs[1, 0] = -1
-    with pytest.raises(ValueError, match="exponents"):
-        Tableau(d, n, xs, base.zs, base.phases)
-    zs = base.zs.astype(np.int64)
-    zs[0, 1] = d
-    with pytest.raises(ValueError, match="exponents"):
-        Tableau(d, n, base.xs, zs, base.phases)
-    phases = base.phases.astype(np.int64)
-    phases[2] = 2 * d
-    with pytest.raises(ValueError, match="phases"):
-        Tableau(d, n, base.xs, base.zs, phases)
+    for which, bad in ((0, -1), (0, d), (1, -1), (1, d)):
+        blocks = [base.xs.astype(np.int64), base.zs.astype(np.int64)]
+        blocks[which][1, 0] = bad
+        with pytest.raises(ValueError, match="exponents"):
+            Tableau(d, n, *blocks, base.phases)
+    for bad in (-1, 2 * d):
+        phases = base.phases.astype(np.int64)
+        phases[2] = bad
+        with pytest.raises(ValueError, match="phases"):
+            Tableau(d, n, base.xs, base.zs, phases)
     phases[2] = 2 * d - 1
     assert_stored_as(Tableau(d, n, base.xs, base.zs, phases), np.uint8)
+
+
+def test_exponents_are_read_only_decodings():
+    """xs and zs decode the stored codes; writing to them raises rather
+    than changing a copy that the tableau never reads back."""
+    rng = np.random.default_rng(5)
+    t, _ = random_tableau(rng, 6, 5, 30)
+    assert np.array_equal(t.codes, t.xs.astype(np.int64) * 5 + t.zs)
+    for a in (t.xs, t.zs):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    with pytest.raises(AttributeError):
+        t.xs = t.zs
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 8, 96])
+def test_stored_bytes_are_the_memory_model(n, d):
+    """One byte per code and per phase up to d = 13: tableau_bytes(n)
+    bytes, at the largest values and after a word."""
+    rng = np.random.default_rng(10 * n + d)
+    xs = rng.integers(0, d, (2 * n, n))
+    zs = rng.integers(0, d, (2 * n, n))
+    phases = rng.integers(0, 2 * d, 2 * n)
+    xs[0, 0], zs[0, 0], phases[0] = d - 1, d - 1, 2 * d - 1
+    t = Tableau(d, n, xs, zs, phases)
+    assert int(t.codes.max()) == d * d - 1
+    t.apply_word([GateOp(name, (int(s),)) for name, s in zip(
+        rng.choice(["H", "S", "X", "Z"], 4 * n), rng.integers(0, n, 4 * n))])
+    for a in (t.codes, t.phases):
+        assert a.dtype == np.uint8
+    assert t.nbytes == tableau_bytes(n)
+
+
+@pytest.mark.parametrize("d, code_type, phase_type", [
+    (17, np.uint16, np.uint8), (131, np.uint16, np.uint16),
+    (251, np.uint16, np.uint16), (257, np.uint32, np.uint16)])
+def test_code_width_past_d_13(d, code_type, phase_type):
+    """Two bytes per code from d = 17 up to d = 251, the last prime with
+    d^2 - 1 < 2^16, and four from d = 257."""
+    n = 5
+    rng = np.random.default_rng(d)
+    xs = rng.integers(0, d, (2 * n, n))
+    zs = rng.integers(0, d, (2 * n, n))
+    xs[0, 0], zs[0, 0] = d - 1, d - 1
+    t = Tableau(d, n, xs, zs, rng.integers(0, 2 * d, 2 * n))
+    assert t.codes.dtype == code_type and t.phases.dtype == phase_type
+    assert int(t.codes.max()) == d * d - 1
+    assert np.array_equal(t.xs, xs) and np.array_equal(t.zs, zs)
+    assert t.nbytes == (2 * n * n * np.dtype(code_type).itemsize
+                        + 2 * n * np.dtype(phase_type).itemsize)
+
+
+def test_word_update_peaks_below_20_bytes_per_entry():
+    """A width-shaped word (8n gates) at n = 256, d = 3 works in one int64
+    site-major copy of the codes: its traced peak stays below 20 bytes per
+    (row, site). Packing and unpacking two exponent arrays took 26.5."""
+    n, d = 256, 3
+    t = identity_tableau(n, d).apply_word(
+        random_clifford_word(n, d, length=8 * n, rng_seed=1))  # builds tables
+    word = random_clifford_word(n, d, length=8 * n, rng_seed=2)
+    tracemalloc.start()
+    try:
+        t.apply_word(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (2 * n * n) < 20
 
 
 @pytest.mark.parametrize("d", TIGHT_DS)
@@ -679,13 +751,14 @@ def test_right_multiply_matches_row_loop_and_full_construction(d, m):
         local = Tableau(d, m, rng.integers(0, d, (2 * m, m)),
                         rng.integers(0, d, (2 * m, m)),
                         rng.integers(0, 2 * d, 2 * m))
-        want = t.copy()
+        xs, zs, phases = t.xs.copy(), t.zs.copy(), t.phases.copy()
         for r, target in enumerate(sites + [n + s for s in sites]):
             xpow, zpow = np.zeros(n, np.int64), np.zeros(n, np.int64)
             xpow[sites], zpow[sites] = local.xs[r], local.zs[r]
             x, z, ph = rowprod_loop(t.xs, t.zs, t.phases, xpow, zpow, d)
-            want.xs[target], want.zs[target] = x, z
-            want.phases[target] = (ph + int(local.phases[r])) % (2 * d)
+            xs[target], zs[target] = x, z
+            phases[target] = (ph + int(local.phases[r])) % (2 * d)
+        want = Tableau(d, n, xs, zs, phases)
         got = t.copy().right_multiply(local, sites)
         assert_bit_identical(got, want)
         if d > 7:
