@@ -45,7 +45,7 @@ from .mps import (
 )
 from .pauli import PauliString, PauliSum, decompose_unitary
 from .statevector import DenseState
-from .tableau import identity_tableau
+from .tableau import WORKING_SET_BYTES, identity_tableau
 
 __all__ = [
     "GcampsState",
@@ -57,9 +57,10 @@ __all__ = [
 
 _TIE_EPS = 1e-12
 _DEFAULT_PASS_LIMIT = 4
-# bytes of candidate matrices formed at once; bounds the scan's memory at
-# large bonds (79 matrices of 81 x 81 per batch)
-_SCAN_CHUNK_BYTES = 8 << 20
+# bytes of candidate pair tensors formed at once, the one working-set
+# budget tableau.apply_word also keeps: 9 matrices of 81 x 81 per batch for
+# a qutrit pair between two bonds of 27
+_SCAN_CHUNK_BYTES = WORKING_SET_BYTES
 
 
 def tableau_bytes(n: int) -> int:
@@ -313,7 +314,8 @@ class GcampsState:
         one stacked SVD call and one vectorized objective per batch. The
         first batch holds the bond as it stands (row 0) and the first
         candidate; each later batch holds twice the candidates of the one
-        before, at most _SCAN_CHUNK_BYTES of candidate matrices. The scores
+        before, as many as fit _SCAN_CHUNK_BYTES (tableau.WORKING_SET_BYTES,
+        1 MB) and at least one. The scores
         are walked in catalog order, so ties resolve to the earliest entry
         and the winner does not depend on where the batches end, and the
         walk stops at the first _unbeatable score, the bond's own included.

@@ -381,7 +381,7 @@ class Mps:
         for i in range(n - 1):
             _qr_right(work, i)
         nrm = float(np.linalg.norm(work[n - 1]))
-        if abs(nrm - 1.0) > _NORM_DRIFT_TOL:
+        if not abs(nrm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
             raise ValueError(f"operator sum is not unitary: norm drifted to {nrm:.6g}")
         work[n - 1] = work[n - 1] / nrm
         self.tensors[:] = work

@@ -221,7 +221,9 @@ class PauliSum:
     """Complex combination sum_j c_j * P_j of phase-free Pauli strings.
 
     Construction folds each term's tau phase into its coefficient, merges
-    terms with equal exponent vectors, and drops |c| < COEFF_DROP_TOL.
+    terms with equal exponent vectors, and drops |c| < COEFF_DROP_TOL. A
+    non-finite coefficient raises ValueError: a NaN would fail that test
+    and drop its term without a word.
     """
 
     def __init__(self, d: int, n: int, terms):
@@ -231,6 +233,8 @@ class PauliSum:
         for coeff, ps in terms:
             if ps.d != self.d or ps.n_sites != self.n_sites:
                 raise ValueError("term shape mismatch")
+            if not np.isfinite(coeff):
+                raise ValueError(f"coefficient {coeff} is not finite")
             if ps.phase:
                 coeff = coeff * ps.phase_value()
                 ps = PauliString(ps.d, ps.x, ps.z, 0)

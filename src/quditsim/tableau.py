@@ -19,12 +19,15 @@ ValueError before anything changes.
 
 A Clifford word is applied in as-soon-as-possible layers: each gate goes
 one layer past the last gate on any of its sites, so the gates of a layer
-act on disjoint sites and commute. The codes are copied site-major into
-one int64 working array, and each (layer, name) rewrites the codes of all
-its sites over all 2n rows with one lookup in a table of that gate's
-images, indexed by the codes of its k sites. Gates on disjoint sites
-change disjoint codes and their phase increments add mod 2d, so the
-result is bit-identical to applying the gates one at a time.
+act on disjoint sites and commute. The rows are taken a block at a time,
+as many as fit WORKING_SET_BYTES in an int64 site-major working copy of
+their codes, and each (layer, name) rewrites the codes of all its sites
+over the block's rows with one lookup in a table of that gate's images,
+indexed by the codes of its k sites. Gates on disjoint sites change
+disjoint codes and their phase increments add mod 2d, and a gate updates
+each row on its own, so the result is bit-identical to applying the gates
+one at a time, whatever the blocks. Up to n = 256 all 2n rows make one
+block.
 
 A gate's action is defined once, by its matrix in gates.gate_matrix. The
 table reads the images of the 2k generators X_j, Z_j off that matrix:
@@ -48,6 +51,11 @@ import numpy as np
 from . import kernels
 from .gates import NON_CLIFFORD_NAMES, TWO_SITE_NAMES, GateOp, gate_matrix
 from .pauli import PauliString, QuditDim, decompose_unitary, phase_factor
+
+# bytes of the largest scratch array one engine step may form: the int64
+# working copy of apply_word's row block here, and the disentangler's
+# batches of candidate pair tensors in gcamps
+WORKING_SET_BYTES = 1 << 20
 
 # (name, d) -> read-only code/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
@@ -263,33 +271,40 @@ class Tableau:
     def apply_word(self, word) -> "Tableau":
         """Apply a word's gates in order: the stored Clifford becomes W C.
 
-        The codes are copied once into a site-major int64 working array,
-        rewritten one (layer, name) at a time (see the module docstring),
-        and cast back into the stored codes only at the end. A read-only
-        tableau, a word that reaches past n (checked before any work) or
-        one that holds a non-Clifford op (which has no image table) raises
-        ValueError with the tableau untouched.
+        The rows are rewritten a block at a time (see the module
+        docstring): each block's codes are copied into a site-major int64
+        working array of at most WORKING_SET_BYTES, rewritten one (layer,
+        name) at a time and cast back into the stored codes. A read-only
+        tableau, a word that reaches past n or one that holds a
+        non-Clifford op (which has no image table) raises ValueError with
+        the tableau untouched: all of it is checked, and every table
+        built, before the first block.
         """
         self._check_writable()
-        groups = _layers(word, self.n)
-        if not groups:
-            return self
-        d = self.d
-        # int64 codes: narrower index arrays make every lookup slower
-        codes = self.codes.T.astype(np.int64, order="C")  # (n, 2n)
-        dphase = np.zeros(2 * self.n, dtype=np.int64)
-        for (_, name), sites in groups:
+        n, d = self.n, self.d
+        steps = []
+        for (_, name), sites in _layers(word, n):
             image, phase = _image_tables(name, d)
             # row j: the j-th site of every gate
-            legs = np.array(sites).reshape(-1, len(image)).T
-            packed = codes[legs[0]]
-            for leg in legs[1:]:
-                packed = packed * (d * d) + codes[leg]
-            for leg, leg_image in zip(legs, image):
-                codes[leg] = leg_image[packed]
-            dphase += phase[packed].sum(axis=0)
-        self.codes[...] = codes.T
-        self.phases[...] = (self.phases + dphase) % (2 * d)
+            steps.append((image, phase,
+                          np.array(sites).reshape(-1, len(image)).T))
+        if not steps:
+            return self
+        block = max(1, WORKING_SET_BYTES // (8 * n))
+        for lo in range(0, 2 * n, block):
+            rows = slice(lo, lo + block)
+            # int64 codes: narrower index arrays make every lookup slower
+            codes = self.codes[rows].T.astype(np.int64, order="C")
+            dphase = np.zeros(codes.shape[1], dtype=np.int64)
+            for image, phase, legs in steps:
+                packed = codes[legs[0]]
+                for leg in legs[1:]:
+                    packed = packed * (d * d) + codes[leg]
+                for leg, leg_image in zip(legs, image):
+                    codes[leg] = leg_image[packed]
+                dphase += phase[packed].sum(axis=0)
+            self.codes[rows] = codes.T
+            self.phases[rows] = (self.phases[rows] + dphase) % (2 * d)
         return self
 
     # -- conjugation ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hybrid engine tests: Clifford frame times MPS with catalog disentangling."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -746,6 +747,31 @@ def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
     monkeypatch.setattr(gcamps, "_SCAN_CHUNK_BYTES", 2000)
     circ = mid_chain_circuit(6, 3, layers=4, seed=23)
     assert_scan_matches_reference(circ, cat3)
+
+
+def test_crossover_shaped_scan_keeps_the_working_set_budget(cat3, monkeypatch):
+    # n=8, d=3: the bonds reach 81, and a pair between two bonds of 27
+    # makes 81 x 81 candidate matrices of 105 KB, 9 to a 1 MB batch; batches
+    # of up to 8 MB (79 matrices) traced 7.2 MB here
+    peaks = []
+    disentangle = GcampsState.disentangle
+
+    def traced(self, *args, **kwargs):
+        chi = max(self.mps.bond_dims())
+        tracemalloc.start()
+        try:
+            return disentangle(self, *args, **kwargs)
+        finally:
+            peaks.append((chi, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(GcampsState, "disentangle", traced)
+    st = new_state(8, 3, cat3)
+    for op in t_doped_circuit(8, 3, layers=CROSSOVER_LAYERS[3], rng_seed=1,
+                              block_len=16).ops:
+        st.apply_op(op)
+    assert max(chi for chi, _ in peaks) == 81
+    assert max(peak for _, peak in peaks) <= 3 << 20
 
 
 @pytest.fixture

@@ -686,6 +686,21 @@ def test_apply_pauli_sum_rejects_non_unitary():
         assert ([t.tobytes() for t in chain.tensors], chain.center) == before
 
 
+def test_apply_pauli_sum_rejects_a_nan_chain_untouched():
+    # a NaN norm fails the drift check, so the chain is never committed to
+    # the truncation sweep, whose SVD would raise only after the commit
+    d, n = 3, 4
+    m = Mps.product_state(n, d)
+    m.apply_unitary(gate_matrix(GateOp("H", (0,)), d), (1,))
+    m.tensors[2] = m.tensors[2].copy()
+    m.tensors[2][0, 1, 0] = np.nan
+    before = [t.tobytes() for t in m.tensors], m.center
+    ps = PauliSum(d, n, [(1.0, PauliString.single(d, n, 1, x=1))])
+    with pytest.raises(ValueError, match="not unitary"):
+        m.apply_pauli_sum(ps)
+    assert ([t.tobytes() for t in m.tensors], m.center) == before
+
+
 def test_apply_pauli_sum_shape_checks():
     m = Mps.product_state(3, 2)
     with pytest.raises(ValueError):

@@ -157,6 +157,16 @@ def test_to_matrix_size_guard():
         p.to_matrix()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan),
+                                 complex(-np.inf, 0.0)])
+def test_pauli_sum_refuses_a_non_finite_coefficient(bad):
+    # |nan| >= COEFF_DROP_TOL is False, so a NaN term used to be dropped
+    # and the sum applied as the identity without a word
+    eye, x1 = PauliString.identity(3, 4), PauliString.single(3, 4, 1, x=1)
+    with pytest.raises(ValueError, match="not finite"):
+        PauliSum(3, 4, [(1.0, eye), (bad, x1)])
+
+
 # the one dense-size guard's wording, whichever site runs it
 GUARD_MESSAGE = r"^dense size \d+\*\*\d+ = \d+ exceeds the guard 16384$"
 

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quditsim import tableau
 from quditsim.circuits import random_clifford_word
 from quditsim.gcamps import tableau_bytes
 from quditsim.gates import TWO_SITE_NAMES, GateOp, inverse_gate, invert_word
@@ -637,6 +638,40 @@ def test_word_update_peaks_below_20_bytes_per_entry():
     finally:
         tracemalloc.stop()
     assert peak / (2 * n * n) < 20
+
+
+@pytest.mark.parametrize("d", DS)
+@pytest.mark.parametrize("rows", [1, 5, 7])
+def test_apply_word_in_row_blocks_matches_one_block(rows, d, monkeypatch):
+    # a budget of `rows` int64 rows of n codes: blocks of 5 and 7 end inside
+    # the stabilizer half and straddle the stabilizer/destabilizer boundary
+    n = 8
+    rng = np.random.default_rng(900 + 10 * d + rows)
+    t, _ = random_tableau(rng, n, d, 4 * n)
+    word = every_name_word(rng, n, 80)
+    want = t.copy().apply_word(word)
+    monkeypatch.setattr(tableau, "WORKING_SET_BYTES", 8 * n * rows)
+    got = t.copy().apply_word(word)
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.phases, want.phases)
+    assert_bit_identical(got, apply_word_per_gate(t, word))
+
+
+def test_word_update_at_n_1024_keeps_the_working_set_budget():
+    """A width-shaped word (8n gates) at n = 1024, d = 3 works in int64 row
+    blocks of at most WORKING_SET_BYTES: its traced peak stays below 4 MiB
+    (2.2 MiB). One site-major copy of all 2n rows traced 28.2 MiB."""
+    n, d = 1024, 3
+    t = identity_tableau(n, d).apply_word(
+        random_clifford_word(n, d, length=n, rng_seed=1))  # builds tables
+    word = random_clifford_word(n, d, length=8 * n, rng_seed=2)
+    tracemalloc.start()
+    try:
+        t.apply_word(word)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
 
 
 @pytest.mark.parametrize("d", TIGHT_DS)
