@@ -10,14 +10,15 @@ representative is kept per coset. The coset of the locals themselves is
 retained but flagged as non-entangling.
 
 The group is one breadth-first closure over {H0, H1, S0, S1, SUM01, SUM10},
-run over int64 codes: each matrix is one code, each level is decoded,
-multiplied by the generators and re-encoded in bounded chunks, and each
-element keeps only its code, a parent pointer and the generator that
-reached it. The local subgroup is the closure's local elements. Only the
-coset representatives get a word, a shortest one rebuilt from the parent
-pointers; replaying it through a fresh two-site tableau must reproduce the
-matrix exactly, which doubles as an integrity check for saved catalog
-files.
+run over int64 codes: a code is its matrix's four row codes in base d^4,
+and a generator rewrites one or two rows as a fixed combination of at most
+two rows, so each product is one or two lookups in a table of row codes.
+Each element keeps only its code, a parent pointer and the generator that
+reached it. A coset is found by its key, the Plucker coordinates of the
+span of its site-0 rows, and only the coset representatives get a word, a
+shortest one rebuilt from the parent pointers; replaying it through a fresh
+two-site tableau must reproduce the matrix exactly, which doubles as an
+integrity check for saved catalog files.
 """
 
 from __future__ import annotations
@@ -51,8 +52,9 @@ GENERATOR_TOKENS = ("H0", "H1", "S0", "S1", "SUM01", "SUM10")
 # (a d=5 build traced a 455 MB peak)
 _ENUM_GUARD = 100_000
 
-# frontier codes decoded and multiplied at a time: each chunk's int64
-# products take 6 * 128 bytes per code, so this bounds a level's working set
+# codes handled at a time, frontier codes in the closure and group codes in
+# the coset keys: a closure chunk's int64 row codes and products take 10 * 8
+# bytes per code, so this bounds a level's working set
 _CHUNK = 1024
 
 _FILE_VERSION = "# qsim-catalog v1"
@@ -135,6 +137,70 @@ def _decode(codes, d: int) -> np.ndarray:
     return (codes // _weights(d) % d).reshape(-1, 4, 4)
 
 
+def _row_digits(d: int) -> np.ndarray:
+    """The 4 base-d digits of every row code in [0, d^4), as a (d^4, 4)
+    array: row u of a matrix has code u @ d^(3, 2, 1, 0)."""
+    return np.arange(d**4)[:, None] // d ** np.arange(3, -1, -1) % d
+
+
+def _row_moves(gens, d: int) -> list:
+    """Per generator g, the rows that g @ m rewrites, as (r, srcs, table):
+    row r of the product is sum_i g[r, srcs[i]] m[srcs[i]] mod d, and its
+    code is table[sum_i rc[srcs[i]] d^(4 (len(srcs) - 1 - i))] for the row
+    codes rc of m. Rows with g[r] = e_r are left out; one table per
+    coefficient tuple, d^4 entries per row combined."""
+    digits, tables, moves = _row_digits(d), {}, []
+    for g in gens:
+        moves.append([])
+        for r in np.flatnonzero((g != np.eye(4, dtype=g.dtype)).any(axis=1)):
+            srcs = np.flatnonzero(g[r])
+            coefs = tuple(g[r, srcs].tolist())
+            if coefs not in tables:
+                rows = np.zeros((1, 4), dtype=np.int64)
+                for c in coefs:
+                    rows = (rows[:, None] + c * digits).reshape(-1, 4) % d
+                tables[coefs] = (rows @ d ** np.arange(3, -1, -1)).astype(
+                    np.min_scalar_type(d**4 - 1)
+                )
+            moves[-1].append((int(r), srcs.tolist(), tables[coefs]))
+    return moves
+
+
+_PLUCKER = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _span_key(u, v, d: int):
+    """The coset key of a symplectic matrix with site-0 rows u = m[0] and
+    v = m[2] (last axis 4): the six Plucker coordinates u_i v_j - u_j v_i
+    mod d of the pair, read as base-d digits.
+
+    A local l recombines the site-0 rows (0, 2) among themselves by an
+    element of Sp(2, d) = SL(2, d), which has determinant 1 and so keeps
+    every coordinate, and the site-1 rows (1, 3) likewise. Conversely the
+    coordinates fix the span W of u and v, and since u^T J v = -1 they fix
+    the scale too, so two such pairs with one key differ by an SL(2, d)
+    recombination; the site-1 rows of a symplectic matrix span the
+    symplectic complement of W with the same pairing, so the key is
+    constant exactly on each left-local coset L*m."""
+    key = 0
+    for i, j in _PLUCKER:
+        key = key * d + (u[..., i] * v[..., j] - u[..., j] * v[..., i]) % d
+    return key
+
+
+def _class_keys(codes, d: int) -> np.ndarray:
+    """_span_key of every code, _CHUNK codes at a time, read from one
+    table over the (row 0, row 2) code pairs."""
+    digits, q = _row_digits(d), d**4
+    table = _span_key(digits[:, None], digits[None], d).reshape(-1)
+    table = table.astype(np.min_scalar_type(d**6 - 1))
+    keys = np.empty(len(codes), dtype=table.dtype)
+    for lo in range(0, len(codes), _CHUNK):
+        c = codes[lo:lo + _CHUNK]
+        keys[lo:lo + _CHUNK] = table[c // q**3 * q + c // q % q]
+    return keys
+
+
 class GroupClosure:
     """Every two-site symplectic matrix over Z_d in breadth-first order,
     held as one int64 code per element.
@@ -166,13 +232,15 @@ def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
     """Breadth-first closure of {H0, H1, S0, S1, SUM01, SUM10} from the
     identity over int64 codes.
 
-    Each level decodes its frontier _CHUNK codes at a time, multiplies by
-    every generator and re-encodes the products. The candidates are ordered
-    generator-major, then by frontier position, and the first occurrence of
-    each new code is kept. One generator maps distinct matrices to distinct
-    ones, so a tie is always decided by the lower generator index and the
-    frontier may stay in code order. Dimensions whose group outgrows the
-    memory guard require allow_large=True.
+    Each level splits its frontier, _CHUNK codes at a time, into four row
+    codes and forms every generator's product by rewriting the one or two
+    rows that generator changes through its _row_moves tables. The
+    candidates are ordered generator-major, then by frontier position, and
+    the first occurrence of each new code is kept. One generator maps
+    distinct matrices to distinct ones, so a tie is always decided by the
+    lower generator index and the frontier may stay in code order.
+    Dimensions whose group outgrows the memory guard require
+    allow_large=True.
     """
     d = int(QuditDim(d))
     order = group_order_formula(d)
@@ -183,7 +251,11 @@ def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
         )
     if d**16 > np.iinfo(np.int64).max:
         raise ValueError(f"d={d} matrices do not fit one int64 code")
-    gens = np.stack([word_symplectic([token_gate(t)], d) for t in GENERATOR_TOKENS])
+    moves = _row_moves(
+        [word_symplectic([token_gate(t)], d) for t in GENERATOR_TOKENS], d
+    )
+    q = d**4  # row r of a code weighs q^(3 - r)
+    weights = [q**3, q**2, q, 1]
     codes = np.empty(order, dtype=np.int64)
     parent = np.empty(order, dtype=np.min_scalar_type(-order))
     generator = np.empty(order, dtype=np.int8)
@@ -197,11 +269,17 @@ def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
         # only candidates outside `seen` are kept
         cands, ks = [], []
         for lo in range(0, n, _CHUNK):
-            mats = _decode(frontier[lo:lo + _CHUNK], d)
-            prods = gens[:, None] @ mats
-            prods %= d
-            c = _codes(prods, d).reshape(len(gens), -1)
-            k = n * np.arange(len(gens))[:, None] + np.arange(lo, lo + len(mats))
+            chunk = frontier[lo:lo + _CHUNK]
+            rows = [chunk // w % q for w in weights]
+            c = np.empty((len(moves), len(chunk)), dtype=np.int64)
+            for out, changed in zip(c, moves):
+                out[:] = chunk
+                for r, srcs, table in changed:
+                    at = rows[srcs[0]]
+                    for src in srcs[1:]:
+                        at = at * q + rows[src]
+                    out += (table[at] - rows[r]) * weights[r]
+            k = n * np.arange(len(moves))[:, None] + np.arange(lo, lo + len(chunk))
             new = seen.take(np.searchsorted(seen, c), mode="clip") != c
             cands.append(c[new])
             ks.append(k[new])
@@ -352,37 +430,28 @@ def generate_catalog(d: int, allow_large: bool = False) -> DisentanglerCatalog:
     """Partition the two-site group into left-local cosets L*g.
 
     A local applied after the gate leaves every Schmidt spectrum unchanged,
-    so each coset is one entanglement class. Cosets are taken in ascending
-    order of their minimal members, which are their representatives; the
-    coset equal to L itself is flagged non-entangling.
+    so each coset is one entanglement class, and _span_key names it. One
+    sort by (key, code) puts each coset's minimal member, its
+    representative, first in its run of keys. Cosets are taken in ascending
+    order of their representatives; the coset equal to L itself is flagged
+    non-entangling.
     """
     closure = group_closure(d, allow_large=allow_large)
     d, codes = closure.d, closure.codes
-    locals_ = []
-    for lo in range(0, len(codes), _CHUNK):
-        mats = _decode(codes[lo:lo + _CHUNK], d)
-        locals_.append(mats[is_local_matrix(mats)])
-    locals_ = np.concatenate(locals_)
-    if len(locals_) != _local_order(d):
-        raise RuntimeError("local subgroup has unexpected size")
-    by_code = np.argsort(codes)
-    sorted_codes = codes[by_code]
-    covered = np.zeros(len(codes), dtype=bool)
-    entries = []
-    for pos in range(len(codes)):
-        if covered[pos]:
-            continue
-        # every element below pos is covered, so pos is its coset's minimum
-        m = _decode(sorted_codes[pos], d)[0]
-        hit = np.sort(np.searchsorted(sorted_codes, _codes(locals_ @ m % d, d)))
-        if not np.diff(hit).all() or covered[hit].any():
-            raise RuntimeError("coset size differs from the local order")
-        covered[hit] = True
-        rep = by_code[pos]
-        entries.append(DisentanglerEntry(
-            m, closure.word(rep), len(locals_), not is_local_matrix(m),
-        ))
-    if len(entries) * len(locals_) != len(codes):
+    keys = _class_keys(codes, d)
+    by_class = np.lexsort((codes, keys))
+    keys = keys[by_class]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    size = _local_order(d)
+    if (np.diff(starts, append=len(codes)) != size).any():
+        raise RuntimeError("coset size differs from the local order")
+    reps = by_class[starts]
+    reps = reps[np.argsort(codes[reps])]
+    entries = [
+        DisentanglerEntry(m, closure.word(rep), size, not is_local_matrix(m))
+        for rep, m in zip(reps, _decode(codes[reps], d))
+    ]
+    if len(entries) * size != len(codes):
         raise RuntimeError("cosets do not partition the group")
     return DisentanglerCatalog(d, len(codes), entries)
 
@@ -464,13 +533,8 @@ def load_catalog(path) -> DisentanglerCatalog:
         raise ValueError("class sizes do not sum to the group order")
     if any(e.class_size != _local_order(d) for e in entries):
         raise ValueError("a class size differs from the local order")
-    # m_i and m_j share a coset L*g exactly when m_i m_j^-1 is local, and a
-    # symplectic m has m^-1 = J^-1 m^T J with J^-1 = -J
-    j = symplectic_form(d)
+    # every matrix is symplectic by now, so the key names its coset
     reps = np.stack([e.representative for e in entries])
-    inverses = -j @ reps.transpose(0, 2, 1) @ j
-    shared = is_local_matrix(reps[:, None] @ inverses[None] % d)
-    np.fill_diagonal(shared, False)
-    if shared.any():
+    if len(np.unique(_span_key(reps[:, 0], reps[:, 2], d))) != len(reps):
         raise ValueError("two entries lie in the same left-local coset")
     return DisentanglerCatalog(d, group_order, entries)

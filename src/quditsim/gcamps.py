@@ -58,8 +58,9 @@ __all__ = [
 _TIE_EPS = 1e-12
 _DEFAULT_PASS_LIMIT = 4
 # bytes of candidate pair tensors formed at once, the one working-set
-# budget tableau.apply_word also keeps: 9 matrices of 81 x 81 per batch for
-# a qutrit pair between two bonds of 27
+# budget tableau.apply_word also keeps; a batch holds the matmul output and
+# its transposed copy together, so 4 candidates of 81 x 81 per batch for a
+# qutrit pair between two bonds of 27
 _SCAN_CHUNK_BYTES = WORKING_SET_BYTES
 
 
@@ -314,8 +315,9 @@ class GcampsState:
         one stacked SVD call and one vectorized objective per batch. The
         first batch holds the bond as it stands (row 0) and the first
         candidate; each later batch holds twice the candidates of the one
-        before, as many as fit _SCAN_CHUNK_BYTES (tableau.WORKING_SET_BYTES,
-        1 MB) and at least one. The scores
+        before, at least one and as many as fit _SCAN_CHUNK_BYTES
+        (tableau.WORKING_SET_BYTES, 1 MB) twice: the product and the
+        transposed copy the SVD reads are alive together. The scores
         are walked in catalog order, so ties resolve to the earliest entry
         and the winner does not depend on where the batches end, and the
         walk stops at the first _unbeatable score, the bond's own included.
@@ -337,7 +339,7 @@ class GcampsState:
         policy = mps.policy
         paired = theta.transpose(1, 2, 0, 3).reshape(d * d, l * r)
         indices, stack = self.catalog.entangling_stack()
-        budget = max(1, _SCAN_CHUNK_BYTES // paired.nbytes)
+        budget = max(1, _SCAN_CHUNK_BYTES // (2 * paired.nbytes))
         best_idx, best_theta = -1, None
         start, size = 0, 1
         while True:

@@ -6,9 +6,10 @@ cancel out in comparisons. The exceptions are the brute-force references
 at the end: the plain loops that the package's vectorized paths replaced,
 the five-gate SWAP word that the tableau's native SWAP replaced, the
 hand-written gate images that the tableau's tables, derived from
-gate_matrix, must reproduce, and the per-term commutation that the
-engine's commuted sum replaced. Last come the state readers only tests
-use: Schmidt spectra, entropies and canonical-form checks of an Mps,
+gate_matrix, must reproduce, the per-term commutation that the
+engine's commuted sum replaced, and the decode/multiply/re-encode group
+closure that the row-code tables replaced. Last come the state readers
+only tests use: Schmidt spectra, entropies and canonical-form checks of an Mps,
 basis states, and the commutation exponent of two Pauli strings.
 """
 
@@ -509,6 +510,48 @@ def commuted_sum_per_term(tableau, site, u):
         PauliString.single(d, n, site, int(p.x[0]), int(p.z[0]))))
         for c, p in decompose_unitary(u, d).terms]
     return PauliSum(d, n, terms)
+
+
+def closure_by_matmul(d):
+    """Reference for disentanglers.group_closure: the closure it replaced,
+    which decodes each level's codes into 4x4 matrices, multiplies them by
+    every generator matrix and re-encodes the products. Candidates are
+    ordered generator-major, then by frontier position, and the first
+    occurrence of each new code is kept, with the frontier in code order.
+    Returns the (codes, parent, generator) arrays."""
+    from quditsim.disentanglers import (
+        GENERATOR_TOKENS, group_order_formula, token_gate, word_symplectic,
+    )
+
+    order = group_order_formula(d)
+    weights = d ** np.arange(15, -1, -1, dtype=np.int64)
+    gens = np.stack(
+        [word_symplectic([token_gate(t)], d) for t in GENERATOR_TOKENS]
+    )
+    codes = np.empty(order, dtype=np.int64)
+    parent = np.empty(order, dtype=np.min_scalar_type(-order))
+    generator = np.empty(order, dtype=np.int8)
+    codes[0] = np.eye(4, dtype=np.int64).reshape(16) @ weights
+    parent[0] = generator[0] = -1
+    start, end = 0, 1
+    while start < end:
+        frontier, n = codes[start:end], end - start
+        mats = (frontier[:, None] // weights % d).reshape(-1, 4, 4)
+        prods = (gens[:, None] @ mats % d).reshape(-1, 16) @ weights
+        ks = np.flatnonzero(~np.isin(prods, codes[:end]))
+        cands = prods[ks]
+        by_code = np.lexsort((ks, cands))
+        cands, ks = cands[by_code], ks[by_code]
+        first = np.ones(len(cands), dtype=bool)
+        first[1:] = cands[1:] != cands[:-1]
+        fresh, ks = cands[first], ks[first]
+        nxt = end + len(fresh)
+        codes[end:nxt] = fresh
+        parent[end:nxt] = start + ks % n
+        generator[end:nxt] = ks // n
+        start, end = end, nxt
+    assert end == order
+    return codes, parent, generator
 
 
 def schmidt_spectrum(m, bond):

@@ -27,7 +27,7 @@ from quditsim.disentanglers import (
 from quditsim.gates import GateOp, gate_matrix, invert_word
 from quditsim.tableau import identity_tableau
 
-from helpers import sum_permutation
+from helpers import closure_by_matmul, sum_permutation
 
 DATA = Path(__file__).with_name("data")
 
@@ -149,24 +149,42 @@ def test_enumerate_group_d3_order(group3):
     assert len(np.unique(group3.codes)) == 51840
 
 
+@pytest.fixture(scope="module")
+def matmul_closures():
+    return {d: closure_by_matmul(d) for d in (2, 3)}
+
+
+def assert_closure_equals(got, want):
+    for name, b in zip(("codes", "parent", "generator"), want):
+        a = getattr(got, name)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_equals_the_matmul_reference(d, matmul_closures, request):
+    # the row-code tables form the products the 4x4 matmuls formed, so the
+    # BFS keeps the same elements in the same order with the same pointers
+    assert_closure_equals(request.getfixturevalue(f"group{d}"),
+                          matmul_closures[d])
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("d", [2, 3])
 def test_closure_and_catalog_do_not_depend_on_chunk_size(
-    d, chunk, monkeypatch, request
+    d, chunk, matmul_closures, monkeypatch, request
 ):
-    want = request.getfixturevalue(f"group{d}")
     monkeypatch.setattr(disentanglers, "_CHUNK", chunk)
-    got = group_closure(d)
-    for name in ("codes", "parent", "generator"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    assert_closure_equals(group_closure(d), matmul_closures[d])
     assert generate_catalog(d) == request.getfixturevalue(f"catalog{d}")
 
 
 def test_catalog_build_traced_peak_stays_small():
-    # the closure keeps one int64 code per element and decodes in chunks; a
-    # build that held every level as int64 4x4 stacks peaked near 45 MB
+    # the closure keeps one int64 code per element and works in _CHUNK
+    # slices, and so do the coset keys: a build traces 2.9 MB. A build that
+    # held every level as int64 4x4 stacks peaked near 45 MB, one that
+    # searched each coset through the 576 locals 3.9 MB, and keys taken
+    # 65,536 codes at a time broke a 12 MB bound
     generate_catalog(3)  # fills lazy caches outside the build
     tracemalloc.start()
     try:
@@ -174,7 +192,7 @@ def test_catalog_build_traced_peak_stays_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6
+    assert peak <= 4e6
 
 
 def test_memory_guard_requires_opt_in():
@@ -226,6 +244,29 @@ def test_local_group_order(d, size, request):
 def test_is_local_matrix_on_a_stack(d, request):
     mats = request.getfixturevalue(f"group{d}").matrices()
     assert is_local_matrix(mats).tolist() == [is_local_matrix(m) for m in mats]
+
+
+def test_class_key_is_constant_on_cosets_and_tells_them_apart_d2(group2):
+    keys = disentanglers._class_keys(group2.codes, 2)
+    assert len(np.unique(keys)) == 20
+    loc, _ = local_elements(group2)
+    images = loc[:, None] @ group2.matrices()[None] % 2
+    got = disentanglers._class_keys(disentanglers._codes(images, 2), 2)
+    assert (got.reshape(36, 720) == keys).all()
+
+
+def test_class_key_takes_ninety_values_and_ignores_locals_d3(group3):
+    mats = group3.matrices()
+    keys = disentanglers._class_keys(group3.codes, 3)
+    np.testing.assert_array_equal(
+        keys, disentanglers._span_key(mats[:, 0], mats[:, 2], 3)
+    )
+    assert len(np.unique(keys)) == 90
+    idx = np.random.default_rng(13).choice(len(mats), size=50, replace=False)
+    loc, _ = local_elements(group3)
+    images = loc[:, None] @ mats[idx][None] % 3
+    got = disentanglers._class_keys(disentanglers._codes(images, 3), 3)
+    assert (got.reshape(576, 50) == keys[idx]).all()
 
 
 # ----------------------------------------------------------------------
@@ -625,6 +666,23 @@ def test_load_rejects_distinct_members_of_one_coset(tmp_path, group3, catalog3):
     entries[0] = DisentanglerEntry(
         other, group3.word(element_index(group3, other)), e.class_size, True
     )
+    p = tmp_path / "cat.txt"
+    save_catalog(DisentanglerCatalog(3, catalog3.group_order, entries), p)
+    with pytest.raises(ValueError, match="same left-local coset"):
+        load_catalog(p)
+
+
+def test_load_rejects_a_local_image_of_another_entry(tmp_path, catalog3):
+    # entry 1's word followed by a local gate replays to l * rep, a member of
+    # entry 1's coset other than its minimum, in place of entry 0
+    e = catalog3.entries[1]
+    word = e.word + (GateOp("H", (0,)),)
+    m = word_symplectic(word, 3)
+    h0 = word_symplectic(word[-1:], 3)
+    np.testing.assert_array_equal(m, h0 @ e.representative % 3)
+    assert tuple(m.reshape(-1)) > tuple(e.representative.reshape(-1))
+    entries = list(catalog3.entries)
+    entries[0] = DisentanglerEntry(m, word, e.class_size, True)
     p = tmp_path / "cat.txt"
     save_catalog(DisentanglerCatalog(3, catalog3.group_order, entries), p)
     with pytest.raises(ValueError, match="same left-local coset"):

@@ -743,7 +743,7 @@ def test_batched_scan_matches_reference_with_chi_max(cat3):
 
 
 def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
-    # 2000 bytes: 13 candidates per chunk at a 3 x 3 bond, one at 9 x 9
+    # 2000 bytes: 6 candidates per chunk at a 3 x 3 bond, one at 9 x 9
     monkeypatch.setattr(gcamps, "_SCAN_CHUNK_BYTES", 2000)
     circ = mid_chain_circuit(6, 3, layers=4, seed=23)
     assert_scan_matches_reference(circ, cat3)
@@ -751,8 +751,10 @@ def test_batched_scan_matches_reference_in_small_chunks(cat3, monkeypatch):
 
 def test_crossover_shaped_scan_keeps_the_working_set_budget(cat3, monkeypatch):
     # n=8, d=3: the bonds reach 81, and a pair between two bonds of 27
-    # makes 81 x 81 candidate matrices of 105 KB, 9 to a 1 MB batch; batches
-    # of up to 8 MB (79 matrices) traced 7.2 MB here
+    # makes 81 x 81 candidate matrices of 105 KB; a batch holds them twice,
+    # as the product and its transposed copy, so 4 fit a 1 MB budget and
+    # the largest step traces 1.28 MB. Batches of up to 8 MB (79 matrices)
+    # traced 7.2 MB here, and 1 MB batches counted once (9 matrices) 2.3 MB
     peaks = []
     disentangle = GcampsState.disentangle
 
@@ -771,7 +773,7 @@ def test_crossover_shaped_scan_keeps_the_working_set_budget(cat3, monkeypatch):
                               block_len=16).ops:
         st.apply_op(op)
     assert max(chi for chi, _ in peaks) == 81
-    assert max(peak for _, peak in peaks) <= 3 << 20
+    assert max(peak for _, peak in peaks) <= 1.3 * (1 << 20)
 
 
 @pytest.fixture
