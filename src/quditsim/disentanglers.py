@@ -207,7 +207,8 @@ class GroupClosure:
 
     Element 0 is the identity; element i is `generator[i]` (an index into
     GENERATOR_TOKENS) applied after element `parent[i]`, so `word(i)`
-    rebuilds a shortest generator word from the parent pointers.
+    rebuilds a shortest generator word from the parent pointers, out of
+    one GateOp per generator, built and checked once per closure.
     """
 
     def __init__(self, d, codes, parent, generator):
@@ -215,17 +216,18 @@ class GroupClosure:
         self.codes = codes
         self.parent = parent
         self.generator = generator
+        self._ops = tuple(token_gate(t) for t in GENERATOR_TOKENS)
 
     def matrices(self) -> np.ndarray:
         """Every element's matrix, decoded from its code on each call."""
         return _decode(self.codes, self.d)
 
     def word(self, i: int) -> tuple:
-        tokens = []
+        ops = []
         while self.parent[i] >= 0:
-            tokens.append(GENERATOR_TOKENS[self.generator[i]])
+            ops.append(self._ops[self.generator[i]])
             i = self.parent[i]
-        return tuple(token_gate(t) for t in reversed(tokens))
+        return tuple(reversed(ops))
 
 
 def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
@@ -296,6 +298,8 @@ def group_closure(d: int, allow_large: bool = False) -> GroupClosure:
         codes[end:nxt] = fresh
         parent[end:nxt] = start + ks % n
         generator[end:nxt] = ks // n
+        # two sorted runs: the stable sort (timsort) finds both and merges
+        # them in one pass, faster than np.insert or a scatter of both
         seen = np.sort(np.concatenate([seen, fresh]), kind="stable")
         start, end = end, nxt
     if end != order:

@@ -2,17 +2,22 @@
 
 Clifford gates touch only the tableau (zero tensor work). A non-Clifford
 single-site unitary u runs the four-stage pipeline: expand u in the Pauli
-basis, commute each term through C as u~ = C^dag u C (valid because
-u C = C (C^dag u C)), apply the resulting operator sum to the MPS, then try
-to push the created entanglement back into C by sweeping the two-site
-catalog over the affected bonds, left to right whatever the gate's site: a
-cut inside the commuted strings' support stays entangled until one side of
-it has been collapsed, and collapsing proceeds from the window's edge
-inward. An accepted catalog gate Q moves the MPS to Q|mps> while C absorbs
-the inverse, C <- C Q^dag, so the physical state never changes. Q|mps> is
-not formed a second time: the pair tensor the scan scored for Q is split in
-place by the MPS's own truncating SVD (Mps.split_pair), which leaves the
-same bits as Mps.apply_two_site would.
+basis (decompose_unitary, whose memo expands the T matrix of every step
+once), commute each term through C as u~ = C^dag u C (valid because
+u C = C (C^dag u C); one conjugation per generator X, Z and one
+kernels.ordered_product of their images for all the terms), apply the
+resulting operator sum to the MPS, then try to push the created
+entanglement back into C by sweeping the two-site catalog over the
+affected bonds, left to right whatever the gate's site: a cut inside the
+commuted strings' support stays entangled until one side of it has been
+collapsed, and collapsing proceeds from the window's edge inward. An
+accepted catalog gate Q moves the MPS to Q|mps> while C absorbs the
+inverse, C <- C Q^dag, so the physical state never changes; the absorption
+(Tableau.right_multiply) reuses the product weights the tableau caches for
+each catalog frame, so only the frame's rows are multiplied out per
+accepted gate. Q|mps> is not formed a second time: the pair tensor the
+scan scored for Q is split in place by the MPS's own truncating SVD
+(Mps.split_pair), which leaves the same bits as Mps.apply_two_site would.
 
 The bond objective is lexicographic: first the Schmidt rank at the policy
 cutoff (TruncationPolicy.rank, the truncated bond dimension), then the Renyi-2
@@ -38,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .circuits import GateOp, gate_matrix
 from .disentanglers import DisentanglerCatalog
 from .mps import (
@@ -117,16 +123,25 @@ class DisentangleReport:
 
 def _objectives(s, policy):
     """(policy.rank, Renyi-2 entropy) for each row of s, a stack of
-    descending singular values; an all-zero row scores (0, 0.0)."""
+    descending singular values; an all-zero row scores (0, 0.0).
+
+    The entropy is -ln(sum s^4 / (sum s^2)^2), computed in place on one
+    copy of s and two row-length arrays. The division, the log and the
+    negation skip an all-zero row, whose sum s^4 is +0.0 and stays so; a
+    mask costs more than the arithmetic on rows this short, so it is only
+    passed when such a row is there.
+    """
     s2 = s * s
     total = s2.sum(axis=1)
-    ranks = policy.rank(s)
     live = total > 0.0
-    p2 = np.divide((s2 * s2).sum(axis=1), total * total,
-                   out=np.ones_like(total), where=live)
-    entropy = np.log(p2)
-    np.negative(entropy, out=entropy, where=live)
-    return list(zip(ranks.tolist(), entropy.tolist()))
+    where = True if live.all() else live
+    np.multiply(s2, s2, out=s2)
+    entropy = s2.sum(axis=1)
+    np.multiply(total, total, out=total)
+    np.divide(entropy, total, out=entropy, where=where)
+    np.log(entropy, out=entropy, where=where)
+    np.negative(entropy, out=entropy, where=where)
+    return list(zip(policy.rank(s).tolist(), entropy.tolist()))
 
 
 def _better(a, b):
@@ -196,11 +211,15 @@ class GcampsState:
         """C^dagger u C for a one-site unitary u on `site`, as a Pauli sum
         over the chain, the operator the MPS must take for u.
 
-        u is expanded as sum c X^x Z^z on its site. Conjugation is a group
-        homomorphism, so each term's image is the exact product
+        u is expanded as sum c X^x Z^z on its site by decompose_unitary,
+        whose memo returns the expansion of a matrix it has seen (the T
+        matrix of every step) without a second transform. Conjugation is
+        a group homomorphism, so each term's image is the exact product
         (C^dagger X C)^x (C^dagger Z C)^z: X and Z are each conjugated
         through the tableau at most once, and only if some term uses
-        them, and the identity term needs neither.
+        them, and the identity term needs neither. The images of all
+        terms, exponents and phases, are one kernels.ordered_product of
+        the conjugated generators raised to the terms' exponents.
         """
         n, d = self.n, self.d
         site = int(site)
@@ -210,21 +229,18 @@ class GcampsState:
             raise ValueError("operator must be d x d")
         # decompose_unitary admits u through checked_unitary
         local = decompose_unitary(u, d).terms
-        conjugate = self.tableau.conjugate_inverse
-        gx = gz = None
-        if any(p.x[0] for _, p in local):
-            gx = conjugate(PauliString.single(d, n, site, 1, 0))
-        if any(p.z[0] for _, p in local):
-            gz = conjugate(PauliString.single(d, n, site, 0, 1))
-        terms = []
-        for c, p in local:
-            q = PauliString.identity(d, n)
-            if p.x[0]:
-                q = gx.power(p.x[0])
-            if p.z[0]:
-                q = q * gz.power(p.z[0])
-            terms.append((c, q))
-        return PauliSum(d, n, terms)
+        powers = np.array([(p.x[0], p.z[0]) for _, p in local])
+        used = powers.any(axis=0)
+        gens = [self.tableau.conjugate_inverse(
+                    PauliString.single(d, n, site, *unit))
+                for unit, use in zip(((1, 0), (0, 1)), used) if use]
+        xs, zs, phases = kernels.ordered_product(
+            np.reshape([g.x for g in gens], (len(gens), n)),
+            np.reshape([g.z for g in gens], (len(gens), n)),
+            [g.phase for g in gens], powers[:, used], d)
+        return PauliSum(d, n, [
+            (c, PauliString._unchecked(d, x, z, int(ph)))
+            for (c, _), x, z, ph in zip(local, xs, zs, phases)])
 
     def apply_non_clifford(self, site, u) -> DisentangleReport:
         """Apply a one-site unitary u on `site`: its commuted sum goes

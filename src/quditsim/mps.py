@@ -250,7 +250,9 @@ class Mps:
             raise RuntimeError(f"bond {bond} grew to {k}, past the "
                                f"structural ceiling {cap}")
         err = float(s[k:] @ s[k:])
-        return u[:, :k], s[:k] / np.linalg.norm(s[:k]), vh[:k], err
+        kept = s[:k]
+        # np.linalg.norm of a real vector is this square root, bit for bit
+        return u[:, :k], kept / np.sqrt(kept @ kept), vh[:k], err
 
     def pair_tensor(self, left_site):
         """Pair tensor (l, d, d, r) of sites left_site and left_site + 1,

@@ -20,6 +20,13 @@ state |s_0 s_1 ... s_{n-1}> has index sum(s_i * d**(n-1-i)).
 
 The package's input rules live here: checked_unitary admits operators, and
 check_dense_size guards every dense d**n vector or matrix before allocation.
+
+decompose_unitary memoizes the Pauli expansion of each small operator it
+admits, keyed by d and the operator's bytes, in a bounded memo: the hybrid
+engine expands the same T matrix at every non-Clifford step. Only admitted
+operators are stored, and every call returns a fresh PauliSum of fresh
+strings whose exponent arrays are read-only views, so no caller can change
+what a later call returns.
 """
 
 from __future__ import annotations
@@ -29,6 +36,13 @@ import numpy as np
 DENSE_DIM_GUARD = 2 ** 14
 COEFF_DROP_TOL = 1e-14
 UNITARY_TOL = 1e-10
+
+# (d, bytes of an admitted operator as C-ordered complex128) -> its Pauli
+# terms as (coefficient, read-only x, read-only z); at most _MEMO_SIZE
+# operators of at most _MEMO_MATRIX_BYTES each, the oldest dropped first
+_DECOMPOSE_MEMO: dict = {}
+_MEMO_SIZE = 64
+_MEMO_MATRIX_BYTES = 1 << 14
 
 
 def _is_prime(v: int) -> bool:
@@ -133,6 +147,14 @@ class PauliString:
         xs[site] = x
         zs[site] = z
         return cls(d, xs, zs, phase)
+
+    @classmethod
+    def _unchecked(cls, d: int, x, z, phase: int = 0) -> "PauliString":
+        """A string over int64 exponents already in [0, d) and a phase
+        already in [0, 2d), taken over as they are."""
+        p = cls.__new__(cls)
+        p.d, p.x, p.z, p.phase = d, x, z, phase
+        return p
 
     @property
     def n_sites(self) -> int:
@@ -271,6 +293,15 @@ def decompose_unitary(u, d: int) -> PauliSum:
     cyclic diagonal per leg, so transforming the kept terms back verifies
     u to 1e-12 before returning.
 
+    The expansion of an admitted operator of at most _MEMO_MATRIX_BYTES is
+    memoized, keyed by d and the bytes of u as C-ordered complex128: an
+    engine expands the same T matrix at every step, and an equal matrix
+    held in another array hits too. A memoized operator is admitted
+    already, so a hit skips the checks and the transform; an operator that
+    fails them raises on every call and is never stored. Each call returns
+    a fresh PauliSum of fresh strings over read-only exponent views, so a
+    caller that changes a returned sum cannot reach the memo.
+
     Args:
         u: dense d**k x d**k unitary, k in {1, 2}, admitted by
             checked_unitary.
@@ -283,6 +314,26 @@ def decompose_unitary(u, d: int) -> PauliSum:
     k = {(d, d): 1, (d * d, d * d): 2}.get(np.shape(u))
     if k is None:
         raise ValueError("operator must be d x d or d^2 x d^2")
+    u = np.asarray(u, dtype=np.complex128)
+    key = (d, u.tobytes()) if u.nbytes <= _MEMO_MATRIX_BYTES else None
+    terms = _DECOMPOSE_MEMO.get(key)
+    if terms is None:
+        terms = _pauli_terms(u, d, k)
+        if key is not None:
+            if len(_DECOMPOSE_MEMO) >= _MEMO_SIZE:
+                del _DECOMPOSE_MEMO[next(iter(_DECOMPOSE_MEMO))]
+            _DECOMPOSE_MEMO[key] = terms
+    out = PauliSum.__new__(PauliSum)
+    out.d, out.n_sites = d, k
+    out.terms = [(c, PauliString._unchecked(d, x.view(), z.view()))
+                 for c, x, z in terms]
+    return out
+
+
+def _pauli_terms(u, d: int, k: int):
+    """decompose_unitary's expansion of u over k sites, uncached: a tuple
+    of (coefficient, x, z) with read-only exponent arrays, after u passes
+    check_dense_size and checked_unitary."""
     dim = check_dense_size(d, k)
     u = checked_unitary(u, d, k)
 
@@ -301,5 +352,10 @@ def decompose_unitary(u, d: int) -> PauliSum:
     recon = c @ f if k == 1 else f @ c @ f
     if not np.max(np.abs(recon - diag)) <= 1e-12:
         raise ArithmeticError("Pauli-basis reconstruction failed tolerance")
-    return PauliSum(d, k, [(c[i], PauliString(d, i[:k], i[k:]))
-                           for i in zip(*np.nonzero(c))])
+    terms = []
+    for c_i, p in PauliSum(d, k, [(c[i], PauliString(d, i[:k], i[k:]))
+                                  for i in zip(*np.nonzero(c))]):
+        for a in (p.x, p.z):
+            a.setflags(write=False)
+        terms.append((c_i, p.x, p.z))
+    return tuple(terms)

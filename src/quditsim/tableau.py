@@ -37,6 +37,16 @@ then one row of a kernels.ordered_product call over the generator images,
 stacked over all d^(2k) exponent vectors, never a precomputed phase
 polynomial, so the even/odd-d case split cannot creep in as a bug source.
 
+A right-multiplication by an m-site local tableau (an absorbed
+disentangler) raises the 2m old rows of its sites to the local tableau's
+exponents. The part of that product that depends on the local tableau
+alone, its exponents as powers and the phase rule's bilinear weights, is
+kernels.product_weights, cached read-only once per local tableau (keyed by
+d, m and its codes, at most _WEIGHTS_CACHE_SIZE entries); each absorption
+then hands the gathered rows and the cached weights to
+kernels.weighted_product, a few matmuls. The phase rule itself lives in
+kernels only.
+
 A tableau whose codes or phases are read-only (the catalog's cached
 frames) refuses every in-place update with ValueError before anything
 changes.
@@ -59,6 +69,13 @@ WORKING_SET_BYTES = 1 << 20
 
 # (name, d) -> read-only code/phase lookup arrays, built lazily
 _IMAGE_CACHE: dict = {}
+
+# (d, m, codes of an m-site local tableau) -> read-only
+# kernels.product_weights of its decoded exponents, the powers
+# right_multiply raises a frame's 2m rows to; the oldest entry goes first
+# past _WEIGHTS_CACHE_SIZE, which holds every entry of a d <= 5 catalog
+_WEIGHTS_CACHE: dict = {}
+_WEIGHTS_CACHE_SIZE = 1024
 
 
 def _generator_images(name: str, d: int):
@@ -121,6 +138,24 @@ def _image_tables(name: str, d: int):
         a.setflags(write=False)
     _IMAGE_CACHE[key] = out
     return out
+
+
+def _absorption_weights(local: "Tableau"):
+    """kernels.product_weights of a local tableau's rows as powers, X
+    blocks before Z blocks: row j of local raises the frame's old X rows
+    of its sites, then their Z rows, to local's exponents (x_j, z_j).
+    Cached by local's d, site count and codes, so an equal tableau held
+    in another array hits too and a changed one never reads stale
+    weights."""
+    key = (local.d, local.n, local.codes.tobytes())
+    hit = _WEIGHTS_CACHE.get(key)
+    if hit is None:
+        x, z = local._split(local.codes.astype(np.int64))
+        hit = kernels.product_weights(np.concatenate((x, z), axis=1))
+        if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_SIZE:
+            del _WEIGHTS_CACHE[next(iter(_WEIGHTS_CACHE))]
+        _WEIGHTS_CACHE[key] = hit
+    return hit
 
 
 def storage_dtype(d: int) -> np.dtype:
@@ -239,15 +274,6 @@ class Tableau:
         if not (self.codes.flags.writeable and self.phases.flags.writeable):
             raise ValueError("tableau is read-only")
 
-    def _product(self, rows, powers):
-        """kernels.ordered_product of the given rows, in that order, raised
-        to each row of the (m, len(rows)) stack `powers`. Only those rows'
-        codes are gathered; the product reads exponents only mod d, so the
-        codes x*d + z, congruent to z mod d, serve as the Z blocks."""
-        codes = self.codes[rows]
-        return kernels.ordered_product(codes // self.d, codes,
-                                       self.phases[rows], powers, self.d)
-
     def _rowprod(self, xpow, zpow):
         """Ordered row product with full phase tracking:
         prod_i row[n+i]**xpow[i] (ascending i), then prod_i row[i]**zpow[i]
@@ -258,8 +284,14 @@ class Tableau:
                                             np.asarray(zpow, dtype=np.int64)]),
                             0)
         used = np.flatnonzero(powers)
-        # xpow[i] -> row n+i, zpow[i] -> row i
-        x, z, ph = self._product((used + n) % (2 * n), powers[None, used])
+        # xpow[i] -> row n+i, zpow[i] -> row i; only those rows' codes are
+        # gathered, and the codes x*d + z, congruent to z mod d, serve as
+        # the Z blocks, since the product reads exponents only mod d
+        rows = (used + n) % (2 * n)
+        codes = self.codes[rows]
+        x, z, ph = kernels.ordered_product(codes // self.d, codes,
+                                           self.phases[rows],
+                                           powers[None, used], self.d)
         return x[0], z[0], int(ph[0])
 
     # -- gate updates --------------------------------------------------------
@@ -356,8 +388,9 @@ class Tableau:
         element B on those sites, and W B W^dagger is the matching row of
         `local` with its columns placed on `sites`. The 2m old rows of the
         sites, X rows before Z rows, are gathered once and raised to
-        `local`'s decoded exponents by the product the conjugations use,
-        then encoded back once; the other 2n - 2m rows are not read or
+        `local`'s decoded exponents by kernels.weighted_product, from the
+        product_weights cached for `local` (_absorption_weights), then
+        encoded back once; the other 2n - 2m rows are not read or
         touched, so a two-site W costs O(n). The sites may come in any
         order and at any distance. A local tableau of another d, a site
         count other than local.n, a repeated site, one outside [0, n) or a
@@ -379,9 +412,11 @@ class Tableau:
         # images (rows n+s) commute among themselves, as do the Z images
         targets = sites + [n + s for s in sites]
         rows = targets[len(sites):] + sites
-        c = local.codes  # a few codes: % costs less here than _split's two ops
-        x, z, ph = self._product(
-            rows, np.concatenate((c // d, c % d), axis=1, dtype=np.int64))
+        # the codes x*d + z, congruent to z mod d, serve as the Z blocks
+        codes = self.codes[rows].astype(np.int64)
+        x, z, ph = kernels.weighted_product(
+            codes // d, codes, self.phases[rows], _absorption_weights(local),
+            d)
         self.codes[targets] = x * d + z
         self.phases[targets] = (ph + local.phases) % (2 * d)
         return self

@@ -471,7 +471,7 @@ def sum_catalog(d):
 
 def scrambled_state(rng, n, d, cat2, cat3):
     """A fresh state whose frame holds a random Clifford word."""
-    cat = sum_catalog(d) if d == 5 else catalog_for(d, cat2, cat3)
+    cat = sum_catalog(d) if d >= 5 else catalog_for(d, cat2, cat3)
     st = new_state(n, d, cat)
     return st.apply_clifford_word(random_clifford_gates(rng, n, d, 6 * n))
 
@@ -491,12 +491,14 @@ def named_non_cliffords(d):
     return [gate_matrix(op, d) for op in ops]
 
 
-@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
 def test_commuted_sum_matches_per_term_conjugation(d, cat2, cat3):
-    """The sum built from one conjugation per generator equals the
-    per-term conjugate_inverse reference bit for bit, coefficients and
-    strings alike, for random non-diagonal unitaries and the named
-    non-Clifford gates, on every site of scrambled frames."""
+    """The sum built from one conjugation per generator and one ordered
+    product over their images equals the per-term conjugate_inverse
+    reference bit for bit, coefficients and strings alike, for random
+    non-diagonal unitaries and the named non-Clifford gates, on every site
+    of scrambled frames; a repeat, which the decomposition memo serves,
+    too."""
     rng = np.random.default_rng(60 + d)
     n = 7
     for _ in range(3):
@@ -504,9 +506,10 @@ def test_commuted_sum_matches_per_term_conjugation(d, cat2, cat3):
         us = [random_unitary(rng, d) for _ in range(2)] + named_non_cliffords(d)
         for site in range(n):
             for u in us:
-                got = st.commuted_sum(site, u)
                 want = commuted_sum_per_term(st.tableau, site, u)
-                assert sum_bits(got) == sum_bits(want)
+                for _ in range(2):
+                    got = st.commuted_sum(site, u)
+                    assert sum_bits(got) == sum_bits(want)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -941,12 +944,17 @@ def test_objectives_match_the_scalar_reference_bit_for_bit():
     s[1, 1:] = 0.0  # a product: rank 1
     s[2] = 0.0  # an all-zero row
     s[3, 4:] = 1e-14 * s[3, 0]  # below the cutoff
+    # with the all-zero row (masked) and without it (unmasked)
+    for rows in (s, np.delete(s, 2, axis=0)):
+        got = gcamps._objectives(rows, TruncationPolicy(cutoff=1e-12))
+        for row, (rank, entropy) in zip(rows, got):
+            want = objective_scalar(row, 1e-12)
+            assert rank == want[0]
+            assert (np.float64(entropy).tobytes()
+                    == np.float64(want[1]).tobytes())
     got = gcamps._objectives(s, TruncationPolicy(cutoff=1e-12))
-    for row, (rank, entropy) in zip(s, got):
-        want = objective_scalar(row, 1e-12)
-        assert rank == want[0]
-        assert np.float64(entropy).tobytes() == np.float64(want[1]).tobytes()
-    assert got[2] == (0, 0.0)
+    assert got[2] == (0, 0.0) and not np.signbit(got[2][1])
+    assert np.signbit(got[1][1])  # a product row reads -0.0, as -ln(1)
 
 
 @pytest.mark.parametrize("shape", ["width", "crossover", "chi_max"])

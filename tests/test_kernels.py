@@ -107,3 +107,41 @@ def test_ordered_product_reads_exponents_mod_d(d):
 
 def test_backend_reports_mode():
     assert kernels.backend() == "numpy"
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_weighted_product_matches_ordered_product_and_loop(d):
+    """The cached-weights form equals ordered_product bit for bit on random
+    rows, read as codes x*d + z too, and equals rowprod_loop when the rows
+    are a tableau's destabilizers then stabilizers."""
+    rng = np.random.default_rng(90 + d)
+    for _ in range(40):
+        n = int(rng.integers(1, 7))
+        xs, zs, phases = _random_rows(rng, n, d)
+        k = rng.integers(0, 2 * d, size=(int(rng.integers(1, 9)), 2 * n))
+        weights = kernels.product_weights(k)
+        want = kernels.ordered_product(xs, zs, phases, k, d)
+        for z_rows in (zs, xs * d + zs):
+            got = kernels.weighted_product(xs, z_rows, phases, weights, d)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b)
+        order = np.r_[n:2 * n, 0:n]  # rowprod_loop's row order
+        got = kernels.weighted_product(xs[order], zs[order], phases[order],
+                                       weights, d)
+        for j, powers in enumerate(k):
+            rx, rz, rp = rowprod_loop(xs, zs, phases, powers[:n], powers[n:], d)
+            assert np.array_equal(got[0][j], rx)
+            assert np.array_equal(got[1][j], rz)
+            assert got[2][j] == rp
+
+
+def test_product_weights_are_read_only_copies():
+    k = np.array([[1, 2, 0], [2, 2, 1]])
+    kk, w = kernels.product_weights(k)
+    assert kk.shape == (2, 3) and w.shape == (2, 9)
+    assert not kk.flags.writeable and not w.flags.writeable
+    k[0, 0] = 5  # the caller's stack is not aliased
+    assert kk[0, 0] == 1
+    # w[j, b*u + a]: 2 k_b k_a above the diagonal, k_a(k_a - 1) on it
+    assert w[1].reshape(3, 3).tolist() == [[2, 8, 4], [0, 2, 4], [0, 0, 0]]

@@ -822,3 +822,21 @@ def test_robust_svd_stack_matches_single_calls():
     assert got.shape == (7, 3)
     for m, s in zip(mats, got):
         assert np.array_equal(s, robust_svd(m, compute_uv=False))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (3, 9), (9, 27), (27, 81)])
+def test_truncated_svd_normalizes_as_linalg_norm(shape):
+    """The kept singular values are divided by sqrt(kept . kept), the bits
+    np.linalg.norm gives, and u, vh are the SVD's own leading columns."""
+    rng = np.random.default_rng(sum(shape))
+    chain = Mps.product_state(8, 3)
+    for _ in range(20):
+        mat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        mat[:, shape[1] // 2:] *= 1e-7
+        u, s, vh, err = chain._truncated_svd(mat, 4)
+        uu, ss, vv = robust_svd(mat)
+        k = len(s)
+        assert s.tobytes() == (ss[:k] / np.linalg.norm(ss[:k])).tobytes()
+        assert u.tobytes() == uu[:, :k].tobytes()
+        assert vh.tobytes() == vv[:k].tobytes()
+        assert err == float(ss[k:] @ ss[k:])

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from quditsim import pauli as pauli_module
 from quditsim.mps import Mps
 from quditsim.pauli import (
     PauliString,
@@ -330,6 +331,83 @@ def test_decompose_rejects_nonunitary():
 def test_decompose_rejects_bad_size():
     with pytest.raises(ValueError):
         decompose_unitary(np.eye(4), 3)
+
+
+def _sum_bits(ps):
+    """A PauliSum's terms as exact tuples: coefficient, exponents, phase."""
+    return [(complex(c).real.hex(), complex(c).imag.hex(), p.x.tobytes(),
+             p.z.tobytes(), p.phase) for c, p in ps.terms]
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(pauli_module, "_DECOMPOSE_MEMO", memo)
+    return memo
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (7, 1), (3, 2)])
+def test_decompose_memo_returns_equal_terms(d, k, empty_memo):
+    """A repeat call and an equal matrix held in another array (a
+    Fortran-ordered copy, a nested list) return the first call's terms bit
+    for bit, from one memo entry; so does a call after the memo is
+    cleared."""
+    rng = np.random.default_rng(40 + d + k)
+    u = random_unitary(rng, d ** k)
+    first = decompose_unitary(u, d)
+    assert len(empty_memo) == 1
+    for same in (u, np.asfortranarray(u), u.tolist()):
+        assert _sum_bits(decompose_unitary(same, d)) == _sum_bits(first)
+    assert len(empty_memo) == 1
+    empty_memo.clear()
+    assert _sum_bits(decompose_unitary(u, d)) == _sum_bits(first)
+
+
+def test_decompose_memo_is_not_aliased_by_a_returned_sum(empty_memo):
+    """Changing a returned sum, its term list, a string's phase or (which
+    raises) its exponents, leaves a later call's terms as they were."""
+    u = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1])))
+    want = _sum_bits(decompose_unitary(u, 3))
+    ps = decompose_unitary(u, 3)
+    c, p = ps.terms[1]
+    with pytest.raises(ValueError):
+        p.z[0] = 0
+    with pytest.raises(ValueError):
+        p.x.setflags(write=True)
+    p.phase = 1
+    ps.terms[0] = (2.0, p)
+    ps.terms.append((c, p))
+    assert _sum_bits(decompose_unitary(u, 3)) == want
+    again = decompose_unitary(u, 3)
+    assert again.terms is not ps.terms
+    assert all(a is not b for (_, a), (_, b) in zip(again.terms, ps.terms))
+
+
+@pytest.mark.parametrize("bad", [np.ones((3, 3)), np.diag([1.0, 1.0, 1.1]),
+                                 np.full((3, 3), np.nan),
+                                 np.diag([1.0, np.inf, 1.0])],
+                         ids=["rank-one", "scaled", "nan", "inf"])
+def test_decompose_memo_never_stores_a_rejected_operator(bad, empty_memo):
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            decompose_unitary(bad, 3)
+    assert not empty_memo
+
+
+def test_decompose_memo_is_bounded(monkeypatch, empty_memo):
+    """At most _MEMO_SIZE operators, the oldest dropped first, and none
+    above _MEMO_MATRIX_BYTES."""
+    monkeypatch.setattr(pauli_module, "_MEMO_SIZE", 4)
+    rng = np.random.default_rng(8)
+    us = [random_unitary(rng, 3) for _ in range(7)]
+    for u in us:
+        decompose_unitary(u, 3)
+        assert len(empty_memo) <= 4
+    assert [key[1] for key in empty_memo] == [u.tobytes() for u in us[3:]]
+    big = random_unitary(rng, 121)  # two sites at d = 11: 234 KB
+    assert big.nbytes > pauli_module._MEMO_MATRIX_BYTES
+    decompose_unitary(big, 11)
+    assert len(empty_memo) == 4 and (11, big.tobytes()) not in empty_memo
 
 
 def test_pauli_sum_merges_phase_and_duplicates():

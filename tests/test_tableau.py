@@ -453,25 +453,39 @@ def test_right_multiply_far_apart_sites():
     assert t.right_multiply(*local_frame(word, 3)) == want
 
 
-@pytest.mark.parametrize("d", DS)
-@pytest.mark.parametrize("sites", [(5, 4, 3), (6, 1, 3), (8, 0), (0, 8)],
-                         ids=["descending", "shuffled", "far", "far-ascending"])
+@pytest.mark.parametrize("d", [*DS, 7])
+@pytest.mark.parametrize("sites", [(5, 4, 3), (6, 1, 3), (8, 0), (0, 8), (2,)],
+                         ids=["descending", "shuffled", "far", "far-ascending",
+                              "one-site"])
 def test_right_multiply_any_site_order_matches_full_construction(sites, d):
     """A local tableau placed on sites in any order and at any distance
     equals the full construction on the word mapped to those sites, bit
-    for bit, phases included."""
+    for bit, phases included, on a first call and on a second one that
+    reads the cached absorption weights; every changed row is rowprod_loop
+    of the old rows raised to the matching row of the local tableau."""
     rng = np.random.default_rng(500 + 11 * d + sum(sites))
-    m = len(sites)
-    t, _ = random_tableau(rng, 9, d, 60)
+    n, m = 9, len(sites)
+    t, _ = random_tableau(rng, n, d, 60)
     local_word = random_clifford_word(m, d, length=12, rng_seed=d + m)
-    local_word += [gate("SWAP", 0, m - 1), gate("Hdg", m - 1),
-                   gate("SUMdg", m - 1, 0), gate("X", 0), gate("Z", m - 1)]
+    if m > 1:
+        local_word += [gate("SWAP", 0, m - 1), gate("Hdg", m - 1),
+                       gate("SUMdg", m - 1, 0), gate("X", 0), gate("Z", m - 1)]
     local = identity_tableau(m, d).apply_word(local_word)
     mapped = [GateOp(g.name, tuple(sites[s] for s in g.sites))
               for g in local_word]
-    want = right_multiply_full(t, mapped)
-    assert_bit_identical(t.right_multiply(local, sites), want)
-    assert t.symplectic_ok()
+    for _ in range(2):
+        old = t.copy()
+        want = right_multiply_full(t, mapped)
+        assert_bit_identical(t.right_multiply(local, sites), want)
+        assert t.symplectic_ok()
+        for j in range(2 * m):
+            row = local.row(j)
+            xpow = np.zeros(n, dtype=np.int64)
+            zpow = np.zeros(n, dtype=np.int64)
+            xpow[list(sites)], zpow[list(sites)] = row.x, row.z
+            x, z, ph = rowprod_loop(old.xs, old.zs, old.phases, xpow, zpow, d)
+            r = sites[j % m] + (n if j >= m else 0)
+            assert t.row(r) == PauliString(d, x, z, ph + row.phase)
 
 
 @pytest.mark.parametrize("local_d, sites", [
@@ -493,6 +507,27 @@ def test_right_multiply_rejects_out_of_range():
     t = identity_tableau(3, 3)
     with pytest.raises(ValueError):
         t.right_multiply(*local_frame([gate("SUM", 1, 3)], 3))
+
+
+def test_absorption_cache_is_bounded_and_read_only(monkeypatch):
+    """Past its size the cache drops its oldest entry, every entry is
+    read-only, and a dropped or evicted frame still composes exactly."""
+    monkeypatch.setattr(tableau, "_WEIGHTS_CACHE", {})
+    monkeypatch.setattr(tableau, "_WEIGHTS_CACHE_SIZE", 3)
+    rng = np.random.default_rng(77)
+    t, _ = random_tableau(rng, 5, 3, 30)
+    words = [[gate("H", 0)], [gate("S", 1)], [gate("SUM", 0, 1)],
+             [gate("SUMdg", 1, 0)], [gate("SWAP", 0, 1)], [gate("H", 0)]]
+    for word in words:
+        local = identity_tableau(2, 3).apply_word(word)
+        want = right_multiply_full(t, [GateOp(g.name, tuple(
+            (3, 1)[s] for s in g.sites)) for g in word])
+        assert t.right_multiply(local, (3, 1)) == want
+        assert len(tableau._WEIGHTS_CACHE) <= 3
+    for k, w in tableau._WEIGHTS_CACHE.values():
+        assert not k.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0, 0] = 1
 
 
 # -- invariants ---------------------------------------------------------------------
