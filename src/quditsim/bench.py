@@ -183,6 +183,9 @@ def bench_tdoped(d, sites, layers, shots, seed, backends=("gcamps", "mps"),
     for b in backends:
         if b not in BACKENDS:
             raise ValueError(f"unknown backend {b!r}")
+    for name, value in (("sites", sites), ("shots", shots)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     if block_len is None:
         block_len = 2 * sites
 

@@ -151,6 +151,8 @@ def _pool_gate(p: int, n: int) -> GateOp:
 
 def _sample_word(rng, n: int, length: int) -> list:
     """`length` i.i.d. draws from the pool of _pool_gate."""
+    if n < 1:
+        raise ValueError(f"site count n must be >= 1, got {n}")
     picks = rng.integers(0, 2 * n + n * (n - 1), size=int(length)).tolist()
     return [_pool_gate(p, n) for p in picks]
 

@@ -23,6 +23,8 @@ integrity check for saved catalog files.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .gates import GateOp, gate_matrix, invert_word, swap_legs
@@ -349,9 +351,6 @@ class DisentanglerCatalog:
         self.d = QuditDim(d)
         self.group_order = int(group_order)
         self.entries = tuple(entries)
-        self._unitaries = None
-        self._entangling = None
-        self._absorptions = None
 
     @property
     def n_entries(self) -> int:
@@ -366,53 +365,50 @@ class DisentanglerCatalog:
             and self.entries == other.entries
         )
 
-    def unitaries(self):
-        """Dense d^2 x d^2 unitaries of every entry word, cached."""
-        if self._unitaries is None:
-            self._unitaries = tuple(
-                two_site_word_unitary(e.word, self.d) for e in self.entries
-            )
-        return self._unitaries
+    @cached_property
+    def _tables(self):
+        """(unitaries, (entangling indices, their stack), absorptions),
+        built in one pass over the entries on the first call of any of
+        their accessors, every array read-only.
+
+        The engine absorbs a scored candidate without looking at its
+        unitary again, so the build admits every entry's unitary, the
+        local class's included, through checked_unitary in one call: it
+        raises ValueError when any of them has a non-finite entry or is
+        not unitary."""
+        d = self.d
+        us = np.array([two_site_word_unitary(e.word, d) for e in self.entries],
+                      dtype=np.complex128).reshape(-1, d * d, d * d)
+        us = checked_unitary(us, d, 2)
+        idx = np.flatnonzero([e.entangling for e in self.entries])
+        stack = us[idx]
+        absorptions = []
+        for e in self.entries:
+            word = tuple(invert_word(e.word, d))
+            frame = identity_tableau(2, d).apply_word(word)
+            frame.codes.setflags(write=False)
+            frame.phases.setflags(write=False)
+            absorptions.append((word, frame))
+        for a in (us, idx, stack):
+            a.setflags(write=False)
+        return us, (idx, stack), tuple(absorptions)
+
+    def unitaries(self) -> np.ndarray:
+        """Dense d^2 x d^2 unitaries of every entry word, stacked in entry
+        order as a read-only (n_entries, d^2, d^2) array."""
+        return self._tables[0]
+
+    def entangling_stack(self):
+        """Catalog indices of the entangling entries, ascending, and their
+        unitaries stacked in that order as an (m, d^2, d^2) array, both
+        read-only."""
+        return self._tables[1]
 
     def absorptions(self):
         """Per entry, the inverse of its word over sites (0, 1), in
         application order, and that inverse's read-only two-site tableau,
-        which Tableau.right_multiply composes into a frame; built on first
-        use and cached."""
-        if self._absorptions is None:
-            out = []
-            for e in self.entries:
-                word = tuple(invert_word(e.word, self.d))
-                frame = identity_tableau(2, self.d).apply_word(word)
-                for a in (frame.codes, frame.phases):
-                    a.setflags(write=False)
-                out.append((word, frame))
-            self._absorptions = tuple(out)
-        return self._absorptions
-
-    def entangling_stack(self):
-        """Catalog indices of the entangling entries, ascending, and their
-        unitaries stacked in that order as an (m, d^2, d^2) array; built on
-        first use, cached and read-only.
-
-        The engine absorbs a scored candidate without looking at its
-        unitary again, so the build admits the whole stack through
-        checked_unitary in one call: it raises ValueError when any stacked
-        matrix has a non-finite entry or is not unitary.
-        """
-        if self._entangling is None:
-            us = self.unitaries()
-            idx = np.array(
-                [k for k, e in enumerate(self.entries) if e.entangling],
-                dtype=np.intp,
-            )
-            dd = int(self.d) ** 2
-            stack = np.array([us[k] for k in idx], dtype=np.complex128)
-            stack = checked_unitary(stack.reshape(len(idx), dd, dd), self.d, 2)
-            idx.setflags(write=False)
-            stack.setflags(write=False)
-            self._entangling = (idx, stack)
-        return self._entangling
+        which Tableau.right_multiply composes into a frame."""
+        return self._tables[2]
 
 
 def two_site_word_unitary(word, d: int) -> np.ndarray:

@@ -344,8 +344,7 @@ class GcampsState:
         The winner is absorbed from the pair tensor it was scored on: that
         row of the batch's product is split at bond i by Mps.split_pair,
         with no second contraction and no second look at the catalog
-        unitary, which DisentanglerCatalog.entangling_stack checked when
-        it was built.
+        unitary, which the catalog admitted when it built its tables.
         """
         mps = self.mps
         d = self.d

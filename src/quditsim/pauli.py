@@ -22,26 +22,29 @@ The package's input rules live here: checked_unitary admits operators, and
 check_dense_size guards every dense d**n vector or matrix before allocation.
 
 decompose_unitary memoizes the Pauli expansion of each small operator it
-admits, keyed by d and the operator's bytes, in a bounded memo: the hybrid
-engine expands the same T matrix at every non-Clifford step. Only admitted
-operators are stored, and every call returns a fresh PauliSum of fresh
-strings whose exponent arrays are read-only views, so no caller can change
-what a later call returns.
+admits, keyed by d, its site count and the operator's bytes, in a bounded
+functools.lru_cache: the hybrid engine expands the same T matrix at every
+non-Clifford step. Only admitted operators are stored, and every call
+returns a fresh PauliSum of fresh strings whose exponent arrays are
+read-only views, so no caller can change what a later call returns.
+
+String products, powers and adjoints go through kernels.ordered_product,
+which owns the phase rule of a row product.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
+
+from . import kernels
 
 DENSE_DIM_GUARD = 2 ** 14
 COEFF_DROP_TOL = 1e-14
 UNITARY_TOL = 1e-10
 
-# (d, bytes of an admitted operator as C-ordered complex128) -> its Pauli
-# terms as (coefficient, read-only x, read-only z); at most _MEMO_SIZE
-# operators of at most _MEMO_MATRIX_BYTES each, the oldest dropped first
-_DECOMPOSE_MEMO: dict = {}
-_MEMO_SIZE = 64
+# decompose_unitary memoizes operators of at most this many bytes
 _MEMO_MATRIX_BYTES = 1 << 14
 
 
@@ -74,6 +77,8 @@ def phase_factor(k, d: int):
 def check_dense_size(d: int, n: int, max_dim: int | None = None) -> int:
     """d**n, or ValueError past max_dim (default DENSE_DIM_GUARD): the one
     dense-size guard, which callers run before they allocate."""
+    if int(n) < 0:
+        raise ValueError(f"site count must be >= 0, got {n}")
     limit = DENSE_DIM_GUARD if max_dim is None else int(max_dim)
     dim = int(d) ** int(n)
     if dim > limit:
@@ -169,32 +174,32 @@ class PauliString:
         if self.d != other.d or self.n_sites != other.n_sites:
             raise ValueError("operands differ in qudit dimension or site count")
 
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        """Product self * other in canonical order.
+    def _product(self, x, z, phases, k) -> "PauliString":
+        """kernels.ordered_product of the rows x, z, phases to powers k."""
+        x, z, ph = kernels.ordered_product(x, z, phases, [k], self.d)
+        return PauliString._unchecked(self.d, x[0], z[0], int(ph[0]))
 
-        Moving other's X block through self's Z block contributes
-        omega**(sum z_a * x_b), i.e. 2*sum(z_a*x_b) tau units.
-        """
+    def __mul__(self, other: "PauliString") -> "PauliString":
+        """Product self * other in canonical order: moving other's X block
+        through self's Z block costs omega**(z_self . x_other)."""
         self._check_compatible(other)
-        d = self.d
-        ph = (self.phase + other.phase + 2 * int(self.z @ other.x)) % (2 * d)
-        return PauliString(d, (self.x + other.x) % d, (self.z + other.z) % d, ph)
+        return self._product([self.x, other.x], [self.z, other.z],
+                             [self.phase, other.phase], [1, 1])
 
     def power(self, k: int) -> "PauliString":
-        """self**k for k >= 0 in closed form: exponents k*x, k*z and phase
-        k*phase + k(k-1) z.x, since the j-th copy moves its X block past
-        the Z block j*z of the copies before it (see __mul__)."""
+        """self**k for k >= 0: the j-th copy moves its X block past the Z
+        block of the copies before it."""
         k = int(k)
         if k < 0:
             raise ValueError("negative powers not supported; use dagger()")
-        return PauliString(self.d, k * self.x, k * self.z,
-                           k * self.phase + k * (k - 1) * int(self.z @ self.x))
+        return self._product([self.x], [self.z], [self.phase], [k])
 
     def dagger(self) -> "PauliString":
-        """Hermitian adjoint: reorders Z**-z X**-x back to canonical form."""
-        d = self.d
-        ph = (-self.phase + 2 * int(self.z @ self.x)) % (2 * d)
-        return PauliString(d, -self.x % d, -self.z % d, ph)
+        """Hermitian adjoint: the product of the rows tau**-phase Z**-z
+        and X**-x, in canonical form."""
+        zero = np.zeros_like(self.x)
+        return self._product([zero, -self.x], [-self.z, zero],
+                             [-self.phase, 0], [1, 1])
 
     # -- realization and serialization --------------------------------------
 
@@ -294,13 +299,14 @@ def decompose_unitary(u, d: int) -> PauliSum:
     u to 1e-12 before returning.
 
     The expansion of an admitted operator of at most _MEMO_MATRIX_BYTES is
-    memoized, keyed by d and the bytes of u as C-ordered complex128: an
-    engine expands the same T matrix at every step, and an equal matrix
-    held in another array hits too. A memoized operator is admitted
-    already, so a hit skips the checks and the transform; an operator that
-    fails them raises on every call and is never stored. Each call returns
-    a fresh PauliSum of fresh strings over read-only exponent views, so a
-    caller that changes a returned sum cannot reach the memo.
+    memoized by _memo_terms's lru_cache, keyed by d, k and the bytes of u
+    as C-ordered complex128: an engine expands the same T matrix at every
+    step, and an equal matrix held in another array hits too. A memoized
+    operator is admitted already, so a hit skips the checks and the
+    transform; an operator that fails them raises on every call and is
+    never stored. Each call returns a fresh PauliSum of fresh strings over
+    read-only exponent views, so a caller that changes a returned sum
+    cannot reach the memo.
 
     Args:
         u: dense d**k x d**k unitary, k in {1, 2}, admitted by
@@ -315,19 +321,21 @@ def decompose_unitary(u, d: int) -> PauliSum:
     if k is None:
         raise ValueError("operator must be d x d or d^2 x d^2")
     u = np.asarray(u, dtype=np.complex128)
-    key = (d, u.tobytes()) if u.nbytes <= _MEMO_MATRIX_BYTES else None
-    terms = _DECOMPOSE_MEMO.get(key)
-    if terms is None:
-        terms = _pauli_terms(u, d, k)
-        if key is not None:
-            if len(_DECOMPOSE_MEMO) >= _MEMO_SIZE:
-                del _DECOMPOSE_MEMO[next(iter(_DECOMPOSE_MEMO))]
-            _DECOMPOSE_MEMO[key] = terms
+    terms = (_memo_terms(d, k, u.tobytes()) if u.nbytes <= _MEMO_MATRIX_BYTES
+             else _pauli_terms(u, d, k))
     out = PauliSum.__new__(PauliSum)
     out.d, out.n_sites = d, k
     out.terms = [(c, PauliString._unchecked(d, x.view(), z.view()))
                  for c, x, z in terms]
     return out
+
+
+@lru_cache(maxsize=64)
+def _memo_terms(d: int, k: int, data: bytes):
+    """_pauli_terms of the d**k x d**k operator whose C-ordered complex128
+    bytes are data, memoized for the 64 operators used last."""
+    return _pauli_terms(np.frombuffer(data, dtype=np.complex128).reshape(
+        d ** k, d ** k), d, k)
 
 
 def _pauli_terms(u, d: int, k: int):

@@ -41,11 +41,11 @@ A right-multiplication by an m-site local tableau (an absorbed
 disentangler) raises the 2m old rows of its sites to the local tableau's
 exponents. The part of that product that depends on the local tableau
 alone, its exponents as powers and the phase rule's bilinear weights, is
-kernels.product_weights, cached read-only once per local tableau (keyed by
-d, m and its codes, at most _WEIGHTS_CACHE_SIZE entries); each absorption
-then hands the gathered rows and the cached weights to
-kernels.weighted_product, a few matmuls. The phase rule itself lives in
-kernels only.
+kernels.product_weights, memoized read-only once per local tableau by
+_absorption_weights's lru_cache (keyed by d, m and its codes, at most 1024
+entries); each absorption then hands the gathered rows and the cached
+weights to kernels.weighted_product, a few matmuls. The phase rule itself
+lives in kernels only.
 
 A tableau whose codes or phases are read-only (the catalog's cached
 frames) refuses every in-place update with ValueError before anything
@@ -54,6 +54,7 @@ changes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -66,16 +67,6 @@ from .pauli import PauliString, QuditDim, decompose_unitary, phase_factor
 # working copy of apply_word's row block here, and the disentangler's
 # batches of candidate pair tensors in gcamps
 WORKING_SET_BYTES = 1 << 20
-
-# (name, d) -> read-only code/phase lookup arrays, built lazily
-_IMAGE_CACHE: dict = {}
-
-# (d, m, codes of an m-site local tableau) -> read-only
-# kernels.product_weights of its decoded exponents, the powers
-# right_multiply raises a frame's 2m rows to; the oldest entry goes first
-# past _WEIGHTS_CACHE_SIZE, which holds every entry of a d <= 5 catalog
-_WEIGHTS_CACHE: dict = {}
-_WEIGHTS_CACHE_SIZE = 1024
 
 
 def _generator_images(name: str, d: int):
@@ -109,6 +100,7 @@ def _generator_images(name: str, d: int):
     return images
 
 
+@lru_cache(maxsize=None)
 def _image_tables(name: str, d: int):
     """(codes, phase) lookup tables for a Clifford gate on k sites.
 
@@ -119,10 +111,6 @@ def _image_tables(name: str, d: int):
     images' powers, so the phase column is exact by construction; the
     arrays are read-only.
     """
-    key = (name, d)
-    hit = _IMAGE_CACHE.get(key)
-    if hit is not None:
-        return hit
     if name in NON_CLIFFORD_NAMES:
         raise ValueError(f"{name} is not a Clifford gate")
     images = _generator_images(name, d)
@@ -133,29 +121,22 @@ def _image_tables(name: str, d: int):
         [p.x for p in images], [p.z for p in images],
         [p.phase for p in images], exps, d)
     codes = np.ascontiguousarray((x * d + z).T)
-    out = (codes, phase)
-    for a in out:
+    for a in (codes, phase):
         a.setflags(write=False)
-    _IMAGE_CACHE[key] = out
-    return out
+    return codes, phase
 
 
-def _absorption_weights(local: "Tableau"):
-    """kernels.product_weights of a local tableau's rows as powers, X
-    blocks before Z blocks: row j of local raises the frame's old X rows
-    of its sites, then their Z rows, to local's exponents (x_j, z_j).
-    Cached by local's d, site count and codes, so an equal tableau held
-    in another array hits too and a changed one never reads stale
-    weights."""
-    key = (local.d, local.n, local.codes.tobytes())
-    hit = _WEIGHTS_CACHE.get(key)
-    if hit is None:
-        x, z = local._split(local.codes.astype(np.int64))
-        hit = kernels.product_weights(np.concatenate((x, z), axis=1))
-        if len(_WEIGHTS_CACHE) >= _WEIGHTS_CACHE_SIZE:
-            del _WEIGHTS_CACHE[next(iter(_WEIGHTS_CACHE))]
-        _WEIGHTS_CACHE[key] = hit
-    return hit
+@lru_cache(maxsize=1024)
+def _absorption_weights(d: int, m: int, codes: bytes):
+    """kernels.product_weights of the rows of the m-site local tableau
+    whose code_dtype(d) codes are `codes`, as powers, X blocks before Z
+    blocks: row j raises the frame's old X rows of the sites, then their Z
+    rows, to the local tableau's exponents (x_j, z_j). Keyed by the codes'
+    bytes, so an equal tableau held in another array hits too and a
+    changed one never reads stale weights; 1024 entries hold every frame
+    of a d <= 5 catalog."""
+    c = np.frombuffer(codes, dtype=code_dtype(d)).reshape(2 * m, m)
+    return kernels.product_weights(np.concatenate(np.divmod(c, d), axis=1))
 
 
 def storage_dtype(d: int) -> np.dtype:
@@ -389,7 +370,7 @@ class Tableau:
         `local` with its columns placed on `sites`. The 2m old rows of the
         sites, X rows before Z rows, are gathered once and raised to
         `local`'s decoded exponents by kernels.weighted_product, from the
-        product_weights cached for `local` (_absorption_weights), then
+        product_weights memoized for `local` (_absorption_weights), then
         encoded back once; the other 2n - 2m rows are not read or
         touched, so a two-site W costs O(n). The sites may come in any
         order and at any distance. A local tableau of another d, a site
@@ -415,8 +396,8 @@ class Tableau:
         # the codes x*d + z, congruent to z mod d, serve as the Z blocks
         codes = self.codes[rows].astype(np.int64)
         x, z, ph = kernels.weighted_product(
-            codes // d, codes, self.phases[rows], _absorption_weights(local),
-            d)
+            codes // d, codes, self.phases[rows],
+            _absorption_weights(d, local.n, local.codes.tobytes()), d)
         self.codes[targets] = x * d + z
         self.phases[targets] = (ph + local.phases) % (2 * d)
         return self

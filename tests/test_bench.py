@@ -233,6 +233,17 @@ def test_bench_tdoped_rejects_unknown_backend():
         bench_tdoped(2, 4, 2, shots=1, seed=0, backends=("gcamps", "qft"))
 
 
+@pytest.mark.parametrize("sites, shots, want", [
+    (0, 1, "sites must be >= 1, got 0"), (-1, 1, "sites must be >= 1, got -1"),
+    (3, 0, "shots must be >= 1, got 0"), (3, -2, "shots must be >= 1, got -2"),
+])
+def test_bench_tdoped_refuses_a_count_below_one(sites, shots, want):
+    """Zero or negative shots used to return no rows at all, and zero sites
+    failed on the default block length, an argument nobody gave."""
+    with pytest.raises(ValueError, match=f"^{want}$"):
+        bench_tdoped(2, sites, 1, shots=shots, seed=0)
+
+
 def test_bench_tdoped_accepts_preloaded_catalog():
     from quditsim.disentanglers import generate_catalog
 

@@ -262,6 +262,16 @@ def test_random_word_rejects_zero_length():
         random_clifford_word(3, 2, length=0)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_random_words_refuse_a_site_count_below_one(n):
+    """An empty pool used to reach numpy's integers(0, 0)."""
+    want = f"^site count n must be >= 1, got {n}$"
+    with pytest.raises(ValueError, match=want):
+        random_clifford_word(n, 3, 5)
+    with pytest.raises(ValueError, match=want):
+        t_doped_circuit(n, 3, 1, block_len=5)
+
+
 def test_t_doped_structure():
     c = t_doped_circuit(3, 3, layers=3, rng_seed=11, block_len=7)
     t_ops = [op for op in c.ops if op.name == "T"]

@@ -150,6 +150,21 @@ def test_bench_tdoped_negative_block_len_exits_2(tmp_path, capsys):
     assert "error: block_len must be >= 1, got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("--shots", "-2"),
+                                           ("--sites", "0")])
+def test_bench_tdoped_count_below_one_exits_2(option, value, tmp_path,
+                                              capsys):
+    """A count below one names its own option and writes no file."""
+    args = {"--sites": "2", "--shots": "1"} | {option: value}
+    out = tmp_path / "x.csv"
+    code = main(["bench-tdoped", "--d", "3", "--layers", "1",
+                 "--out", str(out), *(a for kv in args.items() for a in kv)])
+    assert code == 2
+    want = f"error: {option[2:]} must be >= 1, got {value}"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_statevector_guard_exits_2(tmp_path, capsys):
     big = tmp_path / "big.txt"
     big.write_text(emit(t_doped_circuit(12, 3, layers=1, rng_seed=0,

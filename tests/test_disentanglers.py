@@ -438,14 +438,14 @@ def test_product_input_entanglement_characterizes_classes(catalog2):
 def test_unitaries_are_cached_and_unitary(catalog2):
     us = catalog2.unitaries()
     assert us is catalog2.unitaries()
-    assert len(us) == catalog2.n_entries
+    assert us.shape == (catalog2.n_entries, 4, 4) and not us.flags.writeable
     for u in us:
         np.testing.assert_allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
 
 
 def test_entangling_stack_is_lazy_cached_and_in_catalog_order():
     cat = generate_catalog(2)
-    assert cat._entangling is None  # generation does not build it
+    assert "_tables" not in vars(cat)  # generation does not build it
     idx, stack = cat.entangling_stack()
     again = cat.entangling_stack()
     assert again[0] is idx and again[1] is stack
@@ -477,6 +477,65 @@ def test_entangling_stack_rejects_a_bad_unitary(bad, catalog2, monkeypatch):
                               catalog2.entries)
     with pytest.raises(ValueError, match="non-finite|unitarity"):
         cat.entangling_stack()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "scaled"])
+def test_catalog_build_refuses_a_bad_local_class_unitary(bad, catalog2,
+                                                         monkeypatch):
+    """The local class never enters the entangling stack, yet its unitary
+    is admitted with the others, so a corrupted one raises from every
+    accessor, and a later call raises again."""
+    victim = next(e.word for e in catalog2.entries if not e.entangling)
+    honest = disentanglers.two_site_word_unitary
+
+    def corrupt(word, d):
+        u = honest(word, d)
+        if word != victim:
+            return u
+        if bad == "scaled":
+            return u * (1 + 1e-9)
+        u[0, 0] = float(bad)
+        return u
+
+    monkeypatch.setattr(disentanglers, "two_site_word_unitary", corrupt)
+    cat = DisentanglerCatalog(catalog2.d, catalog2.group_order,
+                              catalog2.entries)
+    for call in (cat.unitaries, cat.entangling_stack, cat.absorptions):
+        with pytest.raises(ValueError, match="non-finite|unitarity"):
+            call()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unitaries_alone_builds_every_table(d, monkeypatch):
+    """After generate_catalog(d).unitaries(), the entangling stack and the
+    absorptions are built, read-only and equal to a build entry by entry:
+    asking for them calls neither the unitary nor the tableau builder."""
+    cat = generate_catalog(d)
+    us = cat.unitaries()
+    assert "_tables" in vars(cat)
+
+    def refuse(*args):
+        raise AssertionError("a table was built after unitaries()")
+
+    monkeypatch.setattr(disentanglers, "two_site_word_unitary", refuse)
+    monkeypatch.setattr(disentanglers, "identity_tableau", refuse)
+    idx, stack = cat.entangling_stack()
+    absorptions = cat.absorptions()
+    monkeypatch.undo()
+    want = [k for k, e in enumerate(cat.entries) if e.entangling]
+    assert idx.tolist() == want
+    assert np.array_equal(stack, [two_site_word_unitary(cat.entries[k].word, d)
+                                  for k in want])
+    assert np.array_equal(us, [two_site_word_unitary(e.word, d)
+                               for e in cat.entries])
+    for a in (us, idx, stack):
+        assert not a.flags.writeable
+    assert len(absorptions) == cat.n_entries
+    for e, (word, frame) in zip(cat.entries, absorptions):
+        assert word == tuple(invert_word(e.word, d))
+        assert frame == identity_tableau(2, d).apply_word(word)
+        assert not frame.codes.flags.writeable
+        assert not frame.phases.flags.writeable
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -692,7 +751,7 @@ def test_load_rejects_a_local_image_of_another_entry(tmp_path, catalog3):
 @pytest.mark.parametrize("d", [2, 3])
 def test_inverse_words_are_cached_entry_inverses(d):
     cat = generate_catalog(d)
-    assert cat._absorptions is None  # not built with the catalog
+    assert "_tables" not in vars(cat)  # not built with the catalog
     absorptions = cat.absorptions()
     assert cat.absorptions() is absorptions
     assert isinstance(absorptions, tuple) and len(absorptions) == cat.n_entries

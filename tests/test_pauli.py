@@ -1,6 +1,7 @@
 """Pauli algebra against an independently built dense oracle."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,36 @@ def test_power_matches_repeated_multiplication(d):
         p.power(-1)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7])
+def test_products_powers_and_adjoints_match_the_closed_forms(d):
+    """__mul__, power and dagger go through kernels.ordered_product and
+    keep the closed forms' integers bit for bit: the product's phase
+    ph_a + ph_b + 2 z_a . x_b, the k-th power's k ph + k(k - 1) z . x and
+    the adjoint's -ph + 2 z . x, all mod 2d, for powers 0..2d."""
+    rng = np.random.default_rng(70 + d)
+    for _ in range(12):
+        n = int(rng.integers(1, 6))
+        x, z, ph = random_pauli_exponents(rng, d, n)
+        x2, z2, ph2 = random_pauli_exponents(rng, d, n)
+        p, q = PauliString(d, x, z, ph), PauliString(d, x2, z2, ph2)
+        prod = p * q
+        assert np.array_equal(prod.x, (x + x2) % d)
+        assert np.array_equal(prod.z, (z + z2) % d)
+        assert prod.phase == (ph + ph2 + 2 * int(z @ x2)) % (2 * d)
+        for k in range(2 * d + 1):
+            pk = p.power(k)
+            assert np.array_equal(pk.x, k * x % d)
+            assert np.array_equal(pk.z, k * z % d)
+            assert pk.phase == (k * ph + k * (k - 1) * int(z @ x)) % (2 * d)
+        adj = p.dagger()
+        assert np.array_equal(adj.x, -x % d)
+        assert np.array_equal(adj.z, -z % d)
+        assert adj.phase == (-ph + 2 * int(z @ x)) % (2 * d)
+        for r in (prod, pk, adj):
+            assert r.x.dtype == r.z.dtype == np.int64
+            assert type(r.phase) is int
+
+
 def test_commutation_defining_relation():
     z = PauliString.single(3, 1, 0, z=1)
     x = PauliString.single(3, 1, 0, x=1)
@@ -156,6 +187,18 @@ def test_to_matrix_size_guard():
     p = PauliString.identity(2, 15)
     with pytest.raises(ValueError):
         p.to_matrix()
+
+
+def test_dense_size_refuses_a_negative_site_count():
+    """d**-1 used to pass the guard as 1/3 and reach numpy, which raised
+    TypeError; zero sites still make a 1 x 1 matrix."""
+    with pytest.raises(ValueError, match="site count must be >= 0, got -1"):
+        pauli_module.check_dense_size(3, -1)
+    with pytest.raises(ValueError, match="site count"):
+        DenseState(3, -1)
+    assert pauli_module.check_dense_size(3, 0) == 1
+    assert np.array_equal(PauliString(3, [], [], 2).to_matrix(),
+                          [[phase_factor(2, 3)]])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan),
@@ -208,8 +251,14 @@ def _guarded_call(site):
 def test_every_dense_site_raises_the_one_guard(site):
     subject, call = _guarded_call(site)
     before = pickle.dumps(subject)
-    with pytest.raises(ValueError, match=GUARD_MESSAGE):
-        call()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=GUARD_MESSAGE):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # nothing of the guarded size was formed
     assert pickle.dumps(subject) == before
 
 
@@ -340,14 +389,16 @@ def _sum_bits(ps):
 
 
 @pytest.fixture
-def empty_memo(monkeypatch):
-    memo = {}
-    monkeypatch.setattr(pauli_module, "_DECOMPOSE_MEMO", memo)
-    return memo
+def memo():
+    """decompose_unitary's lru_cache, empty at the start and the end."""
+    cached = pauli_module._memo_terms
+    cached.cache_clear()
+    yield cached
+    cached.cache_clear()
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (7, 1), (3, 2)])
-def test_decompose_memo_returns_equal_terms(d, k, empty_memo):
+def test_decompose_memo_returns_equal_terms(d, k, memo):
     """A repeat call and an equal matrix held in another array (a
     Fortran-ordered copy, a nested list) return the first call's terms bit
     for bit, from one memo entry; so does a call after the memo is
@@ -355,15 +406,15 @@ def test_decompose_memo_returns_equal_terms(d, k, empty_memo):
     rng = np.random.default_rng(40 + d + k)
     u = random_unitary(rng, d ** k)
     first = decompose_unitary(u, d)
-    assert len(empty_memo) == 1
+    assert memo.cache_info()[:4] == (0, 1, 64, 1)  # hits, misses, max, size
     for same in (u, np.asfortranarray(u), u.tolist()):
         assert _sum_bits(decompose_unitary(same, d)) == _sum_bits(first)
-    assert len(empty_memo) == 1
-    empty_memo.clear()
+    assert memo.cache_info()[:4] == (3, 1, 64, 1)
+    memo.cache_clear()
     assert _sum_bits(decompose_unitary(u, d)) == _sum_bits(first)
 
 
-def test_decompose_memo_is_not_aliased_by_a_returned_sum(empty_memo):
+def test_decompose_memo_is_not_aliased_by_a_returned_sum(memo):
     """Changing a returned sum, its term list, a string's phase or (which
     raises) its exponents, leaves a later call's terms as they were."""
     u = np.diag(np.exp(1j * np.array([0.0, 0.4, 1.1])))
@@ -381,33 +432,41 @@ def test_decompose_memo_is_not_aliased_by_a_returned_sum(empty_memo):
     again = decompose_unitary(u, 3)
     assert again.terms is not ps.terms
     assert all(a is not b for (_, a), (_, b) in zip(again.terms, ps.terms))
+    assert memo.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("bad", [np.ones((3, 3)), np.diag([1.0, 1.0, 1.1]),
                                  np.full((3, 3), np.nan),
                                  np.diag([1.0, np.inf, 1.0])],
                          ids=["rank-one", "scaled", "nan", "inf"])
-def test_decompose_memo_never_stores_a_rejected_operator(bad, empty_memo):
+def test_decompose_memo_never_stores_a_rejected_operator(bad, memo):
     for _ in range(3):
         with pytest.raises(ValueError):
             decompose_unitary(bad, 3)
-    assert not empty_memo
+    assert memo.cache_info()[:2] == (0, 3) and memo.cache_info().currsize == 0
 
 
-def test_decompose_memo_is_bounded(monkeypatch, empty_memo):
-    """At most _MEMO_SIZE operators, the oldest dropped first, and none
-    above _MEMO_MATRIX_BYTES."""
-    monkeypatch.setattr(pauli_module, "_MEMO_SIZE", 4)
+def test_decompose_memo_is_bounded(memo):
+    """At most 64 operators, the least recently used dropped first, and
+    none above _MEMO_MATRIX_BYTES."""
     rng = np.random.default_rng(8)
-    us = [random_unitary(rng, 3) for _ in range(7)]
-    for u in us:
+    us = [random_unitary(rng, 3) for _ in range(66)]
+    for u in us[:64]:
         decompose_unitary(u, 3)
-        assert len(empty_memo) <= 4
-    assert [key[1] for key in empty_memo] == [u.tobytes() for u in us[3:]]
+    assert memo.cache_info()[1:] == (64, 64, 64)  # misses, max, size
+    decompose_unitary(us[0], 3)  # a hit makes us[0] the most recent
+    decompose_unitary(us[64], 3)  # so us[1] is dropped, not us[0]
+    decompose_unitary(us[65], 3)  # and then us[2]
+    assert memo.cache_info()[:4] == (1, 66, 64, 64)
+    for u in [us[0]] + us[3:]:
+        decompose_unitary(u, 3)
+    assert memo.cache_info()[:2] == (65, 66)
+    decompose_unitary(us[1], 3)
+    assert memo.cache_info()[:2] == (65, 67)
     big = random_unitary(rng, 121)  # two sites at d = 11: 234 KB
     assert big.nbytes > pauli_module._MEMO_MATRIX_BYTES
     decompose_unitary(big, 11)
-    assert len(empty_memo) == 4 and (11, big.tobytes()) not in empty_memo
+    assert memo.cache_info()[:4] == (65, 67, 64, 64)
 
 
 def test_pauli_sum_merges_phase_and_duplicates():

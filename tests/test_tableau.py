@@ -509,11 +509,12 @@ def test_right_multiply_rejects_out_of_range():
         t.right_multiply(*local_frame([gate("SUM", 1, 3)], 3))
 
 
-def test_absorption_cache_is_bounded_and_read_only(monkeypatch):
-    """Past its size the cache drops its oldest entry, every entry is
-    read-only, and a dropped or evicted frame still composes exactly."""
-    monkeypatch.setattr(tableau, "_WEIGHTS_CACHE", {})
-    monkeypatch.setattr(tableau, "_WEIGHTS_CACHE_SIZE", 3)
+def test_absorption_cache_is_bounded_and_read_only():
+    """Past its 1024 entries the cache drops the least recently used one,
+    every entry is read-only, and a dropped or evicted frame still
+    composes exactly."""
+    weights = tableau._absorption_weights
+    weights.cache_clear()
     rng = np.random.default_rng(77)
     t, _ = random_tableau(rng, 5, 3, 30)
     words = [[gate("H", 0)], [gate("S", 1)], [gate("SUM", 0, 1)],
@@ -523,11 +524,29 @@ def test_absorption_cache_is_bounded_and_read_only(monkeypatch):
         want = right_multiply_full(t, [GateOp(g.name, tuple(
             (3, 1)[s] for s in g.sites)) for g in word])
         assert t.right_multiply(local, (3, 1)) == want
-        assert len(tableau._WEIGHTS_CACHE) <= 3
-    for k, w in tableau._WEIGHTS_CACHE.values():
+        k, w = weights(3, 2, local.codes.tobytes())
         assert not k.flags.writeable and not w.flags.writeable
         with pytest.raises(ValueError):
             w[0, 0] = 1
+    # five distinct frames, the repeated H a hit each time it was read
+    assert weights.cache_info()[:4] == (7, 5, 1024, 5)
+    codes = np.unique(rng.integers(0, 9, size=(1100, 4, 2), dtype=np.uint8),
+                      axis=0)[:1025]
+    keys = [c.tobytes() for c in codes]
+    weights.cache_clear()
+    first = weights(3, 2, keys[0])
+    for key in keys[1:1024]:
+        weights(3, 2, key)
+    assert weights(3, 2, keys[0]) is first  # now the most recent entry
+    weights(3, 2, keys[1024])  # drops keys[1], not keys[0]
+    assert weights.cache_info()[:4] == (1, 1025, 1024, 1024)
+    assert weights(3, 2, keys[0]) is first
+    weights(3, 2, keys[1])
+    assert weights.cache_info()[:2] == (2, 1026)
+    local = identity_tableau(2, 3).apply_word(words[2])
+    assert t.copy().right_multiply(local, (0, 4)) == right_multiply_full(
+        t, [gate("SUM", 0, 4)])
+    weights.cache_clear()
 
 
 # -- invariants ---------------------------------------------------------------------
