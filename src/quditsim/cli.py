@@ -15,6 +15,7 @@ from . import bench
 from .circuits import parse
 from .disentanglers import generate_catalog, load_catalog, save_catalog
 from .mps import TruncationPolicy
+from .pauli import check_dense_size
 from .statevector import run_circuit
 
 _VERIFY_TOL = 1e-8
@@ -29,6 +30,9 @@ def cmd_run(args) -> int:
         raise ValueError("--catalog applies to the gcamps backend only")
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circ = parse(fh.read())
+    if args.verify:
+        # before the run, so a circuit past the guard prints no rows
+        check_dense_size(circ.d, circ.n)
     catalog = None
     if args.catalog:
         catalog = load_catalog(args.catalog)

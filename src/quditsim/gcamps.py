@@ -6,16 +6,18 @@ basis (decompose_unitary, whose memo expands the T matrix of every step
 once), commute each term through C as u~ = C^dag u C (valid because
 u C = C (C^dag u C); one conjugation per generator X, Z and one
 kernels.ordered_product of their images for all the terms), apply the
-resulting operator sum to the MPS, then try to push the created
-entanglement back into C by sweeping the two-site catalog over the
-affected bonds, left to right whatever the gate's site: a cut inside the
-commuted strings' support stays entangled until one side of it has been
-collapsed, and collapsing proceeds from the window's edge inward. An
-accepted catalog gate Q moves the MPS to Q|mps> while C absorbs the
-inverse, C <- C Q^dag, so the physical state never changes; the absorption
-(Tableau.right_multiply) reuses the product weights the tableau caches for
-each catalog frame, so only the frame's rows are multiplied out per
-accepted gate. Q|mps> is not formed a second time: the pair tensor the
+resulting operator sum to the MPS (Mps.apply_pauli_sum; the chain is
+almost always a product state here, so only the sites the commuted strings
+move are compressed, and the center ends on the first of them), then try
+to push the created entanglement back into C by sweeping the two-site
+catalog over the affected bonds, left to right whatever the gate's site: a
+cut inside the commuted strings' support stays entangled until one side of
+it has been collapsed, and collapsing proceeds from the window's edge
+inward. An accepted catalog gate Q moves the MPS to Q|mps> while C absorbs
+the inverse, C <- C Q^dag, so the physical state never changes; the
+absorption (Tableau.right_multiply) reuses the product weights the tableau
+caches for each catalog frame, so only the frame's rows are multiplied out
+per accepted gate. Q|mps> is not formed a second time: the pair tensor the
 scan scored for Q is split in place by the MPS's own truncating SVD
 (Mps.split_pair), which leaves the same bits as Mps.apply_two_site would.
 

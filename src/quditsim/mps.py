@@ -8,6 +8,14 @@ truncate under a :class:`TruncationPolicy`; the discarded weight is returned
 to the caller.  The state is renormalized after every public operation.
 TruncationPolicy.rank (the Schmidt rank at the cutoff) and bond_ceiling
 (d^min(b, n-b)) are the rules every backend reports bonds by.
+
+A Pauli sum is applied as the direct sum of one Pauli-moved copy of the
+chain per term, brought to canonical form by one QR sweep and compressed
+by one truncating SVD sweep back. When every bond is 1 the sweeps run over
+the sites the sum moves only: a site every term maps to a multiple of its
+own vector, within a bound set by the policy's cutoff, has its multiples
+folded into the coefficients and goes back in place, and the center ends
+on the first moved site (Mps.apply_pauli_sum).
 """
 
 from __future__ import annotations
@@ -66,7 +74,10 @@ class TruncationPolicy:
     def rank(self, s):
         """Schmidt rank of each row of s, descending singular values along
         the last axis: the count above cutoff times the row's largest. An
-        all-zero row has rank 0."""
+        all-zero row has rank 0. One spectrum takes the scalar form, which
+        costs less and gives the same integer."""
+        if s.ndim == 1 and s.size:
+            return np.count_nonzero(s > self.cutoff * s[0])
         return (s > self.cutoff * s[..., :1]).sum(axis=-1)
 
 
@@ -371,78 +382,172 @@ class Mps:
     def apply_pauli_sum(self, ps):
         """Apply a Pauli operator sum, which must be unitary as a whole.
 
-        Every sum, a single term included, takes one path: the chain of
-        the sum applied to the state (_pauli_sum_tensors) is brought to
-        canonical form and compressed, and a norm drift beyond 1e-8
-        reports a non-unitary sum. The new chain is built on a new list
-        and committed only once its norm passes, so a rejected sum leaves
-        the chain as it was.
+        The chain of the sum applied to the state, the direct sum of one
+        Pauli-moved copy of the chain per term, is brought to canonical
+        form by one QR sweep and compressed by one truncating SVD sweep
+        back; the center lands on the first site of the swept chain. The
+        new chain is built on a new list and committed only once its norm
+        passes and both sweeps are done, so a sum that fails raises with
+        the chain as it was: a norm drift beyond 1e-8 reports a
+        non-unitary sum.
+
+        When every bond is 1 the sweeps run over the moved sites only. A
+        site is fixed when every term maps its vector v to a multiple of
+        v up to a residual of at most cutoff / (2 n k) times |v|, for k
+        terms on n sites and the policy's relative cutoff. The multiples
+        fold into the coefficients, the direct sum is built on the other
+        sites, and each fixed site goes back as the identity on the bond
+        it sits in times v / |v|; when no site moves, the center is the
+        one site the sum lands on. This is the projection of the exact
+        state onto v on the fixed sites. With sum |c_a|^2 = 1 it changes
+        the state by less than cutoff / (2 sqrt(k)), so every Schmidt
+        value it removes lies under the cutoff the sweep applies, and its
+        weight counts in the norm check and in the returned discarded
+        weight. At cutoff 0 only exact fixed points are fixed.
         """
         n = self.n
-        work = self._pauli_sum_tensors(ps)
-        for i in range(n - 1):
-            _qr_right(work, i)
-        nrm = float(np.linalg.norm(work[n - 1]))
-        if not abs(nrm - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
-            raise ValueError(f"operator sum is not unitary: norm drifted to {nrm:.6g}")
-        work[n - 1] = work[n - 1] / nrm
+        if all(t.shape[2] == 1 for t in self.tensors):
+            sites, unit, work, dropped = self._moved_sum_tensors(ps)
+        else:
+            sites, dropped = range(n), 0.0
+            work = self._pauli_sum_tensors(ps)
+        m = len(work)
+        for p in range(m - 1):
+            _qr_right(work, p)
+        nrm = float(np.linalg.norm(work[m - 1]))
+        total = float(np.hypot(nrm, np.sqrt(dropped)))
+        if not abs(total - 1.0) <= _NORM_DRIFT_TOL:  # a NaN norm fails too
+            raise ValueError("operator sum is not unitary: norm drifted to "
+                             f"{total:.6g}")
+        work[m - 1] = work[m - 1] / nrm
+        err = dropped / (total * total)
+        for p in range(m - 1, 0, -1):
+            # every cut between two swept sites carries the same bond, and
+            # the one nearest an end of the chain has the lowest ceiling
+            a, b = sites[p - 1], sites[p]
+            bond = a + 1 if min(a + 1, n - a - 1) <= min(b, n - b) else b
+            err += self._truncate_left(work, p, bond)
+        if m < n:  # the fixed sites go back around the swept ones
+            out = list(unit[:, None, :, None])
+            for p, i in enumerate(sites):
+                out[i] = work[p]
+                chi = work[p].shape[2]
+                # the fixed sites up to the next swept one carry its bond
+                if chi > 1 and sites[p + 1] > i + 1:
+                    out[i + 1:sites[p + 1]] = list(
+                        np.eye(chi)[:, None, :]
+                        * unit[i + 1:sites[p + 1], None, :, None])
+            work = out
         self.tensors[:] = work
-        self.center = n - 1
-        err = 0.0
-        for i in range(n - 1, 0, -1):
-            err += self._truncate_left(i)
+        self.center = sites[0]
         return err
 
-    def _truncate_left(self, i):
-        t = self.tensors[i]
+    def _truncate_left(self, work, i, bond):
+        """Truncating SVD split of work[i] across its left bond, the chain's
+        bond `bond`, carrying the rest into work[i - 1]; returns the
+        discarded weight."""
+        t = work[i]
         l, d_, r = t.shape
-        u, su, vh, err = self._truncated_svd(t.reshape(l, d_ * r), i)
-        self.tensors[i] = vh.reshape(-1, d_, r)
-        self.tensors[i - 1] = _carry_left(self.tensors[i - 1], u * su[None, :])
-        self.center = i - 1
+        u, su, vh, err = self._truncated_svd(t.reshape(l, d_ * r), bond)
+        work[i] = vh.reshape(-1, d_, r)
+        work[i - 1] = _carry_left(work[i - 1], u * su[None, :])
         return err
 
-    def _pauli_sum_tensors(self, ps):
-        """Site tensors of sum_a c_a P_a |self>, uncompressed: the direct
-        sum of one Pauli-moved copy of the chain per term.
-
-        X**x Z**z sends |s> to omega**(z s) |s + x>, so site i of copy a
-        reads input level (r - x_ai) mod d into output level r with phase
-        omega**(z_ai (r - x_ai)). Copy a sits on block a of every inner
-        bond, the coefficients sit on site 0, and the outer bonds close by
-        summing over the copies, so on a single site the copies add up.
-        A sum of another shape raises ValueError, an empty one too.
+    def _moved_sum_tensors(self, ps):
+        """On a chain of bonds 1, split the sites into those the sum moves
+        and the fixed ones, under apply_pauli_sum's bound. Returns the
+        moved sites, the unit site vectors, the uncompressed site tensors
+        of the sum on the moved sites, with the fixed sites' multiples and
+        the coefficients on the first, and the weight the projection onto
+        the fixed vectors drops: sum_ab conj(c_a) c_b G_ab (prod_f (L + R)_ab
+        - prod_f L_ab) over the fixed sites f, with G_ab the overlaps of the
+        copies on the moved sites, L_ab those of the multiples and R_ab of
+        the residuals.
         """
+        coeffs, src, phase = self._term_tables(ps)
+        n, k = self.n, len(coeffs)
+        vecs = np.concatenate(self.tensors).reshape(n, -1)
+        sq = np.einsum("id,id->i", vecs.conj(), vecs).real
+        # a zero vector stays zero, so it is fixed with multiple 0
+        unit = vecs / np.sqrt(np.where(sq > 0.0, sq, 1.0))[:, None]
+        moved = phase * vecs[np.arange(n)[:, None], src]  # (term, site, level)
+        lam = np.einsum("id,aid->ai", unit.conj(), moved)
+        res = moved - lam[:, :, None] * unit
+        res2 = np.einsum("aid,aid->ai", res.conj(), res).real
+        tol = self.policy.cutoff / (2 * n * k)
+        fixed = (res2 <= tol * tol * sq).all(axis=0)  # a NaN site moves
+        if fixed.all():
+            fixed[self.center] = False
+        sites = np.flatnonzero(~fixed).tolist()
+        lam, res = lam[:, fixed], res[:, fixed]
+        on = moved[:, sites]
+        dropped = 0.0
+        if res.any():  # exact fixed points drop nothing
+            lam2 = lam.conj()[:, None] * lam[None]
+            gram = lam2 + np.einsum("aid,bid->abi", res.conj(), res)
+            gram_on = np.einsum("aid,bid->abi", on.conj(), on).prod(axis=2)
+            drop = coeffs.conj() @ (
+                gram_on * (gram.prod(axis=2) - lam2.prod(axis=2))) @ coeffs
+            dropped = max(float(drop.real), 0.0)
+        folded = coeffs * lam.prod(axis=1)
+        copies = list(on.transpose(1, 0, 2)[:, :, None, :, None])
+        copies[0] = folded[:, None, None, None] * copies[0]
+        return sites, unit, _direct_sum(copies), dropped
+
+    def _term_tables(self, ps):
+        """Coefficients (k,), source levels and phases (k, n, d) of a sum:
+        X**x Z**z sends |s> to omega**(z s) |s + x>, so site i of term a
+        reads input level (r - x_ai) mod d into output level r with phase
+        omega**(z_ai (r - x_ai)). A sum of another shape raises ValueError,
+        an empty one too."""
         if not isinstance(ps, PauliSum):
             raise TypeError("expected a PauliSum")
         if ps.d != self.d or ps.n_sites != self.n:
             raise ValueError("operator does not match the chain")
-        k, d, n = len(ps), self.d, self.n
-        if k == 0:
+        if len(ps) == 0:
             raise ValueError("empty operator sum")
+        d = self.d
         xs = np.array([p.x for _, p in ps.terms])
         zs = np.array([p.z for _, p in ps.terms])
         src = (np.arange(d) - xs[:, :, None]) % d  # (term, site, out level)
         phase = phase_factor(2 * zs[:, :, None] * src, d)
-        phase[:, 0] *= np.array([c for c, _ in ps.terms])[:, None]
-        terms = np.arange(k)
-        out = []
-        for i, t in enumerate(self.tensors):
-            l, _, r = t.shape
-            # moved[a] is copy a of site i: (term, left, out level, right)
-            moved = phase[:, i, None, :, None] * t[:, src[:, i]].transpose(
-                1, 0, 2, 3)
-            if n == 1:
-                out.append(moved.sum(axis=0))
-            elif i == 0:
-                out.append(moved.transpose(1, 2, 0, 3).reshape(1, d, k * r))
-            elif i == n - 1:
-                out.append(moved.reshape(k * l, d, 1))
-            else:
-                w = np.zeros((k, l, d, k, r), dtype=np.complex128)
-                w[terms, :, :, terms] = moved
-                out.append(w.reshape(k * l, d, k * r))
-        return out
+        return np.array([c for c, _ in ps.terms]), src, phase
+
+    def _pauli_sum_tensors(self, ps):
+        """Site tensors of sum_a c_a P_a |self>, uncompressed: the direct
+        sum of one Pauli-moved copy of the chain per term (_term_tables),
+        with the coefficients on site 0.
+        """
+        coeffs, src, phase = self._term_tables(ps)
+        phase[:, 0] *= coeffs[:, None]
+        # copy a of site i: (term, left, out level, right)
+        return _direct_sum([
+            phase[:, i, None, :, None] * t[:, src[:, i]].transpose(1, 0, 2, 3)
+            for i, t in enumerate(self.tensors)])
+
+
+def _direct_sum(copies):
+    """Site tensors of the sum of k chains, from each site's stack of its k
+    copies, (term, left, level, right): copy a sits on block a of every
+    inner bond and the outer bonds close by summing over the copies, so on
+    a single site the copies add up."""
+    m = len(copies)
+    k = copies[0].shape[0]
+    terms = np.arange(k)
+    out = []
+    for i, c in enumerate(copies):
+        _, l, d, r = c.shape
+        if m == 1:
+            out.append(c.sum(axis=0))
+        elif i == 0:
+            out.append(c.transpose(1, 2, 0, 3).reshape(1, d, k * r))
+        elif i == m - 1:
+            out.append(c.reshape(k * l, d, 1))
+        else:
+            w = np.zeros((k, l, d, k, r), dtype=np.complex128)
+            w[terms, :, :, terms] = c
+            out.append(w.reshape(k * l, d, k * r))
+    return out
 
 
 def mps_model_bytes(chi, d):

@@ -92,6 +92,25 @@ def test_run_non_finite_param_exits_2(tmp_path, capsys):
     assert "verify_fidelity" not in captured.out
 
 
+@pytest.mark.parametrize("backend", ["mps", "gcamps"])
+def test_run_verify_past_the_dense_guard_exits_2_before_running(
+        tmp_path, backend, capsys):
+    """--verify on a circuit the dense oracle cannot hold is refused before
+    the run: no rows on stdout and no report file."""
+    circ = tmp_path / "wide.txt"
+    circ.write_text(emit(t_doped_circuit(12, 3, layers=1, rng_seed=2,
+                                         block_len=12)))
+    report = tmp_path / "rows.csv"
+    for extra in ([], ["--report", str(report)]):
+        code = main(["run", "--backend", backend, "--circuit", str(circ),
+                     "--verify"] + extra)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert "error: dense size 3**12 = 531441 exceeds the guard" in err
+        assert out == ""
+        assert not report.exists()
+
+
 def test_run_catalog_dimension_mismatch_exits_2(catalog_file, tmp_path, capsys):
     circ3 = tmp_path / "c3.txt"
     circ3.write_text(emit(t_doped_circuit(3, 3, layers=1, rng_seed=1)))

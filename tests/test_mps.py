@@ -108,6 +108,20 @@ def test_policy_rank_counts_each_row_at_the_cutoff():
     assert TruncationPolicy(cutoff=0.0).rank(s[1]) == 4
 
 
+@pytest.mark.parametrize("cutoff", [0.0, 1e-12, 1e-2, 0.5])
+def test_policy_rank_one_spectrum_and_stack_agree_with_the_row_count(cutoff):
+    rng = np.random.default_rng(59)
+    rows = -np.sort(-rng.random((6, 9)), axis=1)
+    rows[1, 4:] = 0.0
+    rows[2] = 0.0
+    rows[3, 1:] = rows[3, 0] * cutoff  # on the cutoff, not above it
+    policy = TruncationPolicy(cutoff=cutoff)
+    want = (rows > cutoff * rows[..., :1]).sum(axis=-1)
+    assert policy.rank(rows).tolist() == want.tolist()
+    assert [policy.rank(r) for r in rows] == want.tolist()
+    assert policy.rank(np.zeros(0)) == 0
+
+
 def test_bond_ceiling_is_the_smaller_side():
     assert [bond_ceiling(3, 5, b) for b in range(1, 5)] == [3, 9, 9, 3]
     assert bond_ceiling(2, 2, 1) == 2
@@ -477,7 +491,7 @@ def test_truncate_left_rejects_bond_past_ceiling():
     m.tensors[1] = rng.standard_normal((1, 2, 6)) + 0j
     m.tensors[2] = rng.standard_normal((6, 2, 6)) + 0j  # rank 6 across the cut
     with pytest.raises(RuntimeError, match="structural ceiling"):
-        m._truncate_left(2)
+        m._truncate_left(m.tensors, 2, 2)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -729,6 +743,227 @@ def test_mpo_grows_bonds_by_at_most_term_count():
     # the summed chain without the compression sweep
     after = Mps(d, m._pauli_sum_tensors(PauliSum(d, n, terms))).bond_dims()
     assert all(a <= k * b for a, b in zip(after, before))
+
+
+# ----------------------------------------------------------------------
+# Pauli sums on a chain of bonds 1
+
+
+def _site_vector(rng, d, kind, level):
+    """A unit site vector: basis level `level` ('b'), the same perturbed by
+    about 1e-16 ('p'), or a random vector ('g')."""
+    v = np.zeros(d, dtype=np.complex128)
+    v[level] = 1.0
+    if kind == "p":
+        v += 1e-16 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+    elif kind == "g":
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def _product_chain(rng, d, kinds, policy=None):
+    tensors = [_site_vector(rng, d, kind, int(rng.integers(d))).reshape(
+        1, d, 1) for kind in kinds]
+    return Mps(d, tensors, center=int(rng.integers(len(kinds))),
+               policy=policy)
+
+
+def _power_sum(rng, d, ops):
+    """sum_j c_j P**j for the string P with X on the sites marked 'X', Z on
+    those marked 'Z' and nothing elsewhere, and c_j the Z expansion of a
+    random diagonal unitary: P is unitary with eigenvalues omega**r, so the
+    sum is the unitary f(P)."""
+    n = len(ops)
+    x = np.array([1 if o == "X" else 0 for o in ops])
+    z = np.array([1 if o == "Z" else 0 for o in ops])
+    diag = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d)))
+    terms = []
+    for c, q in decompose_unitary(diag, d).terms:
+        j = int(q.z[0])
+        terms.append((c, PauliString(d, j * x % d, j * z % d)))
+    return PauliSum(d, n, terms)
+
+
+def _through_full_sweep(m):
+    """A copy of m whose bond 0 carries a second, zero channel, so that
+    apply_pauli_sum compresses it over every site, as for any chain with
+    a bond above 1; the state is the same."""
+    ref = m.copy()
+    a, b = ref.tensors[0], ref.tensors[1]
+    ref.tensors[0] = np.concatenate([a, np.zeros_like(a)], axis=2)
+    ref.tensors[1] = np.concatenate([b, np.zeros_like(b)], axis=0)
+    return ref
+
+
+def _fidelity(a, b):
+    return abs(np.vdot(a, b)) ** 2
+
+
+def _sum_times_dense(ps, v):
+    """sum_a c_a P_a v on the dense vector v, one site axis at a time:
+    X**x Z**z reads amplitude s - x with phase omega**(z (s - x))."""
+    d, n = ps.d, ps.n_sites
+    t = v.reshape((d,) * n)
+    out = np.zeros_like(t)
+    levels = np.arange(d)
+    for c, p in ps.terms:
+        w = t
+        for i in range(n):
+            shape = [1] * n
+            shape[i] = d
+            w = np.roll(w * np.exp(2j * np.pi * p.z[i] * levels / d).reshape(
+                shape), p.x[i], axis=i)
+        out += c * w
+    return out.reshape(-1)
+
+
+# (site vector kind, Pauli on the site): 'b' basis, 'p' basis perturbed by
+# about 1e-16, 'g' generic; a basis site under Z or any site under I only
+# takes a phase, so it is fixed
+_PRODUCT_CASES = {
+    "fixed before, between and after": ["bZ", "gX", "bI", "pZ", "gZ", "bZ"],
+    "one moved": ["bZ", "pZ", "gX", "bI", "pI", "bZ"],
+    "none moved": ["bZ", "pZ", "bI", "gI", "bZ", "pZ"],
+    "all moved": ["gX", "bX", "gZ", "pX", "gX", "gZ"],
+    "runs of fixed": ["gX", "bI", "pZ", "bZ", "gX", "bZ", "pI", "gZ"],
+}
+_POLICIES = [TruncationPolicy(), TruncationPolicy(chi_max=1),
+             TruncationPolicy(chi_max=2), TruncationPolicy(cutoff=0.0)]
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=repr)
+@pytest.mark.parametrize("case", sorted(_PRODUCT_CASES))
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_product_chain_sum_matches_the_full_sweep(d, case, policy):
+    spec = _PRODUCT_CASES[case]
+    rng = np.random.default_rng([d, len(case), int(policy.chi_max or 0)])
+    m = _product_chain(rng, d, [s[0] for s in spec], policy)
+    ps = _power_sum(rng, d, [s[1] for s in spec])
+    v = m.to_dense(max_dim=d ** m.n)
+    sites = m._moved_sum_tensors(ps)[0]
+    ref = _through_full_sweep(m)
+    err_ref = ref.apply_pauli_sum(ps)
+    err = m.apply_pauli_sum(ps)
+    # the center lands on the first moved site; with none moved it stays
+    assert m.center == sites[0] and ref.center == 0
+    if policy.cutoff > 0.0:
+        assert m.bond_dims() == ref.bond_dims()
+    else:
+        # at cutoff 0 the full sweep keeps the rounding noise across a cut
+        # that exact fixed sites make a product; the branch has none
+        assert all(a <= b for a, b in zip(m.bond_dims(), ref.bond_dims()))
+    assert canonical_ok(m) and canonical_ok(ref)
+    assert err == pytest.approx(err_ref, abs=1e-12)
+    assert abs(m.overlap(ref)) ** 2 >= 1 - 1e-12
+    if policy.chi_max is None:
+        want = _sum_times_dense(ps, v)
+        assert _fidelity(m.to_dense(max_dim=v.size), want) >= 1 - 1e-12
+
+
+@pytest.mark.parametrize("cutoff", [1e-12, 0.0])
+def test_product_chain_classifies_sites_by_their_residual(cutoff):
+    rng = np.random.default_rng(70)
+    d = 3
+    spec = ["bZ", "pZ", "gZ", "gI", "bX", "pI", "gX"]
+    m = _product_chain(rng, d, [s[0] for s in spec],
+                       TruncationPolicy(cutoff=cutoff))
+    sites = m._moved_sum_tensors(_power_sum(rng, d, [s[1] for s in spec]))[0]
+    # at cutoff 0 only exact fixed points are fixed
+    assert sites == ([1, 2, 4, 6] if cutoff == 0.0 else [2, 4, 6])
+
+
+@pytest.mark.parametrize("n_fixed", [1, 5])
+def test_product_chain_drops_residuals_within_the_bound(n_fixed):
+    """A site whose vector Z turns by a residual r is fixed for r up to
+    cutoff / (2 n k); the dropped change stays below cutoff / (2 sqrt(k))
+    and its weight comes back in the discarded weight."""
+    d, cutoff = 2, 1e-3
+    n = n_fixed + 1
+    k = 2  # P**0 and P**1
+    tol = cutoff / (2 * n * k)
+    for scale, fixed in ((0.99, True), (1.01, False)):
+        # Z (cos e, sin e) leaves the residual sin(2e) off its multiple
+        e = np.arcsin(scale * tol) / 2
+        tensors = [np.array([1.0, 2.0j]).reshape(1, 2, 1) / np.sqrt(5)]
+        tensors += [np.array([np.cos(e), np.sin(e)]).reshape(1, 2, 1)
+                    for _ in range(n_fixed)]
+        m = Mps(d, tensors, policy=TruncationPolicy(cutoff=cutoff))
+        ps = _power_sum(np.random.default_rng(71), d, ["X"] + ["Z"] * n_fixed)
+        assert len(ps) == k
+        sites = m._moved_sum_tensors(ps)[0]
+        assert sites == ([0] if fixed else list(range(n)))
+        want = _sum_times_dense(ps, m.to_dense())
+        err = m.apply_pauli_sum(ps)
+        got = m.to_dense()
+        dropped = 1.0 - _fidelity(got, want)
+        assert dropped <= cutoff ** 2 / (4 * k)
+        assert err == pytest.approx(dropped, rel=1e-6, abs=1e-15)
+        # the residuals' weight goes either way: below the bound by the
+        # projection onto the fixed vectors, past it by the sweep's own cut
+        assert dropped > 1e-10
+        assert canonical_ok(m)
+
+
+def _bytes(m):
+    return [t.tobytes() for t in m.tensors], m.center
+
+
+def test_product_chain_rejects_non_unitary_sums_untouched():
+    d, n = 2, 4
+    z0 = PauliString.single(d, n, 0, 0, 1)
+    eye = PauliString.identity(d, n)
+    # every site fixed: |1 0 0 0> is an eigenvector of both sums
+    basis = Mps.product_state(n, d, digits=[1, 0, 0, 0])
+    basis.center = 2
+    mixed = _product_chain(np.random.default_rng(72), d, "gbpb")
+    for m in (basis, mixed):
+        for ps in (PauliSum(d, n, [(0.5, eye), (0.5, z0)]),
+                   PauliSum(d, n, [(2.0, z0)])):
+            before = _bytes(m)
+            with pytest.raises(ValueError, match="not unitary"):
+                m.apply_pauli_sum(ps)
+            assert _bytes(m) == before
+
+
+def test_product_chain_nan_site_moves_and_raises():
+    d, n = 3, 5
+    m = _product_chain(np.random.default_rng(73), d, "bbgbb")
+    m.tensors[3] = m.tensors[3].copy()
+    m.tensors[3][0, 1, 0] = np.nan
+    # the sum is the identity on site 3, so it would be fixed if finite
+    ps = PauliSum(d, n, [(1.0, PauliString.single(d, n, 2, x=1))])
+    assert 3 in m._moved_sum_tensors(ps)[0]
+    before = _bytes(m)
+    with pytest.raises(ValueError, match="not unitary"):
+        m.apply_pauli_sum(ps)
+    assert _bytes(m) == before
+
+
+def test_product_chain_sweeps_only_the_moved_sites(monkeypatch):
+    import quditsim.mps as mps_module
+
+    d, n = 3, 96
+    rng = np.random.default_rng(74)
+    m = Mps.product_state(n, d, digits=rng.integers(d, size=n))
+    ops = ["I"] * n
+    for i in (10, 40, 41):
+        ops[i] = "X"
+    ops[70] = "Z"  # a basis site under Z only takes a phase
+    ps = _power_sum(rng, d, ops)
+    calls = []
+    real = mps_module._qr_right
+
+    def counting(tensors, i):
+        calls.append(i)
+        return real(tensors, i)
+
+    monkeypatch.setattr(mps_module, "_qr_right", counting)
+    m.apply_pauli_sum(ps)
+    assert len(calls) <= 4
+    assert m.center == 10
+    assert m.bond_dims()[10:41] == [d] * 31
+    assert set(m.bond_dims()[:10] + m.bond_dims()[41:]) == {1}
+    assert canonical_ok(m)
 
 
 # ----------------------------------------------------------------------
